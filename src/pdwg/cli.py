@@ -21,8 +21,9 @@ from pdwg.harness import (
     solve_single,
 )
 from pdwg.linsolve import SingularSystem
+from pdwg.mesh import check_alignment
 from pdwg.polyspace import DEFAULT_EDGE_POINTS, DEFAULT_TRI_DEGREE
-from pdwg.problems import DEFAULT_NOISE_SEED, case_configs, catalog
+from pdwg.problems import DEFAULT_NOISE_SEED, NoiseSpec, case_configs, catalog, get_case
 
 OUTPUT_DIR_ENV = "PDWG_OUTPUT_DIR"
 
@@ -126,6 +127,22 @@ def _validate_names(cfg: dict) -> None:
         raise UsageError(f"unknown case {cfg['case']!r}; known: {sorted(case_configs())}")
 
 
+def _validate_values(cfg: dict, command: str) -> None:
+    """Reject mesh parameters, segment layouts and amplitudes no solve can take."""
+    n_values = cfg["n_list"] if command == "converge" else [cfg["n"]]
+    segments = () if cfg["plan"] == "benchmark" else get_case(cfg["case"]).segments
+    try:
+        for n in n_values:
+            if n < 1:
+                raise ValueError(f"mesh parameter n must be >= 1, got {n}")
+            check_alignment(segments, n)
+        if command == "noise":
+            for a in cfg["amplitudes"]:
+                NoiseSpec(amplitude=a, seed=cfg["seed"])
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+
+
 def _prepare_out(cfg: dict, command: str) -> Path:
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
@@ -147,6 +164,7 @@ def main(argv=None) -> int:
         command = args.command
         if command in ("solve", "converge", "noise"):
             _validate_names(cfg)
+            _validate_values(cfg, command)
         out = _prepare_out(cfg, command)
         deg = cfg["quadrature_degree"]
         edge_points = max(DEFAULT_EDGE_POINTS, (deg + 2) // 2)

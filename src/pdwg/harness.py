@@ -86,14 +86,14 @@ class FieldSnapshot:
     def nodes_csv(self) -> str:
         out = io.StringIO()
         out.write("x,y,u0,err\n")
-        for (x, y), u, e in zip(self.nodes, self.u0, self.err):
+        for (x, y), u, e in zip(self.nodes.tolist(), self.u0, self.err):
             out.write(f"{x!r},{y!r},{u:.12e},{e:.12e}\n")
         return out.getvalue()
 
     def elements_csv(self) -> str:
         out = io.StringIO()
         out.write("cx,cy,lambda\n")
-        for (x, y), l in zip(self.centroids, self.lam):
+        for (x, y), l in zip(self.centroids.tolist(), self.lam):
             out.write(f"{x!r},{y!r},{l:.12e}\n")
         return out.getvalue()
 
@@ -285,7 +285,7 @@ def run_benchmark_tables(
         for p in problems:
             t = get_table(p, entry["case"])
             csv_path = out_dir / f"{p}_{entry['case']}.csv"
-            if not csv_path.exists():
+            if csv_path not in written:
                 csv_path.write_text(t.to_csv(), encoding="utf-8")
                 written.append(csv_path)
             md_parts.append(f"**{p} / {entry['case']}**\n\n"

@@ -232,14 +232,8 @@ def _side_geometry(side: str):
     }[side]
 
 
-def classify_boundary(mesh: Mesh, specs: list[BoundarySegmentSpec]) -> BoundaryTags:
-    """Tag each boundary edge with (dirichlet, neumann) flags from ``specs``.
-
-    An edge belongs to a segment iff both endpoints lie on the segment's
-    closure.  Sub-interval endpoints must be multiples of 1/n so that no
-    edge straddles an interval endpoint.
-    """
-    n = mesh.n
+def check_alignment(specs, n: int) -> None:
+    """Raise ValueError unless every segment endpoint is a multiple of 1/n."""
     for spec in specs:
         for v in (spec.lo, spec.hi):
             if abs(round(v * n) - v * n) > 1e-9:
@@ -247,6 +241,16 @@ def classify_boundary(mesh: Mesh, specs: list[BoundarySegmentSpec]) -> BoundaryT
                     f"segment endpoint {v} on side {spec.side!r} is not aligned "
                     f"with the mesh (must be a multiple of 1/{n})"
                 )
+
+
+def classify_boundary(mesh: Mesh, specs: list[BoundarySegmentSpec]) -> BoundaryTags:
+    """Tag each boundary edge with (dirichlet, neumann) flags from ``specs``.
+
+    An edge belongs to a segment iff both endpoints lie on the segment's
+    closure.  Sub-interval endpoints must be multiples of 1/n so that no
+    edge straddles an interval endpoint.
+    """
+    check_alignment(specs, mesh.n)
 
     dirichlet = np.zeros(mesh.num_edges, dtype=bool)
     neumann = np.zeros(mesh.num_edges, dtype=bool)

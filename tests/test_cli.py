@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import pdwg.cli as cli
 import pdwg.harness as harness
 from pdwg.linsolve import SingularSystem
@@ -42,6 +44,20 @@ def test_unknown_problem_is_usage_error(tmp_path):
 
 def test_unknown_case_is_usage_error(tmp_path):
     assert run(["converge", "--problem", "sinsin", "--case", "case99"], tmp_path) == 2
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--n", "0"],
+        ["noise", "--n", "4", "--amplitudes", "0,-1"],
+        ["solve", "--case", "figures", "--n", "3"],
+    ],
+    ids=["mesh_parameter_zero", "negative_amplitude", "misaligned_segment"],
+)
+def test_bad_values_are_usage_errors(args, tmp_path, capsys):
+    assert run(args, tmp_path) == 2
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_missing_subcommand_is_usage_error():

@@ -67,6 +67,19 @@ def test_snapshot_shapes_and_csv():
     assert len(snapshot.nodes_csv().strip().split("\n")) == V_plus_E + 1
 
 
+def test_snapshot_csvs_load_back_as_numbers(tmp_path):
+    _, _, snapshot = solve_single("sinsin", "case1", 2)
+    for text, coords, values in [
+        (snapshot.nodes_csv(), snapshot.nodes, snapshot.u0),
+        (snapshot.elements_csv(), snapshot.centroids, snapshot.lam),
+    ]:
+        path = tmp_path / "snapshot.csv"
+        path.write_text(text)
+        table = np.loadtxt(path, delimiter=",", skiprows=1)
+        assert np.array_equal(table[:, :2], coords)
+        assert np.allclose(table[:, 2], values, rtol=1e-11, atol=0.0)
+
+
 def test_snapshot_error_column_is_pointwise():
     _, _, snapshot = solve_single("quad", "case1", 2)
     # quadratic solutions are reproduced at the nodes to machine accuracy
@@ -134,3 +147,10 @@ def test_run_benchmark_tables_writes_all_layouts(tmp_path):
     # 4 problems on case1, 3 on case2, plus case3/case4/case5 runs
     assert len(csv_files) == 4 + 3 + 1 + 1 + 3
     assert all(p.exists() for p in written)
+
+
+def test_run_benchmark_tables_rerun_overwrites_csv(tmp_path):
+    run_benchmark_tables(tmp_path, n_list=[1, 2])
+    run_benchmark_tables(tmp_path, n_list=[1, 2, 4])
+    rows = (tmp_path / "sinsin_case1.csv").read_text().strip().split("\n")[1:]
+    assert [row.split(",")[0] for row in rows] == ["1", "2", "4"]

@@ -2,11 +2,18 @@ import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from pdwg.assembly import build_saddle_system
-from pdwg.linsolve import SingularSystem, factor_and_solve, solve_sparse
+from pdwg.linsolve import (
+    SingularSystem,
+    factor_and_solve,
+    flux_diagonal,
+    solve_condensed,
+    solve_sparse,
+)
 from pdwg.mesh import build_uniform_unit_square
-from pdwg.problems import get_problem
+from pdwg.problems import case_configs, get_problem
 
 from conftest import tags_for
 
@@ -107,3 +114,71 @@ def test_solution_scatter_respects_constraints():
     assert solution.un.shape == (dm.n_edges, 2)
     assert solution.lam.shape == (mesh.num_triangles,)
     assert solution.residual_inf <= 1e-10 * max(1.0, np.abs(system.rhs).max())
+
+
+def system_for(case, n):
+    mesh = build_uniform_unit_square(n)
+    return build_saddle_system(mesh, tags_for(mesh, case), get_problem("sinsin"))
+
+
+@pytest.mark.parametrize("case, n, factors", [("case1", 4, 1), ("case5", 1, 2)])
+def test_pivoting_retry_fires_only_on_breakdown(case, n, factors, monkeypatch):
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(kwargs)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    factor_and_solve(system_for(case, n))
+    assert len(calls) == factors
+    assert calls[0]["diag_pivot_thresh"] == 0.0
+
+
+@pytest.mark.parametrize("n", [2, 4])
+@pytest.mark.parametrize("case", sorted(case_configs()))
+def test_condensed_solve_matches_dense_solve(case, n):
+    system = system_for(case, n)
+    solution = factor_and_solve(system)
+    got = np.concatenate([solution.primal[system.dofmap.free], solution.lam])
+    A = system.M.toarray()
+    want = scipy.linalg.solve(A, system.rhs)
+    bound = np.linalg.cond(A) * np.finfo(float).eps
+    assert np.abs(got - want).max() <= bound * np.abs(want).max()
+
+
+@pytest.mark.parametrize("case", ["case1", "case2", "figures"])
+def test_free_flux_block_is_positive_diagonal(case):
+    system = system_for(case, 4)
+    dm = system.dofmap
+    flux = np.arange(np.searchsorted(dm.free, dm.n_u), system.n_free)
+    block = system.M[flux][:, flux].toarray()
+    d = np.diag(block)
+    assert np.array_equal(block, np.diag(d))
+    assert np.all(d > 0.0)
+    assert np.array_equal(flux_diagonal(system.M, flux), d)
+
+
+def test_flux_diagonal_rejects_coupled_block():
+    M = sp.csc_matrix(np.array([[2.0, 1.0, 1.0], [1.0, 3.0, 0.5], [1.0, 0.5, 4.0]]))
+    with pytest.raises(ValueError):
+        flux_diagonal(M, np.array([1, 2]))
+    with pytest.raises(ValueError):
+        flux_diagonal(sp.csc_matrix(np.diag([1.0, -1.0])), np.array([0, 1]))
+
+
+def test_condensation_without_flux_unknowns_solves_full_matrix(rng):
+    A = rng.standard_normal((6, 6))
+    A = A + A.T + 12 * np.eye(6)
+    b = rng.standard_normal(6)
+    out = solve_condensed(sp.csc_matrix(A), b, np.array([], dtype=np.int64))
+    assert np.abs(out.x - np.linalg.solve(A, b)).max() <= 1e-13
+
+
+def test_condensed_saddle_block_matches_dense_solve(rng):
+    # one diagonal unknown eliminated out of a 3x3 saddle block
+    M = sp.csc_matrix(np.array([[2.0, 0.0, 1.0], [0.0, 4.0, 1.0], [1.0, 1.0, 0.0]]))
+    b = rng.standard_normal(3)
+    out = solve_condensed(M, b, np.array([1]))
+    assert np.abs(out.x - np.linalg.solve(M.toarray(), b)).max() <= 1e-14
