@@ -9,6 +9,9 @@ the saddle-point system
     [ B   0  ] [l] = [ F - B_fc g ]
 
 over the free unknowns, with constrained values g eliminated by lifting.
+The matrix depends only on the mesh and the boundary tags
+(``assemble_matrix``); the problem and the data noise enter only F and g
+(``assemble_rhs``).
 The stabilizer has an h^-3 trace-mismatch term and an h^-1
 normal-derivative-mismatch term; for C0 elements the trace mismatch
 v0 - vb is structurally zero (there is no independent vb unknown), so only
@@ -32,7 +35,7 @@ from pdwg.polyspace import (
     DEFAULT_TRI_DEGREE,
     bary_gradients,
     edge_gauss,
-    interpolate_dirichlet_nodes,
+    interpolate_nodes,
     project_edge_samples,
     triangle_quadrature,
 )
@@ -78,12 +81,7 @@ def build_dofmap(mesh: Mesh, tags: BoundaryTags) -> DofMap:
     receive data.
     """
     V, E, T = mesh.num_vertices, mesh.num_edges, mesh.num_triangles
-    d_edges = tags.dirichlet_edges
-    nodes = set()
-    for e in d_edges:
-        a, b = mesh.edges[e]
-        nodes.update((int(a), int(b), V + int(e)))
-    dirichlet_nodes = np.asarray(sorted(nodes), dtype=np.int64)
+    dirichlet_nodes = mesh.closure_p2_nodes(tags.dirichlet_edges)
     neumann_edges = np.asarray(sorted(tags.neumann_edges), dtype=np.int64)
 
     n_u = V + E
@@ -189,13 +187,8 @@ def assemble_stabilizer(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     return upper + sp.triu(upper, k=1).T.tocsr()
 
 
-def assemble_constraint(
-    mesh: Mesh,
-    dofmap: DofMap,
-    f: Callable,
-    tri_degree: int = DEFAULT_TRI_DEGREE,
-) -> tuple[sp.csr_matrix, np.ndarray]:
-    """Constraint matrix B (one row per triangle) and load (f, 1)_T.
+def constraint_matrix(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
+    """Constraint matrix B, one row per triangle.
 
     Row T reads sum_e s(T,e) * h_e * c0_e = int_T f dx: for the k=2 scheme
     the weak Laplacian tested against P0 reduces to the signed flux
@@ -209,17 +202,29 @@ def assemble_constraint(
         rows.append(np.arange(T))
         cols.append(n_u + 2 * e)
         data.append(mesh.tri_edge_signs[:, l] * mesh.h_e[e])
-    B = sp.coo_matrix(
+    return sp.coo_matrix(
         (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
         shape=(T, dofmap.n_primal),
     ).tocsr()
 
+
+def element_load(mesh: Mesh, f: Callable, tri_degree: int = DEFAULT_TRI_DEGREE) -> np.ndarray:
+    """Load (f, 1)_T per triangle."""
     quad = triangle_quadrature(tri_degree)
     pts = quad.physical_points(mesh.tri_coords())
     w = quad.physical_weights(mesh.area)
     fvals = np.broadcast_to(f(pts[..., 0], pts[..., 1]), w.shape)
-    F = np.einsum("tq,tq->t", w, fvals)
-    return B, F
+    return np.einsum("tq,tq->t", w, fvals)
+
+
+def assemble_constraint(
+    mesh: Mesh,
+    dofmap: DofMap,
+    f: Callable,
+    tri_degree: int = DEFAULT_TRI_DEGREE,
+) -> tuple[sp.csr_matrix, np.ndarray]:
+    """Constraint matrix B and load (f, 1)_T."""
+    return constraint_matrix(mesh, dofmap), element_load(mesh, f, tri_degree)
 
 
 def neumann_flux_coefficients(
@@ -280,10 +285,10 @@ def apply_boundary_conditions(
     if noise is not None and noise.amplitude > 0.0:
         rng = noise.generator()
     if len(dofmap.dirichlet_nodes):
-        node_ids, values = interpolate_dirichlet_nodes(g1, mesh, tags.dirichlet_edges)
+        values = interpolate_nodes(g1, mesh, dofmap.dirichlet_nodes)
         if noise is not None:
             values = perturb(values, noise, rng)
-        g[node_ids] = values
+        g[dofmap.dirichlet_nodes] = values
     if len(dofmap.neumann_edges):
         coeffs = neumann_flux_coefficients(
             g2, mesh, tags, dofmap.neumann_edges, edge_points, noise, rng
@@ -293,24 +298,82 @@ def apply_boundary_conditions(
 
 
 @dataclass
-class SaddleSystem:
-    """Assembled PD-WG system with its free/constrained bookkeeping."""
+class SystemMatrix:
+    """The part of the PD-WG system fixed by the mesh and the boundary tags.
+
+    The problem and the data noise change only the right-hand side, so one
+    SystemMatrix (and one factor of M) serves every load and boundary datum.
+    """
 
     mesh: Mesh
     tags: BoundaryTags
     dofmap: DofMap
     S: sp.csr_matrix          # stabilizer over all primal dofs
     B: sp.csr_matrix          # constraint rows over all primal dofs
-    F: np.ndarray             # (f, 1)_T per triangle
-    g: np.ndarray             # prescribed values, full primal length
+    S_fc: sp.csr_matrix       # stabilizer rows of free, columns of constrained dofs
+    B_c: sp.csr_matrix        # constraint columns of constrained dofs
     M: sp.csc_matrix          # [S_ff B_f^T; B_f 0]
-    rhs: np.ndarray
-    rhs_dual: np.ndarray      # -S_fc g_c
-    rhs_primal: np.ndarray    # F - B_c g_c
 
     @property
     def n_free(self) -> int:
         return len(self.dofmap.free)
+
+
+@dataclass
+class SaddleSystem(SystemMatrix):
+    """Assembled PD-WG system: the matrix part plus one right-hand side."""
+
+    F: np.ndarray             # (f, 1)_T per triangle
+    g: np.ndarray             # prescribed values, full primal length
+    rhs: np.ndarray
+    rhs_dual: np.ndarray      # -S_fc g_c
+    rhs_primal: np.ndarray    # F - B_c g_c
+
+
+def assemble_matrix(mesh: Mesh, tags: BoundaryTags) -> SystemMatrix:
+    """Assemble the data-independent blocks of the saddle-point system."""
+    dofmap = build_dofmap(mesh, tags)
+    S = assemble_stabilizer(mesh, dofmap)
+    B = constraint_matrix(mesh, dofmap)
+    free, con = dofmap.free, dofmap.constrained
+    S_f = S[free]
+    B_f = B[:, free]
+    M = sp.bmat([[S_f[:, free], B_f.T], [B_f, None]], format="csc")
+    return SystemMatrix(mesh=mesh, tags=tags, dofmap=dofmap, S=S, B=B,
+                        S_fc=S_f[:, con], B_c=B[:, con], M=M)
+
+
+def assemble_rhs(
+    matrix: SystemMatrix,
+    problem: ManufacturedSolution,
+    tri_degree: int = DEFAULT_TRI_DEGREE,
+    edge_points: int = DEFAULT_EDGE_POINTS,
+    noise: NoiseSpec | None = None,
+) -> SaddleSystem:
+    """Add the load and boundary-data right-hand side of a problem.
+
+    Boundary data is taken from the exact solution: g1 = u on Gamma_d and
+    g2 = grad u . n on Gamma_n (optionally noise-perturbed).
+    """
+    mesh, dofmap = matrix.mesh, matrix.dofmap
+
+    def g2(x, y, n_out):
+        gx, gy = problem.grad_u(x, y)
+        return gx * n_out[0] + gy * n_out[1]
+
+    F = element_load(mesh, problem.f, tri_degree)
+    g = apply_boundary_conditions(problem.u, g2, mesh, matrix.tags, dofmap, edge_points, noise)
+    g_c = g[dofmap.constrained]
+    rhs_dual = -matrix.S_fc @ g_c
+    rhs_primal = F - matrix.B_c @ g_c
+    return SaddleSystem(
+        **vars(matrix),
+        F=F,
+        g=g,
+        rhs=np.concatenate([rhs_dual, rhs_primal]),
+        rhs_dual=rhs_dual,
+        rhs_primal=rhs_primal,
+    )
 
 
 def build_saddle_system(
@@ -321,39 +384,5 @@ def build_saddle_system(
     edge_points: int = DEFAULT_EDGE_POINTS,
     noise: NoiseSpec | None = None,
 ) -> SaddleSystem:
-    """Assemble the saddle-point system for a manufactured problem.
-
-    Boundary data is taken from the exact solution: g1 = u on Gamma_d and
-    g2 = grad u . n on Gamma_n (optionally noise-perturbed).
-    """
-    dofmap = build_dofmap(mesh, tags)
-    S = assemble_stabilizer(mesh, dofmap)
-    B, F = assemble_constraint(mesh, dofmap, problem.f, tri_degree)
-    g2 = lambda x, y, n_out: (
-        problem.grad_u(x, y)[0] * n_out[0] + problem.grad_u(x, y)[1] * n_out[1]
-    )
-    g = apply_boundary_conditions(problem.u, g2, mesh, tags, dofmap, edge_points, noise)
-
-    free, con = dofmap.free, dofmap.constrained
-    S_ff = S[free][:, free]
-    S_fc = S[free][:, con]
-    B_f = B[:, free]
-    B_c = B[:, con]
-    g_c = g[con]
-    rhs_dual = -S_fc @ g_c
-    rhs_primal = F - B_c @ g_c
-    M = sp.bmat([[S_ff, B_f.T], [B_f, None]], format="csc")
-    rhs = np.concatenate([rhs_dual, rhs_primal])
-    return SaddleSystem(
-        mesh=mesh,
-        tags=tags,
-        dofmap=dofmap,
-        S=S,
-        B=B,
-        F=F,
-        g=g,
-        M=M,
-        rhs=rhs,
-        rhs_dual=rhs_dual,
-        rhs_primal=rhs_primal,
-    )
+    """Assemble the saddle-point system for a manufactured problem."""
+    return assemble_rhs(assemble_matrix(mesh, tags), problem, tri_degree, edge_points, noise)

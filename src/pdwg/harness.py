@@ -3,7 +3,8 @@
 CSV is the canonical output; the markdown rendering of benchmark-style
 tables is a formatting layer on top.  Observed orders use log2 of the
 error ratio under mesh halving; reruns with the same inputs are
-byte-identical.
+byte-identical.  Within one call, every problem and noise amplitude on a
+(case, n) is solved against one ``Discretization`` and its single factor.
 """
 
 from __future__ import annotations
@@ -15,12 +16,24 @@ from pathlib import Path
 
 import numpy as np
 
-from pdwg.assembly import build_saddle_system
-from pdwg.linsolve import SingularSystem, factor_and_solve
+from pdwg.assembly import assemble_matrix, assemble_rhs
+from pdwg.linsolve import (
+    CondensedFactor,
+    Solution,
+    SingularSystem,
+    factor_and_solve,
+    saddle_factor,
+)
 from pdwg.mesh import build_uniform_unit_square, classify_boundary
-from pdwg.norms import ErrorReport, error_norms, project_exact
+from pdwg.norms import ErrorReport, ExactProjection, error_norms, project_exact
 from pdwg.polyspace import DEFAULT_EDGE_POINTS, DEFAULT_TRI_DEGREE
-from pdwg.problems import DEFAULT_NOISE_SEED, NoiseSpec, get_case, get_problem
+from pdwg.problems import (
+    DEFAULT_NOISE_SEED,
+    ManufacturedSolution,
+    NoiseSpec,
+    get_case,
+    get_problem,
+)
 
 NORM_KEYS = ("h2", "l1", "l2", "h1", "linf", "w11")
 CSV_HEADER = (
@@ -98,6 +111,63 @@ class FieldSnapshot:
         return out.getvalue()
 
 
+class Discretization:
+    """Mesh, boundary tags, matrix part and condensed factor of one (case, n).
+
+    The saddle matrix depends only on these, so ``solve`` assembles just
+    the right-hand side of a problem and noise amplitude and reuses the one
+    factor.  The factor is built by the first ``solve``, so work done
+    before it, such as the exact projection, does not add to the memory the
+    factor holds; setting ``factor`` to None frees it, and the next
+    ``solve`` factors again.  A SingularSystem raised while factoring is
+    raised again by every ``solve``.
+    """
+
+    def __init__(
+        self,
+        case_name: str,
+        n: int,
+        tri_degree: int = DEFAULT_TRI_DEGREE,
+        edge_points: int = DEFAULT_EDGE_POINTS,
+    ):
+        self.tri_degree = tri_degree
+        self.edge_points = edge_points
+        self.mesh = build_uniform_unit_square(n)
+        self.tags = classify_boundary(self.mesh, list(get_case(case_name).segments))
+        self.matrix = assemble_matrix(self.mesh, self.tags)
+        self.factor: CondensedFactor | None = None
+        self.error: SingularSystem | None = None
+
+    def project(self, problem: ManufacturedSolution) -> ExactProjection:
+        return project_exact(problem, self.mesh, self.tri_degree, self.edge_points)
+
+    def solve(self, problem: ManufacturedSolution, noise: NoiseSpec | None = None) -> Solution:
+        if self.factor is None and self.error is None:
+            try:
+                self.factor = saddle_factor(self.matrix)
+            except SingularSystem as exc:
+                self.error = exc
+        if self.error is not None:
+            raise self.error
+        system = assemble_rhs(self.matrix, problem, self.tri_degree, self.edge_points, noise)
+        return factor_and_solve(system, self.factor)
+
+    def measure(self, problem: ManufacturedSolution, solution: Solution,
+                qhu: ExactProjection) -> tuple[ErrorReport, FieldSnapshot]:
+        """Error norms against the projection ``qhu`` and the field snapshot."""
+        report = error_norms(solution, qhu, self.mesh, self.tags,
+                             self.tri_degree, self.edge_points)
+        coords = self.mesh.p2_node_coords
+        snapshot = FieldSnapshot(
+            nodes=coords,
+            u0=solution.u0,
+            err=solution.u0 - problem.u(coords[:, 0], coords[:, 1]),
+            centroids=self.mesh.centroids,
+            lam=solution.lam,
+        )
+        return report, snapshot
+
+
 def solve_single(
     problem_name: str,
     case_name: str,
@@ -108,22 +178,43 @@ def solve_single(
 ):
     """One assemble/solve/measure pass; returns (solution, report, snapshot)."""
     problem = get_problem(problem_name)
-    case = get_case(case_name)
-    mesh = build_uniform_unit_square(n)
-    tags = classify_boundary(mesh, list(case.segments))
-    system = build_saddle_system(mesh, tags, problem, tri_degree, edge_points, noise)
-    solution = factor_and_solve(system)
-    qhu = project_exact(problem, mesh, tri_degree, edge_points)
-    report = error_norms(solution, qhu, mesh, tags, tri_degree, edge_points)
-    coords = mesh.p2_node_coords
-    snapshot = FieldSnapshot(
-        nodes=coords,
-        u0=solution.u0,
-        err=solution.u0 - problem.u(coords[:, 0], coords[:, 1]),
-        centroids=mesh.centroids,
-        lam=solution.lam,
-    )
-    return solution, report, snapshot
+    disc = Discretization(case_name, n, tri_degree, edge_points)
+    solution = disc.solve(problem, noise)
+    disc.factor = None  # the only solve: free the factor and its cached L and U
+    return (solution, *disc.measure(problem, solution, disc.project(problem)))
+
+
+def _convergence_tables(
+    problem_names: list[str],
+    case_name: str,
+    n_list: list[int],
+    tri_degree: int,
+    edge_points: int,
+) -> dict[str, ConvergenceTable]:
+    """One table per problem on one case, all sharing one factor per mesh.
+
+    Solver failures are recorded and the run continues.
+    """
+    tables = {p: ConvergenceTable(problem=p, case=case_name) for p in problem_names}
+    problems = {p: get_problem(p) for p in problem_names}
+    for n in n_list:
+        disc = Discretization(case_name, n, tri_degree, edge_points)
+        for name, table in tables.items():
+            problem = problems[name]
+            qhu = disc.project(problem)
+            try:
+                solution = disc.solve(problem)
+                report, _ = disc.measure(problem, solution, qhu)
+                table.rows.append(ConvergenceRow(n=n, report=report))
+            except SingularSystem as exc:
+                table.rows.append(ConvergenceRow(n=n, report=None, error=str(exc)))
+    for table in tables.values():
+        for prev, row in zip(table.rows, table.rows[1:]):
+            if prev.report is None or row.report is None or row.n != 2 * prev.n:
+                continue
+            pd, rd = prev.report.as_dict(), row.report.as_dict()
+            row.orders = {k: compute_order(pd[k], rd[k]) for k in NORM_KEYS}
+    return tables
 
 
 def run_convergence(
@@ -134,19 +225,8 @@ def run_convergence(
     edge_points: int = DEFAULT_EDGE_POINTS,
 ) -> ConvergenceTable:
     """One solve per mesh; solver failures are recorded and the run continues."""
-    table = ConvergenceTable(problem=problem_name, case=case_name)
-    for n in n_list:
-        try:
-            _, report, _ = solve_single(problem_name, case_name, n, tri_degree, edge_points)
-            table.rows.append(ConvergenceRow(n=n, report=report))
-        except SingularSystem as exc:
-            table.rows.append(ConvergenceRow(n=n, report=None, error=str(exc)))
-    for prev, row in zip(table.rows, table.rows[1:]):
-        if prev.report is None or row.report is None or row.n != 2 * prev.n:
-            continue
-        pd, rd = prev.report.as_dict(), row.report.as_dict()
-        row.orders = {k: compute_order(pd[k], rd[k]) for k in NORM_KEYS}
-    return table
+    return _convergence_tables([problem_name], case_name, n_list,
+                               tri_degree, edge_points)[problem_name]
 
 
 @dataclass
@@ -185,17 +265,18 @@ def run_noise_study(
     tri_degree: int = DEFAULT_TRI_DEGREE,
     edge_points: int = DEFAULT_EDGE_POINTS,
 ) -> NoiseStudy:
-    """Solve once per amplitude on the same mesh with the same seed.
+    """Solve once per amplitude against one factor, with the same seed.
 
     Amplitude 0 reproduces the unperturbed solve bit-exactly.
     """
     study = NoiseStudy(problem=problem_name, case=case_name, n=n, seed=seed)
+    problem = get_problem(problem_name)
+    disc = Discretization(case_name, n, tri_degree, edge_points)
+    qhu = disc.project(problem)
     for a in amplitudes:
-        noise = NoiseSpec(amplitude=a, seed=seed)
         try:
-            _, report, snapshot = solve_single(
-                problem_name, case_name, n, tri_degree, edge_points, noise
-            )
+            solution = disc.solve(problem, NoiseSpec(amplitude=a, seed=seed))
+            report, snapshot = disc.measure(problem, solution, qhu)
             study.rows.append(NoiseStudyRow(amplitude=a, report=report, snapshot=snapshot))
         except SingularSystem as exc:
             study.rows.append(
@@ -263,27 +344,33 @@ def run_benchmark_tables(
     tri_degree: int = DEFAULT_TRI_DEGREE,
     edge_points: int = DEFAULT_EDGE_POINTS,
 ) -> list[Path]:
-    """Regenerate every benchmark table layout as CSV plus markdown."""
+    """Regenerate every benchmark table layout as CSV plus markdown.
+
+    The tables are computed case by case, so every problem on a case shares
+    one factor per mesh.
+    """
     n_list = n_list or [1, 2, 4, 8, 16, 32]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    plan = benchmark_table_plan()
+    problems_by_case: dict[str, list[str]] = {}
+    for entry in plan:
+        problems = problems_by_case.setdefault(entry["case"], [])
+        for p in _entry_problems(entry):
+            if p not in problems:
+                problems.append(p)
+    tables = {
+        (p, case): table
+        for case, problems in problems_by_case.items()
+        for p, table in _convergence_tables(
+            problems, case, n_list, tri_degree, edge_points).items()
+    }
+
     written = []
-    cache: dict[tuple[str, str], ConvergenceTable] = {}
-
-    def get_table(problem, case):
-        if (problem, case) not in cache:
-            cache[(problem, case)] = run_convergence(
-                problem, case, n_list, tri_degree, edge_points
-            )
-        return cache[(problem, case)]
-
-    for entry in benchmark_table_plan():
-        problems = entry["problem"]
-        if isinstance(problems, str):
-            problems = (problems,)
+    for entry in plan:
         md_parts = []
-        for p in problems:
-            t = get_table(p, entry["case"])
+        for p in _entry_problems(entry):
+            t = tables[(p, entry["case"])]
             csv_path = out_dir / f"{p}_{entry['case']}.csv"
             if csv_path not in written:
                 csv_path.write_text(t.to_csv(), encoding="utf-8")
@@ -294,3 +381,8 @@ def run_benchmark_tables(
         md_path.write_text("\n".join(md_parts), encoding="utf-8")
         written.append(md_path)
     return written
+
+
+def _entry_problems(entry: dict) -> tuple[str, ...]:
+    problems = entry["problem"]
+    return (problems,) if isinstance(problems, str) else problems

@@ -3,7 +3,7 @@
 The free flux unknowns q meet the rest of the system only through a
 diagonal block D: in the centered edge basis the stabilizer couples a flux
 coefficient to no other flux coefficient (edge mass diag(h_e, h_e/12)).
-``factor_and_solve`` therefore eliminates them exactly with the diagonal
+``CondensedFactor`` therefore eliminates them exactly with the diagonal
 Schur complement
 
     K = M_kk - M_kq D^-1 M_qk,
@@ -15,7 +15,10 @@ without pivoting; if that factor fails the pivot gate, the same K is
 factored once more with partial pivoting.  The fluxes follow by
 back-substitution, and iterative refinement and the residual check run
 against the full system M.  The reported pivots are those of the
-equilibrated condensed factor.
+equilibrated condensed factor.  The saddle matrix depends only on the mesh
+and the boundary partition, so one factor serves every right-hand side:
+the gate runs once, while refinement and the residual check run for each
+``solve``.
 
 ``solve_sparse`` is the plain partial-pivoting LU of any sparse matrix,
 without condensation or scaling.
@@ -29,9 +32,9 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from pdwg.assembly import SaddleSystem
+from pdwg.assembly import SaddleSystem, SystemMatrix
 
-# solve_sparse gates the pivots of an unscaled matrix.  factor_and_solve
+# solve_sparse gates the pivots of an unscaled matrix.  CondensedFactor
 # gates those of the equilibrated condensed matrix: there the singular
 # boundary configurations give min/max |U_ii| <= 8e-13 and the named cases
 # >= 6e-7 for n <= 64, and the threshold sits between the two.
@@ -148,7 +151,7 @@ def flux_diagonal(M, flux: np.ndarray) -> np.ndarray:
     """Diagonal of the block M[flux, flux], which must be a positive diagonal.
 
     Raises ValueError when an off-diagonal entry of the block is nonzero or
-    a diagonal entry is not positive: the condensation in factor_and_solve
+    a diagonal entry is not positive: the condensation in CondensedFactor
     is exact only for such a block.
     """
     block = M[flux][:, flux].tocoo()
@@ -160,53 +163,79 @@ def flux_diagonal(M, flux: np.ndarray) -> np.ndarray:
     return d
 
 
-def solve_condensed(M, b: np.ndarray, flux: np.ndarray) -> SparseSolve:
-    """Solve M x = b after eliminating the unknowns ``flux`` (see module doc).
+class CondensedFactor:
+    """Gated factor of M with the unknowns ``flux`` eliminated (see module doc).
 
-    Raises SingularSystem when both factors of the equilibrated condensed
-    matrix fail the SCALED_PIVOT_RTOL gate, or the refined residual of M
-    stays above RESIDUAL_RTOL * max(1, ||b||_inf).
+    Built once per matrix; ``solve`` then takes any number of right-hand
+    sides.  Raises SingularSystem when both factors of the equilibrated
+    condensed matrix fail the SCALED_PIVOT_RTOL gate.
     """
-    M = M.tocsr()
-    b = np.asarray(b, dtype=float)
-    keep = np.setdiff1d(np.arange(M.shape[0]), flux, assume_unique=True)
-    inv_d = 1.0 / flux_diagonal(M, flux)
-    M_kq = M[keep][:, flux]
-    M_qk = M[flux][:, keep]
-    K = M[keep][:, keep] - M_kq @ sp.diags(inv_d) @ M_qk
 
-    row_max = abs(K).max(axis=1).toarray().ravel()
-    if not np.all(row_max > 0.0):
-        raise SingularSystem("the condensed matrix has a zero row")
-    s = 1.0 / np.sqrt(row_max)
-    K = (sp.diags(s) @ K @ sp.diags(s)).tocsc()
-    try:
-        lu, pivot = _gated_factor(
-            K, SCALED_PIVOT_RTOL, permc_spec="MMD_AT_PLUS_A",
-            diag_pivot_thresh=0.0, options={"SymmetricMode": True},
-        )
-    except SingularSystem:
-        lu, pivot = _gated_factor(K, SCALED_PIVOT_RTOL)
+    def __init__(self, M, flux: np.ndarray):
+        self.M = M = M.tocsr()
+        self.keep = keep = np.setdiff1d(np.arange(M.shape[0]), flux, assume_unique=True)
+        self.flux = flux
+        self.inv_d = 1.0 / flux_diagonal(M, flux)
+        self.M_kq = M[keep][:, flux]
+        self.M_qk = M[flux][:, keep]
+        K = M[keep][:, keep] - self.M_kq @ sp.diags(self.inv_d) @ self.M_qk
 
-    def solve(r):
+        row_max = abs(K).max(axis=1).toarray().ravel()
+        if not np.all(row_max > 0.0):
+            raise SingularSystem("the condensed matrix has a zero row")
+        self.s = s = 1.0 / np.sqrt(row_max)
+        K = (sp.diags(s) @ K @ sp.diags(s)).tocsc()
+        try:
+            self.lu, self.pivot_report = _gated_factor(
+                K, SCALED_PIVOT_RTOL, permc_spec="MMD_AT_PLUS_A",
+                diag_pivot_thresh=0.0, options={"SymmetricMode": True},
+            )
+        except SingularSystem:
+            self.lu, self.pivot_report = _gated_factor(K, SCALED_PIVOT_RTOL)
+
+    def _apply_inverse(self, r: np.ndarray) -> np.ndarray:
+        keep, flux, inv_d, s = self.keep, self.flux, self.inv_d, self.s
         x = np.empty_like(r)
-        x[keep] = s * lu.solve(s * (r[keep] - M_kq @ (inv_d * r[flux])))
-        x[flux] = inv_d * (r[flux] - M_qk @ x[keep])
+        x[keep] = s * self.lu.solve(s * (r[keep] - self.M_kq @ (inv_d * r[flux])))
+        x[flux] = inv_d * (r[flux] - self.M_qk @ x[keep])
         return x
 
-    x, residual = _refine(M, b, solve)
-    return SparseSolve(x=x, residual_inf=residual, pivot_report=pivot)
+    def solve(self, b: np.ndarray) -> SparseSolve:
+        """Solve M x = b with iterative refinement against M.
+
+        Raises SingularSystem when the refined residual stays above
+        RESIDUAL_RTOL * max(1, ||b||_inf).
+        """
+        x, residual = _refine(self.M, np.asarray(b, dtype=float), self._apply_inverse)
+        return SparseSolve(x=x, residual_inf=residual, pivot_report=self.pivot_report)
 
 
-def factor_and_solve(system: SaddleSystem) -> Solution:
-    """Solve the assembled saddle-point system and scatter back to fields.
+def solve_condensed(M, b: np.ndarray, flux: np.ndarray) -> SparseSolve:
+    """Factor M with the unknowns ``flux`` eliminated and solve M x = b once."""
+    return CondensedFactor(M, flux).solve(b)
+
+
+def saddle_factor(system: SystemMatrix) -> CondensedFactor:
+    """Condensed factor of a saddle matrix, its free flux unknowns eliminated.
 
     The free flux unknowns follow the free u unknowns in the ordering of M.
     """
     dofmap = system.dofmap
-    nf = system.n_free
     first_flux = int(np.searchsorted(dofmap.free, dofmap.n_u))
-    solved = solve_condensed(system.M, system.rhs, np.arange(first_flux, nf))
+    return CondensedFactor(system.M, np.arange(first_flux, system.n_free))
+
+
+def factor_and_solve(system: SaddleSystem, factor: CondensedFactor | None = None) -> Solution:
+    """Solve the assembled saddle-point system and scatter back to fields.
+
+    ``factor`` is the saddle_factor of system's matrix; it is built here
+    when not given.
+    """
+    if factor is None:
+        factor = saddle_factor(system)
+    dofmap = system.dofmap
+    nf = system.n_free
+    solved = factor.solve(system.rhs)
     z = system.g.copy()
     z[dofmap.free] = solved.x[:nf]
     lam = solved.x[nf:]

@@ -126,6 +126,14 @@ class Mesh:
         """(T, 3, 2) vertex coordinates per triangle."""
         return self.vertices[self.triangles]
 
+    def closure_p2_nodes(self, edges) -> np.ndarray:
+        """Sorted ids of the P2 nodes on the closure of the given edges.
+
+        Vertex nodes are their vertex index, midpoint nodes V + edge index.
+        """
+        edges = np.asarray(edges, dtype=np.int64)
+        return np.unique(np.concatenate([self.edges[edges].ravel(), self.num_vertices + edges]))
+
 
 def build_uniform_unit_square(n: int) -> Mesh:
     """Build the uniform triangulation with subdivision parameter ``n``.

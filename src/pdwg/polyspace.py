@@ -116,35 +116,6 @@ class ElementPolynomial:
             c * xi**a * eta**b for c, (a, b) in zip(self.coeffs, exps)
         )
 
-    def gradient(self, x, y):
-        xi, eta = self._local(x, y)
-        exps = monomial_exponents(self.degree)
-        gx = sum(
-            c * a * xi ** max(a - 1, 0) * eta**b
-            for c, (a, b) in zip(self.coeffs, exps)
-            if a > 0
-        )
-        gy = sum(
-            c * b * xi**a * eta ** max(b - 1, 0)
-            for c, (a, b) in zip(self.coeffs, exps)
-            if b > 0
-        )
-        zero = np.zeros_like(np.asarray(xi, dtype=float))
-        gx = zero + gx if np.ndim(gx) == 0 else gx
-        gy = zero + gy if np.ndim(gy) == 0 else gy
-        return gx / self.scale, gy / self.scale
-
-    def laplacian(self, x, y):
-        xi, eta = self._local(x, y)
-        exps = monomial_exponents(self.degree)
-        out = np.zeros_like(np.asarray(xi, dtype=float))
-        for c, (a, b) in zip(self.coeffs, exps):
-            if a >= 2:
-                out = out + c * a * (a - 1) * xi ** (a - 2) * eta**b
-            if b >= 2:
-                out = out + c * b * (b - 1) * xi**a * eta ** (b - 2)
-        return out / self.scale**2
-
 
 @dataclass(frozen=True)
 class EdgePolynomial:
@@ -266,22 +237,21 @@ def project_edge_samples(
     return EdgePolynomial(degree=degree, coeffs=coeffs)
 
 
+def interpolate_nodes(g: Callable, mesh, node_ids: np.ndarray) -> np.ndarray:
+    """Values of g at the given P2 nodes (vertex ids, then V + edge ids)."""
+    coords = mesh.p2_node_coords[node_ids]
+    values = np.asarray(g(coords[:, 0], coords[:, 1]), dtype=float)
+    return np.broadcast_to(values, node_ids.shape).copy()
+
+
 def interpolate_dirichlet_nodes(g1: Callable, mesh, dirichlet_edges: np.ndarray):
     """Values of g1 at all P2 nodes on the closure of the tagged edges.
 
     Returns (node_ids, values) with node ids ascending; vertex nodes are
     their vertex index, midpoint nodes are V + edge index.
     """
-    nodes = set()
-    V = mesh.num_vertices
-    for e in np.asarray(dirichlet_edges):
-        a, b = mesh.edges[e]
-        nodes.update((int(a), int(b), V + int(e)))
-    node_ids = np.asarray(sorted(nodes), dtype=np.int64)
-    coords = mesh.p2_node_coords[node_ids]
-    values = np.asarray(g1(coords[:, 0], coords[:, 1]), dtype=float)
-    values = np.broadcast_to(values, node_ids.shape).copy()
-    return node_ids, values
+    node_ids = mesh.closure_p2_nodes(dirichlet_edges)
+    return node_ids, interpolate_nodes(g1, mesh, node_ids)
 
 
 # ---------------------------------------------------------------------------
@@ -321,19 +291,6 @@ def bary_gradients(tri: np.ndarray) -> np.ndarray:
         g[:, i, 0] = (pj[:, 1] - pk[:, 1]) / two_a
         g[:, i, 1] = (pk[:, 0] - pj[:, 0]) / two_a
     return g[0] if single else g
-
-
-def p2_gradients(bary: np.ndarray, bgrad: np.ndarray) -> np.ndarray:
-    """Gradients of the 6 P2 basis functions; broadcasts bary (..., 3) with
-    bgrad (..., 3, 2) to (..., 6, 2)."""
-    l = bary
-    g = bgrad
-    rows = [
-        (4 * l[..., i, None] - 1) * g[..., i, :] for i in range(3)
-    ]
-    for (i, j) in ((0, 1), (1, 2), (2, 0)):
-        rows.append(4 * (l[..., j, None] * g[..., i, :] + l[..., i, None] * g[..., j, :]))
-    return np.stack(rows, axis=-2)
 
 
 def p2_laplacians(bgrad: np.ndarray) -> np.ndarray:

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+from pdwg import cli
 from pdwg.harness import (
     CSV_HEADER,
     benchmark_table_plan,
@@ -11,7 +13,7 @@ from pdwg.harness import (
     run_noise_study,
     solve_single,
 )
-from pdwg.problems import case_configs, catalog
+from pdwg.problems import DEFAULT_NOISE_SEED, NoiseSpec, case_configs, catalog
 
 
 def test_compute_order_reference_pair():
@@ -154,3 +156,84 @@ def test_run_benchmark_tables_rerun_overwrites_csv(tmp_path):
     run_benchmark_tables(tmp_path, n_list=[1, 2, 4])
     rows = (tmp_path / "sinsin_case1.csv").read_text().strip().split("\n")[1:]
     assert [row.split(",")[0] for row in rows] == ["1", "2", "4"]
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """Record every SuperLU factorization made while the test runs."""
+    calls = []
+    splu = spla.splu
+
+    def counting_splu(*args, **kwargs):
+        calls.append(args[0].shape)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", counting_splu)
+    return calls
+
+
+@pytest.fixture
+def singular_splu(monkeypatch):
+    """Make every SuperLU factorization fail as on an exactly singular matrix."""
+    calls = []
+
+    def failing_splu(*args, **kwargs):
+        calls.append(args[0].shape)
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", failing_splu)
+    return calls
+
+
+def test_noise_study_factors_once_and_matches_fresh_solves(splu_calls):
+    amplitudes = [0.0, 0.005, 0.05]
+    study = run_noise_study("coscos", "figures", 8, amplitudes)
+    assert len(splu_calls) == 1
+    for a, row in zip(amplitudes, study.rows):
+        noise = NoiseSpec(amplitude=a, seed=DEFAULT_NOISE_SEED)
+        solution, report, _ = solve_single("coscos", "figures", 8, noise=noise)
+        assert row.amplitude == a
+        assert np.array_equal(row.snapshot.u0, solution.u0)
+        assert np.array_equal(row.snapshot.lam, solution.lam)
+        assert row.report.as_dict() == report.as_dict()
+
+
+def test_benchmark_tables_factor_once_per_case_and_mesh(tmp_path, splu_calls):
+    # 12 (problem, case) tables on 5 cases: case1 carries 4 problems and
+    # case2 and case5 carry 3 each, yet each (case, n) is factored once.
+    run_benchmark_tables(tmp_path, n_list=[2, 4])
+    assert len(list(tmp_path.glob("*_case*.csv"))) == 12
+    assert len(splu_calls) == 5 * 2
+
+
+def test_factors_are_not_shared_across_cli_calls(tmp_path, splu_calls):
+    argv = ["noise", "--problem", "coscos", "--case", "figures", "--n", "4",
+            "--amplitudes", "0,0.01,0.1"]
+    counts = []
+    for k in range(2):
+        before = len(splu_calls)
+        assert cli.main(argv + ["--out", str(tmp_path / str(k))]) == 0
+        counts.append(len(splu_calls) - before)
+    assert counts == [1, 1]
+
+
+def test_factor_failure_recorded_on_every_row(tmp_path, singular_splu):
+    study = run_noise_study("coscos", "figures", 4, [0.0, 0.005, 0.05])
+    # the no-pivot factor and its pivoting retry, attempted once per study
+    assert len(singular_splu) == 2
+    assert [r.amplitude for r in study.rows] == [0.0, 0.005, 0.05]
+    for row in study.rows:
+        assert row.report is None and row.snapshot is None
+        assert "exactly singular" in row.error
+
+    run_benchmark_tables(tmp_path / "tables", n_list=[1, 2])
+    csvs = list((tmp_path / "tables").glob("*_case*.csv"))
+    assert len(csvs) == 12
+    for path in csvs:
+        rows = path.read_text().strip().split("\n")[1:]
+        assert [r.split(",")[0] for r in rows] == ["1", "2"]
+        assert all(r.split(",")[2:] == [""] * 13 for r in rows)
+
+    argv = ["noise", "--problem", "coscos", "--case", "figures", "--n", "4",
+            "--amplitudes", "0,0.01", "--out", str(tmp_path / "cli")]
+    assert cli.main(argv) == 3
