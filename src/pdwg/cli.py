@@ -22,7 +22,7 @@ from pdwg.harness import (
 )
 from pdwg.linsolve import SingularSystem
 from pdwg.mesh import check_alignment
-from pdwg.polyspace import DEFAULT_EDGE_POINTS, DEFAULT_TRI_DEGREE
+from pdwg.polyspace import DEFAULT_EDGE_POINTS, DEFAULT_TRI_DEGREE, MAX_TRI_DEGREE
 from pdwg.problems import DEFAULT_NOISE_SEED, NoiseSpec, case_configs, catalog, get_case
 
 OUTPUT_DIR_ENV = "PDWG_OUTPUT_DIR"
@@ -39,6 +39,10 @@ _DEFAULTS = {
     "plan": None,
     "diagnostics": False,
 }
+
+
+# the exact projection's P2 moment matrix needs a rule exact to degree 2 * 2
+QUADRATURE_DEGREES = range(4, MAX_TRI_DEGREE + 1)
 
 
 class UsageError(Exception):
@@ -128,17 +132,29 @@ def _validate_names(cfg: dict) -> None:
 
 
 def _validate_values(cfg: dict, command: str) -> None:
-    """Reject mesh parameters, segment layouts and amplitudes no solve can take."""
-    n_values = cfg["n_list"] if command == "converge" else [cfg["n"]]
-    segments = () if cfg["plan"] == "benchmark" else get_case(cfg["case"]).segments
+    """Reject mesh parameters, segment layouts, quadrature degrees, seeds and
+    amplitudes no run can take."""
     try:
+        seed = cfg["seed"]
+        if command in ("noise", "verify") and not (isinstance(seed, int) and seed >= 0):
+            raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+        if command == "verify":
+            return
+        deg = cfg["quadrature_degree"]
+        if deg not in QUADRATURE_DEGREES:
+            raise ValueError(
+                f"quadrature degree must be in {QUADRATURE_DEGREES.start}.."
+                f"{QUADRATURE_DEGREES.stop - 1}, got {deg}"
+            )
+        n_values = cfg["n_list"] if command == "converge" else [cfg["n"]]
+        segments = () if cfg["plan"] == "benchmark" else get_case(cfg["case"]).segments
         for n in n_values:
             if n < 1:
                 raise ValueError(f"mesh parameter n must be >= 1, got {n}")
             check_alignment(segments, n)
         if command == "noise":
             for a in cfg["amplitudes"]:
-                NoiseSpec(amplitude=a, seed=cfg["seed"])
+                NoiseSpec(amplitude=a, seed=seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
 
@@ -164,7 +180,7 @@ def main(argv=None) -> int:
         command = args.command
         if command in ("solve", "converge", "noise"):
             _validate_names(cfg)
-            _validate_values(cfg, command)
+        _validate_values(cfg, command)
         out = _prepare_out(cfg, command)
         deg = cfg["quadrature_degree"]
         edge_points = max(DEFAULT_EDGE_POINTS, (deg + 2) // 2)

@@ -97,18 +97,20 @@ class FieldSnapshot:
     lam: np.ndarray        # (T,)
 
     def nodes_csv(self) -> str:
-        out = io.StringIO()
-        out.write("x,y,u0,err\n")
-        for (x, y), u, e in zip(self.nodes.tolist(), self.u0, self.err):
-            out.write(f"{x!r},{y!r},{u:.12e},{e:.12e}\n")
-        return out.getvalue()
+        return "x,y,u0,err\n" + _rows_csv("%r,%r,%.12e,%.12e\n", self.nodes, self.u0, self.err)
 
     def elements_csv(self) -> str:
-        out = io.StringIO()
-        out.write("cx,cy,lambda\n")
-        for (x, y), l in zip(self.centroids.tolist(), self.lam):
-            out.write(f"{x!r},{y!r},{l:.12e}\n")
-        return out.getvalue()
+        return "cx,cy,lambda\n" + _rows_csv("%r,%r,%.12e\n", self.centroids, self.lam)
+
+
+def _rows_csv(row_format: str, *columns: np.ndarray) -> str:
+    """One ``row_format`` line per row of the column-stacked arrays.
+
+    ``%r`` writes a coordinate as the repr of a Python float, as ``tolist``
+    gives it, so ``numpy.loadtxt`` reads it back exactly.
+    """
+    table = np.column_stack(columns)
+    return (row_format * len(table)) % tuple(table.ravel().tolist())
 
 
 class Discretization:

@@ -152,44 +152,39 @@ def build_uniform_unit_square(n: int) -> Mesh:
     if n < 1:
         raise ValueError(f"subdivision parameter must be >= 1, got {n}")
 
-    idx = lambda i, j: j * (n + 1) + i
+    V = (n + 1) ** 2
     xs = np.arange(n + 1) / n
     gx, gy = np.meshgrid(xs, xs, indexing="xy")
     vertices = np.column_stack([gx.ravel(), gy.ravel()])
 
-    triangles = []
-    for j in range(n):
-        for i in range(n):
-            bl, br = idx(i, j), idx(i + 1, j)
-            tl, tr = idx(i, j + 1), idx(i + 1, j + 1)
-            # negative-slope diagonal tl-br
-            triangles.append((bl, br, tl))
-            triangles.append((br, tr, tl))
-    triangles = np.asarray(triangles, dtype=np.int64)
+    # sub-square (i, j) in row-major order, split by its negative-slope
+    # diagonal tl-br into (bl, br, tl) and (br, tr, tl)
+    j, i = np.divmod(np.arange(n * n, dtype=np.int64), n)
+    bl = j * (n + 1) + i
+    br, tl = bl + 1, bl + n + 1
+    tr = tl + 1
+    triangles = np.stack([bl, br, tl, br, tr, tl], axis=1).reshape(-1, 3)
 
-    # canonical edge table, sorted lexicographically for a stable numbering
-    pairs = set()
-    for t in triangles:
-        for l in range(3):
-            a, b = t[l], t[(l + 1) % 3]
-            pairs.add((min(a, b), max(a, b)))
-    edges = np.asarray(sorted(pairs), dtype=np.int64)
-    edge_id = {tuple(e): k for k, e in enumerate(edges)}
+    # canonical edge table: the key min*V + max sorts lexicographically, so
+    # np.unique yields the edges in a stable (a, b) order
+    a = triangles.ravel()
+    b = np.roll(triangles, -1, axis=1).ravel()
+    keys, flat_edges = np.unique(np.minimum(a, b) * V + np.maximum(a, b), return_inverse=True)
+    edges = np.column_stack(np.divmod(keys, V))
+    flat_edges = flat_edges.astype(np.int64)
+    flat_signs = np.where(a < b, 1, -1).astype(np.int64)
+    tri_edges = flat_edges.reshape(-1, 3)
+    tri_edge_signs = flat_signs.reshape(-1, 3)
 
-    tri_edges = np.empty((len(triangles), 3), dtype=np.int64)
-    tri_edge_signs = np.empty((len(triangles), 3), dtype=np.int64)
+    # incident triangles in increasing triangle id: the stable sort lists
+    # an edge's lower triangle first (slot 0), its upper one next (slot 1)
+    order = np.argsort(flat_edges, kind="stable")
+    sorted_edges = flat_edges[order]
+    slot = np.r_[0, sorted_edges[1:] == sorted_edges[:-1]]
     edge_tris = -np.ones((len(edges), 2), dtype=np.int64)
     edge_tri_signs = np.zeros((len(edges), 2), dtype=np.int64)
-    for t, tri in enumerate(triangles):
-        for l in range(3):
-            a, b = tri[l], tri[(l + 1) % 3]
-            e = edge_id[(min(a, b), max(a, b))]
-            s = 1 if a < b else -1
-            tri_edges[t, l] = e
-            tri_edge_signs[t, l] = s
-            slot = 0 if edge_tris[e, 0] < 0 else 1
-            edge_tris[e, slot] = t
-            edge_tri_signs[e, slot] = s
+    edge_tris[sorted_edges, slot] = order // 3
+    edge_tri_signs[sorted_edges, slot] = flat_signs[order]
 
     tangents = vertices[edges[:, 1]] - vertices[edges[:, 0]]
     h_e = np.linalg.norm(tangents, axis=1)

@@ -21,7 +21,7 @@ from scipy.special import roots_jacobi
 
 DEFAULT_TRI_DEGREE = 6
 DEFAULT_EDGE_POINTS = 4
-_MAX_TRI_DEGREE = 20
+MAX_TRI_DEGREE = 20
 
 
 def monomial_exponents(degree: int) -> np.ndarray:
@@ -61,7 +61,7 @@ class TriangleQuadrature:
 @lru_cache(maxsize=None)
 def triangle_quadrature(min_degree: int) -> TriangleQuadrature:
     """Rule exact for all bivariate monomials of total degree <= min_degree."""
-    if not 0 <= min_degree <= _MAX_TRI_DEGREE:
+    if not 0 <= min_degree <= MAX_TRI_DEGREE:
         raise ValueError(f"unsupported quadrature degree {min_degree}")
     m = max(1, (min_degree + 2) // 2)
     # xi on [0,1] (Gauss-Legendre), eta on [0,1] with weight (1-eta) (Gauss-Jacobi)

@@ -45,8 +45,8 @@ class NoiseSpec:
     seed: int = DEFAULT_NOISE_SEED
 
     def __post_init__(self):
-        if self.amplitude < 0:
-            raise ValueError("noise amplitude must be >= 0")
+        if not (np.isfinite(self.amplitude) and self.amplitude >= 0):
+            raise ValueError(f"noise amplitude must be finite and >= 0, got {self.amplitude}")
 
     def generator(self) -> np.random.Generator:
         return np.random.Generator(np.random.PCG64(self.seed))

@@ -60,6 +60,33 @@ def test_bad_values_are_usage_errors(args, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: ")
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["solve", "--n", "2", "--quadrature-degree", "0"],
+        ["solve", "--n", "2", "--quadrature-degree", "3"],
+        ["solve", "--n", "2", "--quadrature-degree", "-3"],
+        ["converge", "--n-list", "1,2", "--quadrature-degree", "99"],
+        ["noise", "--n", "2", "--quadrature-degree", "21"],
+        ["noise", "--n", "2", "--seed", "-1"],
+        ["verify", "--seed", "-1"],
+        ["noise", "--n", "2", "--amplitudes", "0,nan"],
+        ["noise", "--n", "2", "--amplitudes", "0,inf"],
+    ],
+    ids=["degree_0", "degree_3", "degree_negative", "degree_99", "degree_21",
+         "negative_seed", "verify_negative_seed", "nan_amplitude", "inf_amplitude"],
+)
+def test_out_of_range_values_are_usage_errors(args, tmp_path, capsys):
+    assert run(args, tmp_path) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "config.json").exists()
+
+
+@pytest.mark.parametrize("degree", ["4", "20"])
+def test_quadrature_degree_range_ends_solve(degree, tmp_path):
+    assert run(["solve", "--n", "1", "--quadrature-degree", degree], tmp_path) == 0
+
+
 def test_missing_subcommand_is_usage_error():
     assert cli.main([]) == 2
 

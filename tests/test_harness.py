@@ -5,6 +5,7 @@ import scipy.sparse.linalg as spla
 from pdwg import cli
 from pdwg.harness import (
     CSV_HEADER,
+    FieldSnapshot,
     benchmark_table_plan,
     compute_order,
     render_markdown,
@@ -80,6 +81,42 @@ def test_snapshot_csvs_load_back_as_numbers(tmp_path):
         table = np.loadtxt(path, delimiter=",", skiprows=1)
         assert np.array_equal(table[:, :2], coords)
         assert np.allclose(table[:, 2], values, rtol=1e-11, atol=0.0)
+
+
+def _row_by_row_csvs(snapshot):
+    """The per-row f-string writers the one-format writers replaced."""
+    nodes = "x,y,u0,err\n" + "".join(
+        f"{x!r},{y!r},{u:.12e},{e:.12e}\n"
+        for (x, y), u, e in zip(snapshot.nodes.tolist(), snapshot.u0, snapshot.err)
+    )
+    elements = "cx,cy,lambda\n" + "".join(
+        f"{x!r},{y!r},{l:.12e}\n"
+        for (x, y), l in zip(snapshot.centroids.tolist(), snapshot.lam)
+    )
+    return nodes, elements
+
+
+def _extreme_snapshot():
+    values = np.array([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0 / 3.0])
+    nodes = np.column_stack([values, values[::-1]])
+    return FieldSnapshot(nodes=nodes, u0=values, err=-values,
+                         centroids=np.array([[-0.0, 1e-300]]), lam=np.array([1e300]))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: solve_single("sinsin", "case1", 3)[2],
+        lambda: solve_single("coscos", "case2", 1)[2],
+        _extreme_snapshot,
+    ],
+    ids=["n3", "n1", "signed_zero_and_extremes"],
+)
+def test_snapshot_csv_bytes_match_row_by_row_writer(make):
+    snapshot = make()
+    nodes, elements = _row_by_row_csvs(snapshot)
+    assert snapshot.nodes_csv().encode() == nodes.encode()
+    assert snapshot.elements_csv().encode() == elements.encode()
 
 
 def test_snapshot_error_column_is_pointwise():

@@ -139,3 +139,81 @@ def test_bad_segment_spec_rejected():
         BoundarySegmentSpec(side="diagonal")
     with pytest.raises(ValueError):
         BoundarySegmentSpec(side="top", lo=0.7, hi=0.2)
+
+
+_MESH_ARRAYS = ("vertices", "triangles", "edges", "edge_normals", "tri_edges",
+                "tri_edge_signs", "edge_tris", "edge_tri_signs", "h_t", "h_e", "area")
+
+
+def _loop_reference(n):
+    """The per-triangle loop builder the vectorized one replaced, kept as the reference."""
+    idx = lambda i, j: j * (n + 1) + i
+    xs = np.arange(n + 1) / n
+    gx, gy = np.meshgrid(xs, xs, indexing="xy")
+    vertices = np.column_stack([gx.ravel(), gy.ravel()])
+
+    triangles = []
+    for j in range(n):
+        for i in range(n):
+            bl, br = idx(i, j), idx(i + 1, j)
+            tl, tr = idx(i, j + 1), idx(i + 1, j + 1)
+            triangles.append((bl, br, tl))
+            triangles.append((br, tr, tl))
+    triangles = np.asarray(triangles, dtype=np.int64)
+
+    pairs = set()
+    for t in triangles:
+        for l in range(3):
+            a, b = t[l], t[(l + 1) % 3]
+            pairs.add((min(a, b), max(a, b)))
+    edges = np.asarray(sorted(pairs), dtype=np.int64)
+    edge_id = {tuple(e): k for k, e in enumerate(edges)}
+
+    tri_edges = np.empty((len(triangles), 3), dtype=np.int64)
+    tri_edge_signs = np.empty((len(triangles), 3), dtype=np.int64)
+    edge_tris = -np.ones((len(edges), 2), dtype=np.int64)
+    edge_tri_signs = np.zeros((len(edges), 2), dtype=np.int64)
+    for t, tri in enumerate(triangles):
+        for l in range(3):
+            a, b = tri[l], tri[(l + 1) % 3]
+            e = edge_id[(min(a, b), max(a, b))]
+            s = 1 if a < b else -1
+            tri_edges[t, l] = e
+            tri_edge_signs[t, l] = s
+            slot = 0 if edge_tris[e, 0] < 0 else 1
+            edge_tris[e, slot] = t
+            edge_tri_signs[e, slot] = s
+
+    tangents = vertices[edges[:, 1]] - vertices[edges[:, 0]]
+    h_e = np.linalg.norm(tangents, axis=1)
+    edge_normals = np.column_stack([tangents[:, 1], -tangents[:, 0]]) / h_e[:, None]
+
+    p = vertices[triangles]
+    cross = (p[:, 1, 0] - p[:, 0, 0]) * (p[:, 2, 1] - p[:, 0, 1]) - (
+        p[:, 1, 1] - p[:, 0, 1]
+    ) * (p[:, 2, 0] - p[:, 0, 0])
+    area = 0.5 * cross
+    sides = np.stack(
+        [
+            np.linalg.norm(p[:, 1] - p[:, 0], axis=1),
+            np.linalg.norm(p[:, 2] - p[:, 1], axis=1),
+            np.linalg.norm(p[:, 0] - p[:, 2], axis=1),
+        ]
+    )
+    h_t = sides.max(axis=0)
+    return dict(vertices=vertices, triangles=triangles, edges=edges,
+                edge_normals=edge_normals, tri_edges=tri_edges,
+                tri_edge_signs=tri_edge_signs, edge_tris=edge_tris,
+                edge_tri_signs=edge_tri_signs, h_t=h_t, h_e=h_e, area=area)
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 33])
+def test_matches_loop_reference(n):
+    mesh = build_uniform_unit_square(n)
+    ref = _loop_reference(n)
+    for name in _MESH_ARRAYS:
+        got = getattr(mesh, name)
+        assert got.dtype == ref[name].dtype, name
+        assert got.shape == ref[name].shape, name
+        np.testing.assert_array_equal(got, ref[name], err_msg=name)
+        assert got.tobytes() == ref[name].tobytes(), name

@@ -1,0 +1,70 @@
+"""Properties of the assembled system over random boundary configurations.
+
+Each configuration is up to four axis-aligned segments with endpoints on
+multiples of 1/n, n <= 8, carrying Dirichlet data, Neumann data, both or
+neither.  Many of them leave u undetermined; those must end in
+SingularSystem, never in another exception.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pdwg.assembly import assemble_matrix, assemble_rhs
+from pdwg.linsolve import RESIDUAL_RTOL, SingularSystem, factor_and_solve
+from pdwg.mesh import BoundarySegmentSpec, build_uniform_unit_square, classify_boundary
+from pdwg.problems import get_problem
+
+# bounded and derandomized so that the suite stays fast and reproducible
+PROPERTY_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def segment(draw, n):
+    lo = draw(st.integers(0, n - 1))
+    hi = draw(st.integers(lo + 1, n))
+    return BoundarySegmentSpec(
+        side=draw(st.sampled_from(("bottom", "top", "left", "right"))),
+        has_dirichlet=draw(st.booleans()),
+        has_neumann=draw(st.booleans()),
+        lo=lo / n,
+        hi=hi / n,
+    )
+
+
+@st.composite
+def configuration(draw):
+    n = draw(st.integers(1, 8))
+    specs = draw(st.lists(segment(n), max_size=4))
+    mesh = build_uniform_unit_square(n)
+    return mesh, classify_boundary(mesh, specs)
+
+
+@PROPERTY_SETTINGS
+@given(configuration())
+def test_saddle_matrix_is_exactly_symmetric(config):
+    M = assemble_matrix(*config).M
+    assert abs(M - M.T).max() == 0.0
+
+
+@PROPERTY_SETTINGS
+@given(configuration())
+def test_stabilizer_is_positive_semidefinite(config):
+    # S does not depend on the tags; its free block, the one in M, does.  A
+    # configuration without Dirichlet data leaves every unknown free.
+    matrix = assemble_matrix(*config)
+    free = matrix.dofmap.free
+    eig = np.linalg.eigvalsh(matrix.S[free][:, free].toarray())
+    assert eig[0] >= -1e-12 * np.abs(eig).max()
+
+
+@PROPERTY_SETTINGS
+@given(configuration())
+def test_solve_passes_residual_check_or_raises_singular(config):
+    system = assemble_rhs(assemble_matrix(*config), get_problem("sinsin"))
+    try:
+        solution = factor_and_solve(system)
+    except SingularSystem:
+        return
+    scale = max(1.0, float(np.abs(system.rhs).max()))
+    assert solution.residual_inf <= RESIDUAL_RTOL * scale
