@@ -124,6 +124,26 @@ def _effective_config(args: argparse.Namespace) -> dict:
     return cfg
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# What each configuration value must be; a --config file can hold any JSON.
+_VALUE_TYPES = {
+    "problem": ("a string", lambda v: isinstance(v, str)),
+    "case": ("a string", lambda v: isinstance(v, str)),
+    "n": ("an integer", _is_int),
+    "n_list": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "amplitudes": ("a list of numbers", lambda v: isinstance(v, list) and all(
+        _is_int(a) or isinstance(a, float) for a in v)),
+    "seed": ("an integer", _is_int),
+    "quadrature_degree": ("an integer", _is_int),
+    "out": ("a string", lambda v: isinstance(v, str)),
+    "plan": ('null or "benchmark"', lambda v: v in (None, "benchmark")),
+    "diagnostics": ("true or false", lambda v: isinstance(v, bool)),
+}
+
+
 def _validate_names(cfg: dict) -> None:
     if cfg["problem"] not in catalog():
         raise UsageError(f"unknown problem {cfg['problem']!r}; known: {sorted(catalog())}")
@@ -132,11 +152,16 @@ def _validate_names(cfg: dict) -> None:
 
 
 def _validate_values(cfg: dict, command: str) -> None:
-    """Reject mesh parameters, segment layouts, quadrature degrees, seeds and
-    amplitudes no run can take."""
+    """Reject values of the wrong type, unknown names, and mesh parameters,
+    segment layouts, quadrature degrees, seeds and amplitudes no run can take."""
+    for key, (kind, ok) in _VALUE_TYPES.items():
+        if not ok(cfg[key]):
+            raise UsageError(f"{key} must be {kind}, got {cfg[key]!r}")
+    if command in ("solve", "converge", "noise"):
+        _validate_names(cfg)
     try:
         seed = cfg["seed"]
-        if command in ("noise", "verify") and not (isinstance(seed, int) and seed >= 0):
+        if command in ("noise", "verify") and seed < 0:
             raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
         if command == "verify":
             return
@@ -178,8 +203,6 @@ def main(argv=None) -> int:
     try:
         cfg = _effective_config(args)
         command = args.command
-        if command in ("solve", "converge", "noise"):
-            _validate_names(cfg)
         _validate_values(cfg, command)
         out = _prepare_out(cfg, command)
         deg = cfg["quadrature_degree"]
@@ -187,7 +210,8 @@ def main(argv=None) -> int:
 
         if command == "solve":
             solution, report, snapshot = solve_single(
-                cfg["problem"], cfg["case"], cfg["n"], deg, edge_points
+                cfg["problem"], cfg["case"], cfg["n"], deg, edge_points,
+                pivots=cfg["diagnostics"],
             )
             (out / "solution_nodes.csv").write_text(snapshot.nodes_csv(), encoding="utf-8")
             (out / "solution_elements.csv").write_text(snapshot.elements_csv(), encoding="utf-8")
@@ -200,6 +224,7 @@ def main(argv=None) -> int:
                 pr = solution.pivot_report
                 print(f"  residual_inf {solution.residual_inf:.3e}  "
                       f"min_pivot {pr.min_pivot:.3e}  pivot_ratio {pr.ratio:.3e}")
+                print(f"  cond1_estimate {solution.condition:.3e}")
             return 0
 
         if command == "converge":

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -177,12 +177,18 @@ def solve_single(
     tri_degree: int = DEFAULT_TRI_DEGREE,
     edge_points: int = DEFAULT_EDGE_POINTS,
     noise: NoiseSpec | None = None,
+    pivots: bool = False,
 ):
-    """One assemble/solve/measure pass; returns (solution, report, snapshot)."""
+    """One assemble/solve/measure pass; returns (solution, report, snapshot).
+
+    With ``pivots`` the solution also carries its factor's pivot report.
+    """
     problem = get_problem(problem_name)
     disc = Discretization(case_name, n, tri_degree, edge_points)
     solution = disc.solve(problem, noise)
-    disc.factor = None  # the only solve: free the factor and its cached L and U
+    if pivots:
+        solution = replace(solution, pivot_report=disc.factor.pivot_report())
+    disc.factor = None  # the only solve: free the factor before measuring
     return (solution, *disc.measure(problem, solution, disc.project(problem)))
 
 

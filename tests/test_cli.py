@@ -141,6 +141,32 @@ def test_unknown_config_key_rejected(tmp_path):
     assert cli.main(["solve", "--config", str(cfg), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "command, values",
+    [
+        (["solve"], {"n": "4"}),
+        (["converge"], {"n_list": 4}),
+        (["noise", "--n", "2"], {"amplitudes": [0, "0.01"]}),
+    ],
+    ids=["string_n", "scalar_n_list", "string_amplitude"],
+)
+def test_config_values_of_wrong_type_are_usage_errors(command, values, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    out = tmp_path / "out"
+    assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
+def test_diagnostics_print_residual_pivots_and_condition(tmp_path, capsys):
+    assert run(["solve", "--case", "case5", "--n", "2", "--diagnostics"], tmp_path) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith("  residual_inf ") and "pivot_ratio" in lines[-2]
+    label, value = lines[-1].split()
+    assert label == "cond1_estimate" and 1.0 <= float(value) < 1e16
+
+
 def test_output_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "envout"))
     code = cli.main(["solve", "--problem", "quad", "--case", "case1", "--n", "1"])
