@@ -238,29 +238,29 @@ def neumann_flux_coefficients(
 ) -> np.ndarray:
     """Stored P1 flux coefficients of Qn g2 on the given Neumann edges.
 
-    ``g2`` is the outward-normal derivative datum; the result is expressed
-    with respect to the global edge normal, i.e. multiplied by s(T, e) of
-    the single incident element.  Optional noise perturbs the quadrature
-    samples of g2 before projecting.
+    ``g2(x, y, n_out)`` is the outward-normal derivative datum, called once
+    on (len(edges), q) sample points with n_out[0], n_out[1] of shape
+    (len(edges), 1); the result is expressed with respect to the global edge
+    normal, i.e. multiplied by s(T, e) of the single incident element.
+    Optional noise perturbs the samples of g2 before projecting, edge by
+    edge in the given order and within an edge in rule order.
     """
+    edges = np.asarray(edges, dtype=np.int64)
+    untagged = edges[~tags.neumann[edges]]
+    if len(untagged):
+        raise ValueError(f"edge {int(untagged[0])} carries no Neumann flag")
     t, _ = edge_gauss(edge_points)
-    out = np.empty((len(edges), 2))
-    for k, e in enumerate(np.asarray(edges)):
-        if not tags.neumann[e]:
-            raise ValueError(f"edge {int(e)} carries no Neumann flag")
-        a, b = mesh.edges[e]
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        s = float(mesh.edge_tri_signs[e, 0])
-        n_out = s * mesh.edge_normals[e]
-        pts = pa[None, :] + t[:, None] * (pb - pa)[None, :]
-        samples = np.broadcast_to(
-            np.asarray(g2(pts[:, 0], pts[:, 1], n_out), dtype=float), t.shape
-        )
-        if noise is not None:
-            samples = perturb(samples, noise, rng)
-        proj = project_edge_samples(samples, 1, edge_points)
-        out[k] = s * proj.coeffs
-    return out
+    pa = mesh.vertices[mesh.edges[edges, 0]]
+    pb = mesh.vertices[mesh.edges[edges, 1]]
+    pts = pa[:, None, :] + t[None, :, None] * (pb - pa)[:, None, :]
+    s = mesh.edge_tri_signs[edges, 0].astype(float)
+    n_out = (s[:, None] * mesh.edge_normals[edges]).T[:, :, None]
+    samples = np.broadcast_to(
+        np.asarray(g2(pts[..., 0], pts[..., 1], n_out), dtype=float), pts.shape[:-1]
+    )
+    if noise is not None:
+        samples = perturb(samples, noise, rng)
+    return s[:, None] * project_edge_samples(samples, edge_points)
 
 
 def apply_boundary_conditions(

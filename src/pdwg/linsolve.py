@@ -292,11 +292,6 @@ class CondensedFactor:
         return SparseSolve(x=x, residual_inf=residual)
 
 
-def solve_condensed(M, b: np.ndarray, flux: np.ndarray) -> SparseSolve:
-    """Factor M with the unknowns ``flux`` eliminated and solve M x = b once."""
-    return CondensedFactor(M, flux).solve(b)
-
-
 def saddle_factor(system: SystemMatrix) -> CondensedFactor:
     """Condensed factor of a saddle matrix, its free flux unknowns eliminated.
 

@@ -32,11 +32,13 @@ from pdwg.polyspace import (
     bary_gradients,
     edge_gauss,
     monomial_exponents,
+    monomial_values,
     p2_laplacians,
     p2_values,
     triangle_quadrature,
 )
 from pdwg.problems import ManufacturedSolution
+from pdwg.weak_laplacian import projected_weak_function
 
 
 @dataclass(frozen=True)
@@ -108,16 +110,19 @@ class ErrorField:
         )
 
 
-def _poly_eval(coeffs, centers, scales, pts):
-    """Batched centered/scaled monomial evaluation; pts is (T, Q, 2)."""
+def p2_vandermonde(centers, scales, pts) -> np.ndarray:
+    """Centered/scaled P2 monomials at pts (T, Q, 2); (T, Q, 6)."""
     xi = (pts[..., 0] - centers[:, None, 0]) / scales[:, None]
     eta = (pts[..., 1] - centers[:, None, 1]) / scales[:, None]
-    exps = monomial_exponents(2)
-    V = np.stack([xi**a * eta**b for a, b in exps], axis=-1)
-    return np.einsum("tqm,tm->tq", V, coeffs)
+    return monomial_values(monomial_exponents(2), xi, eta)
 
 
-def _poly_grad_dot(coeffs, centers, scales, pts, direction):
+def poly_eval(coeffs, centers, scales, pts):
+    """Batched centered/scaled monomial evaluation; pts is (T, Q, 2)."""
+    return np.einsum("tqm,tm->tq", p2_vandermonde(centers, scales, pts), coeffs)
+
+
+def poly_grad_dot(coeffs, centers, scales, pts, direction):
     """Batched gradient of a degree-2 monomial poly dotted with (T, 2) vectors."""
     xi = (pts[..., 0] - centers[:, None, 0]) / scales[:, None]
     eta = (pts[..., 1] - centers[:, None, 1]) / scales[:, None]
@@ -149,24 +154,14 @@ def project_exact(
     quad = triangle_quadrature(tri_degree)
     pts = quad.physical_points(tri)
     w = quad.physical_weights(mesh.area)
-    xi = (pts[..., 0] - centers[:, None, 0]) / scales[:, None]
-    eta = (pts[..., 1] - centers[:, None, 1]) / scales[:, None]
-    exps = monomial_exponents(2)
-    V = np.stack([xi**a * eta**b for a, b in exps], axis=-1)  # (T, Q, 6)
+    V = p2_vandermonde(centers, scales, pts)
     M = np.einsum("tqa,tq,tqb->tab", V, w, V)
     uvals = np.broadcast_to(problem.u(pts[..., 0], pts[..., 1]), w.shape)
     rhs = np.einsum("tqa,tq,tq->ta", V, w, uvals)
     q0 = np.linalg.solve(M, rhs[..., None])[..., 0]
 
-    t, wq = edge_gauss(edge_points)
-    pa = mesh.vertices[mesh.edges[:, 0]]
-    pb = mesh.vertices[mesh.edges[:, 1]]
-    epts = pa[:, None, :] + t[None, :, None] * (pb - pa)[:, None, :]
-    gx, gy = problem.grad_u(epts[..., 0], epts[..., 1])
-    samples = gx * mesh.edge_normals[:, None, 0] + gy * mesh.edge_normals[:, None, 1]
-    c0 = samples @ wq
-    c1 = 12.0 * (samples * (t - 0.5)[None, :]) @ wq
-    return ExactProjection(q0_coeffs=q0, centers=centers, scales=scales, qn=np.column_stack([c0, c1]))
+    qn = projected_weak_function(problem.grad_u, mesh, edge_points)
+    return ExactProjection(q0_coeffs=q0, centers=centers, scales=scales, qn=qn)
 
 
 def build_error_field(
@@ -189,7 +184,7 @@ def build_error_field(
 
     basis_quad = p2_values(quad.points)  # (Q, 6)
     u0_quad = u_loc @ basis_quad.T
-    q0_quad = _poly_eval(qhu.q0_coeffs, qhu.centers, qhu.scales, pts)
+    q0_quad = poly_eval(qhu.q0_coeffs, qhu.centers, qhu.scales, pts)
     e0_quad = u0_quad - q0_quad
 
     node_bary = np.array(
@@ -204,7 +199,7 @@ def build_error_field(
         dtype=float,
     )
     node_pts = np.einsum("qk,tkd->tqd", node_bary, tri)
-    q0_nodes = _poly_eval(qhu.q0_coeffs, qhu.centers, qhu.scales, node_pts)
+    q0_nodes = poly_eval(qhu.q0_coeffs, qhu.centers, qhu.scales, node_pts)
     e0_nodes = u_loc - q0_nodes
 
     bgrad = bary_gradients(tri)
@@ -222,7 +217,7 @@ def build_error_field(
         lo = np.where(s > 0, va, vb)
         hi = np.where(s > 0, vb, va)
         ends = np.stack([mesh.vertices[lo], mesh.vertices[hi]], axis=1)  # (T, 2, 2)
-        gq = _poly_grad_dot(qhu.q0_coeffs, qhu.centers, qhu.scales, ends, mesh.edge_normals[e])
+        gq = poly_grad_dot(qhu.q0_coeffs, qhu.centers, qhu.scales, ends, mesh.edge_normals[e])
         grad_q0_coeffs = np.stack([0.5 * (gq[:, 0] + gq[:, 1]), gq[:, 1] - gq[:, 0]], axis=1)
         mismatch[:, l, :] = grad_u0_coeffs - grad_q0_coeffs - en[e]
 
@@ -234,8 +229,8 @@ def build_error_field(
         epts = pa[:, None, :] + t[None, :, None] * (pb - pa)[:, None, :]
         t1 = mesh.edge_tris[interior, 0]
         t2 = mesh.edge_tris[interior, 1]
-        v1 = _poly_eval(qhu.q0_coeffs[t1], qhu.centers[t1], qhu.scales[t1], epts)
-        v2 = _poly_eval(qhu.q0_coeffs[t2], qhu.centers[t2], qhu.scales[t2], epts)
+        v1 = poly_eval(qhu.q0_coeffs[t1], qhu.centers[t1], qhu.scales[t1], epts)
+        v2 = poly_eval(qhu.q0_coeffs[t2], qhu.centers[t2], qhu.scales[t2], epts)
         q0_jump = v1 - v2
     else:
         q0_jump = np.zeros((0, len(t)))

@@ -1,19 +1,25 @@
-"""Polynomial bases, quadrature and L2 projections.
+"""Quadrature, the P2 monomial Vandermonde, the edge P1 projection and the
+P2 nodal basis.
 
-Element polynomials use monomials centered at the element centroid and
-scaled by the element diameter, which keeps the local mass and normal
-systems well conditioned.  Triangle rules are conical products of
-Gauss-Legendre and Gauss-Jacobi lines (positive weights, interior points,
-exact to the requested total degree).  Defaults follow the solver-wide
-convention: triangle rules exact to degree 6, 4-point edge Gauss (exact to
-degree 7); L1 and max-norm quantities reuse these fixed sample sets.
+Element polynomials (the projection Q0 u in ``pdwg.norms``) use monomials
+centered at the element centroid and scaled by the element diameter, which
+keeps the local mass systems well conditioned; ``monomial_values`` builds
+their Vandermonde.  Edge fluxes live in P1 with the centered basis
+1, (t - 1/2) on the canonical arc parameter t in [0, 1];
+``project_edge_samples`` is the one edge P1 projection, used for the
+Neumann data and for Qn of an exact flux.  Triangle rules are conical
+products of Gauss-Legendre and Gauss-Jacobi lines (positive weights,
+interior points, exact to the requested total degree).  Defaults follow the
+solver-wide convention: triangle rules exact to degree 6, 4-point edge Gauss
+(exact to degree 7); L1 and max-norm quantities reuse these fixed sample
+sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -86,155 +92,26 @@ def edge_gauss(n_points: int = DEFAULT_EDGE_POINTS) -> tuple[np.ndarray, np.ndar
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-@dataclass(frozen=True)
-class ElementPolynomial:
-    """Polynomial on a triangle in centered/scaled monomials.
-
-    Coefficients follow :func:`monomial_exponents`; the basis is
-    ((x-cx)/scale)^a ((y-cy)/scale)^b.
-    """
-
-    degree: int
-    coeffs: np.ndarray
-    center: np.ndarray
-    scale: float
-
-    def __post_init__(self):
-        m = (self.degree + 1) * (self.degree + 2) // 2
-        if self.coeffs.shape != (m,):
-            raise ValueError(f"expected {m} coefficients for degree {self.degree}")
-
-    def _local(self, x, y):
-        return (np.asarray(x) - self.center[0]) / self.scale, (
-            np.asarray(y) - self.center[1]
-        ) / self.scale
-
-    def __call__(self, x, y):
-        xi, eta = self._local(x, y)
-        exps = monomial_exponents(self.degree)
-        return sum(
-            c * xi**a * eta**b for c, (a, b) in zip(self.coeffs, exps)
-        )
-
-
-@dataclass(frozen=True)
-class EdgePolynomial:
-    """1D polynomial in the centered arc-length basis (t - 1/2)^j, t in [0,1]."""
-
-    degree: int
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        if self.coeffs.shape != (self.degree + 1,):
-            raise ValueError(f"expected {self.degree + 1} coefficients")
-
-    def __call__(self, t):
-        tau = np.asarray(t) - 0.5
-        return sum(c * tau**j for j, c in enumerate(self.coeffs))
-
-    def integral(self, h_e: float) -> float:
-        """Exact integral over an edge of length h_e."""
-        return h_e * float(self.coeffs @ _central_moments(self.degree))
-
-
-@lru_cache(maxsize=None)
-def _central_moments(degree: int) -> np.ndarray:
-    """m_j = int_0^1 (t - 1/2)^j dt."""
-    j = np.arange(degree + 1)
-    m = np.where(j % 2 == 0, 0.5**j / (j + 1), 0.0)
-    return m
-
-
-@lru_cache(maxsize=None)
-def _edge_mass(degree: int) -> np.ndarray:
-    """Exact Gram matrix of the centered edge basis w.r.t. dt on [0,1]."""
-    m = _central_moments(2 * degree)
-    return np.array([[m[i + j] for j in range(degree + 1)] for i in range(degree + 1)])
-
-
-def _tri_geometry(tri: np.ndarray) -> tuple[np.ndarray, float, float]:
-    center = tri.mean(axis=0)
-    cross = (tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1]) - (
-        tri[1, 1] - tri[0, 1]
-    ) * (tri[2, 0] - tri[0, 0])
-    area = 0.5 * cross
-    scale = max(
-        np.linalg.norm(tri[1] - tri[0]),
-        np.linalg.norm(tri[2] - tri[1]),
-        np.linalg.norm(tri[0] - tri[2]),
-    )
-    return center, float(area), float(scale)
-
-
 def monomial_values(exps: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
     """Vandermonde of local monomials at local coordinates; (..., m)."""
     return np.stack([xi**a * eta**b for a, b in exps], axis=-1)
 
 
-def project_L2_element(
-    f: Callable,
-    tri: np.ndarray,
-    degree: int,
-    quad: TriangleQuadrature | None = None,
-) -> ElementPolynomial:
-    """L2-project a scalar field onto P_degree on one triangle (operator Q0).
+def project_edge_samples(samples, n_points: int = DEFAULT_EDGE_POINTS) -> np.ndarray:
+    """P1 L2 projection from samples at the edge_gauss(n_points) nodes.
 
-    The element mass system is formed in the centered/scaled monomial basis
-    using ``quad`` (default: degree max(2*degree, 6) rule).
+    ``samples`` is (..., n_points); returns (..., 2), the coefficients of the
+    centered basis 1, (t - 1/2).  The Gram matrix of that basis is
+    diag(1, 1/12), and the load uses the Gauss rule, so the constant
+    coefficient is the rule's mean of the samples.
     """
-    tri = np.asarray(tri, dtype=float)
-    center, area, scale = _tri_geometry(tri)
-    if area <= 0 or scale <= 0:
-        raise ValueError("degenerate triangle")
-    if quad is None:
-        quad = triangle_quadrature(max(2 * degree, DEFAULT_TRI_DEGREE))
-    pts = quad.physical_points(tri)
-    w = quad.physical_weights(area)
-    xi = (pts[:, 0] - center[0]) / scale
-    eta = (pts[:, 1] - center[1]) / scale
-    V = monomial_values(monomial_exponents(degree), xi, eta)
-    M = V.T @ (w[:, None] * V)
-    rhs = V.T @ (w * f(pts[:, 0], pts[:, 1]))
-    coeffs = np.linalg.solve(M, rhs)
-    return ElementPolynomial(degree=degree, coeffs=coeffs, center=center, scale=scale)
-
-
-def project_L2_edge(
-    g: Callable,
-    p_a: np.ndarray,
-    p_b: np.ndarray,
-    degree: int,
-    n_points: int = DEFAULT_EDGE_POINTS,
-) -> EdgePolynomial:
-    """L2-project a scalar field onto P_degree on the edge p_a -> p_b.
-
-    The Gram matrix is exact (central moments); only the load vector uses
-    the edge Gauss rule, so the projection preserves the quadrature value
-    of the edge integral of ``g`` exactly for every degree >= 0.  ``g`` is
-    evaluated at physical coordinates.
-    """
-    p_a = np.asarray(p_a, dtype=float)
-    p_b = np.asarray(p_b, dtype=float)
-    if np.linalg.norm(p_b - p_a) <= 0:
-        raise ValueError("zero-length edge")
-    t, _ = edge_gauss(n_points)
-    pts = p_a[None, :] + t[:, None] * (p_b - p_a)[None, :]
-    vals = g(pts[:, 0], pts[:, 1])
-    return project_edge_samples(np.broadcast_to(vals, t.shape), degree, n_points)
-
-
-def project_edge_samples(
-    samples: Sequence[float], degree: int, n_points: int = DEFAULT_EDGE_POINTS
-) -> EdgePolynomial:
-    """Projection from samples taken at the edge_gauss(n_points) nodes."""
     t, w = edge_gauss(n_points)
     samples = np.asarray(samples, dtype=float)
-    if samples.shape != t.shape:
+    if samples.shape[-1:] != t.shape:
         raise ValueError("sample count does not match the edge rule")
-    V = np.stack([(t - 0.5) ** j for j in range(degree + 1)], axis=-1)
-    rhs = V.T @ (w * samples)
-    coeffs = np.linalg.solve(_edge_mass(degree), rhs)
-    return EdgePolynomial(degree=degree, coeffs=coeffs)
+    c0 = samples @ w
+    c1 = 12.0 * (samples * (t - 0.5)) @ w
+    return np.stack([c0, c1], axis=-1)
 
 
 def interpolate_nodes(g: Callable, mesh, node_ids: np.ndarray) -> np.ndarray:
@@ -242,16 +119,6 @@ def interpolate_nodes(g: Callable, mesh, node_ids: np.ndarray) -> np.ndarray:
     coords = mesh.p2_node_coords[node_ids]
     values = np.asarray(g(coords[:, 0], coords[:, 1]), dtype=float)
     return np.broadcast_to(values, node_ids.shape).copy()
-
-
-def interpolate_dirichlet_nodes(g1: Callable, mesh, dirichlet_edges: np.ndarray):
-    """Values of g1 at all P2 nodes on the closure of the tagged edges.
-
-    Returns (node_ids, values) with node ids ascending; vertex nodes are
-    their vertex index, midpoint nodes are V + edge index.
-    """
-    node_ids = mesh.closure_p2_nodes(dirichlet_edges)
-    return node_ids, interpolate_nodes(g1, mesh, node_ids)
 
 
 # ---------------------------------------------------------------------------

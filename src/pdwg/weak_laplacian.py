@@ -1,178 +1,42 @@
-"""Discrete weak Laplacian on weak triplets {v0, vb, vn*n}.
+"""The weak Laplacian of the lowest-order scheme (C0 P2, P1 fluxes, P0).
 
-The general operator maps a weak function on one element to the unique
-P_r polynomial whose moments against P_r reproduce the duality
+Tested against a constant on element T, the weak Laplacian of a weak
+function {v0, vb, vn} keeps only its flux part: the volume and trace terms
+vanish with the test function's derivatives, which leaves
 
-    (p, phi)_T = (v0, Lap phi)_T - <vb, grad phi . n>_bdry + <vn, phi>_bdry,
+    weak_lap(v)|_T = (1/|T|) sum_e s(T, e) h_e c0_e,
 
-with n the outward normal.  Flux components are stored once per edge with
-respect to the fixed global normal n_e; the outward-sense value seen from
-element T is s(T, e) times the stored one, which enforces single-valuedness
-structurally.  The assembled k=2 C0 solver only ever needs the simplified
-P0 evaluation (sum of signed edge flux integrals over the element area).
+with c0_e the constant coefficient of the P1 flux stored against the fixed
+global normal n_e; the centered-linear coefficient integrates to zero.
+s(T, e) = n_e . n_T makes the outward value seen from T single-valued by
+construction.  The flux part of the projection Q_h theta is the edge P1
+projection of grad theta . n_e.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from pdwg.mesh import Mesh
-from pdwg.polyspace import (
-    ElementPolynomial,
-    edge_gauss,
-    monomial_exponents,
-    monomial_values,
-    project_L2_edge,
-    project_L2_element,
-    triangle_quadrature,
-)
-
-VERIFY_TRI_DEGREE = 10   # covers k <= 5, r <= 3 integrands
-VERIFY_EDGE_POINTS = 6
-
-
-@dataclass(frozen=True)
-class ElementWeakFunction:
-    """Weak triplet on one element, edge data stored per local edge.
-
-    ``v0`` is a callable (x, y); ``vb`` and ``vn`` are per-local-edge
-    callables (x, y).  ``vn`` components are stored with respect to the
-    global edge normal n_e; the sign s(T, e) is taken from the mesh.
-    """
-
-    v0: Callable
-    vb: Sequence[Callable]
-    vn: Sequence[Callable]
-
-    @staticmethod
-    def from_smooth(u: Callable, grad_u: Callable, mesh: Mesh, t: int) -> "ElementWeakFunction":
-        """Compatible triplet of a smooth field: vb = trace, vn = grad u . n_e."""
-        def flux(e):
-            ne = mesh.edge_normals[e]
-            return lambda x, y: grad_u(x, y)[0] * ne[0] + grad_u(x, y)[1] * ne[1]
-
-        vb = [u for _ in range(3)]
-        vn = [flux(int(e)) for e in mesh.tri_edges[t]]
-        return ElementWeakFunction(v0=u, vb=vb, vn=vn)
+from pdwg.polyspace import DEFAULT_EDGE_POINTS, edge_gauss, project_edge_samples
 
 
 def projected_weak_function(
-    theta: Callable,
-    grad_theta: Callable,
-    mesh: Mesh,
-    t: int,
-    k: int = 2,
-    tri_degree: int = VERIFY_TRI_DEGREE,
-    edge_points: int = VERIFY_EDGE_POINTS,
-) -> ElementWeakFunction:
-    """The elementwise projection triplet {Q0 theta, Qb theta, Qn(grad theta . n)}."""
-    tri = mesh.tri_coords()[t]
-    q0 = project_L2_element(theta, tri, k, triangle_quadrature(tri_degree))
-    vb = []
-    vn = []
-    for e in mesh.tri_edges[t]:
-        a, b = mesh.edges[e]
-        pa, pb = mesh.vertices[a], mesh.vertices[b]
-        ne = mesh.edge_normals[e]
-        qb = project_L2_edge(theta, pa, pb, k, edge_points)
-        flux = lambda x, y, ne=ne: grad_theta(x, y)[0] * ne[0] + grad_theta(x, y)[1] * ne[1]
-        qn = project_L2_edge(flux, pa, pb, k - 1, edge_points)
-
-        def as_xy(poly, pa=pa, pb=pb):
-            d = pb - pa
-            L2 = d @ d
-            return lambda x, y: poly(((x - pa[0]) * d[0] + (y - pa[1]) * d[1]) / L2)
-
-        vb.append(as_xy(qb))
-        vn.append(as_xy(qn))
-    return ElementWeakFunction(v0=q0, vb=vb, vn=vn)
+    grad_theta: Callable, mesh: Mesh, edge_points: int = DEFAULT_EDGE_POINTS
+) -> np.ndarray:
+    """Flux part Qn(grad theta . n_e) of Q_h theta: (E, 2) stored coefficients."""
+    t, _ = edge_gauss(edge_points)
+    pa = mesh.vertices[mesh.edges[:, 0]]
+    pb = mesh.vertices[mesh.edges[:, 1]]
+    epts = pa[:, None, :] + t[None, :, None] * (pb - pa)[:, None, :]
+    gx, gy = grad_theta(epts[..., 0], epts[..., 1])
+    samples = gx * mesh.edge_normals[:, None, 0] + gy * mesh.edge_normals[:, None, 1]
+    return project_edge_samples(samples, edge_points)
 
 
-def discrete_weak_laplacian(
-    mesh: Mesh,
-    t: int,
-    v: ElementWeakFunction,
-    r: int,
-    tri_degree: int = VERIFY_TRI_DEGREE,
-    edge_points: int = VERIFY_EDGE_POINTS,
-) -> ElementPolynomial:
-    """Discrete weak Laplacian of ``v`` on triangle ``t`` into P_r.
-
-    Solved through the P_r mass system in the centered/scaled monomial
-    basis; the quadrature must be exact for all integrands involved
-    (defaults cover polynomial data with k <= 5, r <= 3).
-    """
-    if r < 0:
-        raise ValueError("polynomial degree r must be >= 0")
-    tri = mesh.tri_coords()[t]
-    area = mesh.area[t]
-    if area <= 0:
-        raise ValueError("degenerate element")
-    center = tri.mean(axis=0)
-    scale = float(mesh.h_t[t])
-    exps = monomial_exponents(r)
-
-    quad = triangle_quadrature(tri_degree)
-    pts = quad.physical_points(tri)
-    w = quad.physical_weights(area)
-    xi = (pts[:, 0] - center[0]) / scale
-    eta = (pts[:, 1] - center[1]) / scale
-    V = monomial_values(exps, xi, eta)
-    mass = V.T @ (w[:, None] * V)
-
-    # volume term (v0, Lap phi)_T
-    lap = np.zeros((len(w), len(exps)))
-    for i, (a, b) in enumerate(exps):
-        if a >= 2:
-            lap[:, i] += a * (a - 1) * xi ** (a - 2) * eta**b
-        if b >= 2:
-            lap[:, i] += b * (b - 1) * xi**a * eta ** (b - 2)
-    lap /= scale**2
-    v0_vals = np.broadcast_to(v.v0(pts[:, 0], pts[:, 1]), w.shape)
-    rhs = lap.T @ (w * v0_vals)
-
-    # boundary terms, outward sense via s(T, e)
-    te, we = edge_gauss(edge_points)
-    for l in range(3):
-        e = int(mesh.tri_edges[t, l])
-        s = float(mesh.tri_edge_signs[t, l])
-        a_id, b_id = mesh.edges[e]
-        pa, pb = mesh.vertices[a_id], mesh.vertices[b_id]
-        ne = mesh.edge_normals[e]
-        h_e = mesh.h_e[e]
-        epts = pa[None, :] + te[:, None] * (pb - pa)[None, :]
-        exi = (epts[:, 0] - center[0]) / scale
-        eeta = (epts[:, 1] - center[1]) / scale
-        phi = monomial_values(exps, exi, eeta)
-        gphi_n = np.zeros_like(phi)
-        for i, (ax, bx) in enumerate(exps):
-            gx = ax * exi ** max(ax - 1, 0) * eeta**bx if ax > 0 else 0.0
-            gy = bx * exi**ax * eeta ** max(bx - 1, 0) if bx > 0 else 0.0
-            gphi_n[:, i] = (gx * ne[0] + gy * ne[1]) / scale
-        vb_vals = np.broadcast_to(v.vb[l](epts[:, 0], epts[:, 1]), te.shape)
-        vn_vals = np.broadcast_to(v.vn[l](epts[:, 0], epts[:, 1]), te.shape)
-        ew = we * h_e
-        # n = s * n_e; vn outward = s * stored
-        rhs -= s * gphi_n.T @ (ew * vb_vals)
-        rhs += s * phi.T @ (ew * vn_vals)
-
-    coeffs = np.linalg.solve(mass, rhs)
-    return ElementPolynomial(degree=r, coeffs=coeffs, center=center, scale=scale)
-
-
-def weak_laplacian_c0_k2(flux_coeffs: np.ndarray, mesh: Mesh, t: int) -> float:
-    """Simplified P0 weak Laplacian for the C0/k=2 element.
-
-    ``flux_coeffs`` is (3, 2): the stored P1 flux coefficients (constant and
-    centered-linear part) of the three local edges.  Only the constant part
-    carries an integral: returns (sum_e s(T,e) h_e c0_e) / |T|.
-    """
-    flux_coeffs = np.asarray(flux_coeffs, dtype=float)
-    total = 0.0
-    for l in range(3):
-        e = int(mesh.tri_edges[t, l])
-        total += mesh.tri_edge_signs[t, l] * mesh.h_e[e] * flux_coeffs[l, 0]
-    return total / float(mesh.area[t])
+def discrete_weak_laplacian(mesh: Mesh, flux: np.ndarray) -> np.ndarray:
+    """P0 weak Laplacian per triangle, (T,), of stored (E, 2) flux coefficients."""
+    c0 = np.asarray(flux, dtype=float)[mesh.tri_edges, 0]
+    return (mesh.tri_edge_signs * mesh.h_e[mesh.tri_edges] * c0).sum(axis=1) / mesh.area

@@ -1,8 +1,26 @@
+import math
+
 import numpy as np
 import pytest
 
 from pdwg.mesh import build_uniform_unit_square, classify_boundary
 from pdwg.problems import get_case
+
+REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
+
+
+def exact_ref_monomial(a: int, b: int) -> float:
+    # int over the reference triangle of x^a y^b
+    return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
+
+
+def quad_integral(rule, tri, f):
+    pts = rule.physical_points(tri)
+    area = 0.5 * abs(
+        (tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1])
+        - (tri[1, 1] - tri[0, 1]) * (tri[2, 0] - tri[0, 0])
+    )
+    return float(rule.physical_weights(area) @ f(pts[:, 0], pts[:, 1]))
 
 
 def tags_for(mesh, case_name):

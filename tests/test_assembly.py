@@ -3,6 +3,7 @@ import pytest
 import scipy.integrate
 
 from pdwg.assembly import (
+    apply_boundary_conditions,
     assemble_constraint,
     assemble_stabilizer,
     build_dofmap,
@@ -11,7 +12,8 @@ from pdwg.assembly import (
 )
 from pdwg.mesh import BoundarySegmentSpec, build_uniform_unit_square, classify_boundary
 from pdwg.norms import project_exact
-from pdwg.problems import ManufacturedSolution, get_problem
+from pdwg.polyspace import edge_gauss
+from pdwg.problems import ManufacturedSolution, NoiseSpec, get_problem
 from pdwg.verify import quadratic_consistency_residual
 
 from conftest import tags_for
@@ -170,6 +172,39 @@ def test_neumann_untagged_edge_rejected(mesh2):
         neumann_flux_coefficients(
             lambda x, y, n: 0 * x, mesh2, tags, np.array([dirichlet_only])
         )
+
+
+def test_noise_draw_order_is_one_stream():
+    # one PCG64 stream: Dirichlet nodes by ascending id, then one block of
+    # rule samples per Neumann edge by ascending edge id
+    mesh = build_uniform_unit_square(4)
+    tags = tags_for(mesh, "case1")
+    dm = build_dofmap(mesh, tags)
+    assert len(dm.neumann_edges) >= 8 and len(dm.dirichlet_nodes) > 0
+    problem = get_problem("sinsin")
+
+    def g2(x, y, n_out):
+        gx, gy = problem.grad_u(x, y)
+        return gx * n_out[0] + gy * n_out[1]
+
+    a = 0.1
+    got = apply_boundary_conditions(
+        problem.u, g2, mesh, tags, dm, noise=NoiseSpec(amplitude=a, seed=2024)
+    )
+
+    rng = np.random.Generator(np.random.PCG64(2024))
+    coords = mesh.p2_node_coords[dm.dirichlet_nodes]
+    nodal = problem.u(coords[:, 0], coords[:, 1]) + a * (0.5 - rng.random(len(coords)))
+    assert np.array_equal(got[dm.dirichlet_nodes], nodal)
+    t, w = edge_gauss()
+    for e in dm.neumann_edges:
+        pa, pb = mesh.vertices[mesh.edges[e]]
+        pts = pa[None, :] + t[:, None] * (pb - pa)[None, :]
+        s = mesh.edge_tri_signs[e, 0]
+        samples = g2(pts[:, 0], pts[:, 1], s * mesh.edge_normals[e])
+        samples = samples + a * (0.5 - rng.random(len(t)))
+        want = s * np.array([w @ samples, 12.0 * (w * (t - 0.5)) @ samples])
+        assert np.abs(got[dm.flux_dofs(e)] - want).max() <= 1e-13
 
 
 def test_constrained_flux_matches_exact_projection(mesh4):

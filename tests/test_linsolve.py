@@ -6,10 +6,10 @@ import scipy.sparse.linalg as spla
 
 from pdwg.assembly import build_saddle_system
 from pdwg.linsolve import (
+    CondensedFactor,
     SingularSystem,
     factor_and_solve,
     flux_diagonal,
-    solve_condensed,
     solve_sparse,
 )
 from pdwg.mesh import build_uniform_unit_square
@@ -172,7 +172,7 @@ def test_condensation_without_flux_unknowns_solves_full_matrix(rng):
     A = rng.standard_normal((6, 6))
     A = A + A.T + 12 * np.eye(6)
     b = rng.standard_normal(6)
-    out = solve_condensed(sp.csc_matrix(A), b, np.array([], dtype=np.int64))
+    out = CondensedFactor(sp.csc_matrix(A), np.array([], dtype=np.int64)).solve(b)
     assert np.abs(out.x - np.linalg.solve(A, b)).max() <= 1e-13
 
 
@@ -180,5 +180,5 @@ def test_condensed_saddle_block_matches_dense_solve(rng):
     # one diagonal unknown eliminated out of a 3x3 saddle block
     M = sp.csc_matrix(np.array([[2.0, 0.0, 1.0], [0.0, 4.0, 1.0], [1.0, 1.0, 0.0]]))
     b = rng.standard_normal(3)
-    out = solve_condensed(M, b, np.array([1]))
+    out = CondensedFactor(M, np.array([1])).solve(b)
     assert np.abs(out.x - np.linalg.solve(M.toarray(), b)).max() <= 1e-14

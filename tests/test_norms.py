@@ -9,12 +9,46 @@ from pdwg.norms import (
     error_norms,
     lambda_norm,
     norms_of_error,
+    poly_eval,
     project_exact,
 )
-from pdwg.polyspace import project_L2_element, triangle_quadrature
+from pdwg.polyspace import monomial_exponents, monomial_values, triangle_quadrature
 from pdwg.problems import get_problem
 
-from conftest import tags_for
+from conftest import REF_TRI, exact_ref_monomial, quad_integral, tags_for
+
+
+def project_L2_element(f, tri, degree, quad=None):
+    """L2 projection of f onto P_degree on one triangle (oracle of project_exact).
+
+    Solves the mass system of one element in the centered/scaled monomial
+    basis; returns the projection as a callable (x, y) with ``.coeffs``.
+    """
+    tri = np.asarray(tri, dtype=float)
+    d1, d2 = tri[1] - tri[0], tri[2] - tri[0]
+    area = 0.5 * (d1[0] * d2[1] - d1[1] * d2[0])
+    if area <= 0:
+        raise ValueError("degenerate triangle")
+    center = tri.mean(axis=0)
+    scale = max(np.linalg.norm(tri[k] - tri[k - 1]) for k in range(3))
+    exps = monomial_exponents(degree)
+
+    def vandermonde(x, y):
+        return monomial_values(exps, (np.asarray(x) - center[0]) / scale,
+                               (np.asarray(y) - center[1]) / scale)
+
+    if quad is None:
+        quad = triangle_quadrature(max(2 * degree, 6))
+    pts = quad.physical_points(tri)
+    w = quad.physical_weights(area)
+    V = vandermonde(pts[:, 0], pts[:, 1])
+    coeffs = np.linalg.solve(V.T @ (w[:, None] * V), V.T @ (w * f(pts[:, 0], pts[:, 1])))
+
+    def projection(x, y):
+        return vandermonde(x, y) @ coeffs
+
+    projection.coeffs = coeffs
+    return projection
 
 
 def fake_solution(mesh, u0, un, lam):
@@ -179,9 +213,7 @@ def test_project_exact_reproduces_quadratic(mesh4, rng):
     # map unit samples into each triangle via barycentric mixing
     bary = rng.dirichlet([1, 1, 1], size=5)
     pts = np.einsum("qk,tkd->tqd", bary, tri)
-    from pdwg.norms import _poly_eval
-
-    got = _poly_eval(qhu.q0_coeffs, qhu.centers, qhu.scales, pts)
+    got = poly_eval(qhu.q0_coeffs, qhu.centers, qhu.scales, pts)
     want = problem.u(pts[..., 0], pts[..., 1])
     assert np.abs(got - want).max() <= 1e-12
 
@@ -201,8 +233,6 @@ def test_project_exact_linear_flux_constant(mesh2):
 
 
 def test_project_exact_sinsin_against_high_order_oracle(mesh2):
-    from pdwg.norms import _poly_eval
-
     problem = get_problem("sinsin")
     t = 3
     tri = mesh2.tri_coords()[t]
@@ -212,7 +242,7 @@ def test_project_exact_sinsin_against_high_order_oracle(mesh2):
     want = oracle(pts[:, 0], pts[:, 1])
 
     def values(qhu):
-        return _poly_eval(
+        return poly_eval(
             qhu.q0_coeffs[t : t + 1], qhu.centers[t : t + 1], qhu.scales[t : t + 1],
             pts[None, :, :],
         )[0]
@@ -224,6 +254,62 @@ def test_project_exact_sinsin_against_high_order_oracle(mesh2):
     # orders below the discretization error there (~1e-3)
     default = project_exact(problem, mesh2)
     assert np.abs(values(default) - want).max() <= 1e-6
+
+
+
+
+def test_project_element_reproduces_members():
+    tri = np.array([[0.2, 0.1], [0.9, 0.3], [0.4, 0.8]])
+    for f in (lambda x, y: 3.0 + 0 * x, lambda x, y: x**2, lambda x, y: x * y - 2 * y**2):
+        p = project_L2_element(f, tri, 2)
+        xs = np.array([0.4, 0.5, 0.45])
+        ys = np.array([0.3, 0.4, 0.5])
+        assert np.abs(p(xs, ys) - f(xs, ys)).max() <= 1e-13
+
+
+def test_project_element_cubic_against_normal_equation_oracle(rng):
+    # independent oracle: plain monomial basis with exact factorial moments
+    f = lambda x, y: x**3
+    exps = monomial_exponents(2)
+    M = np.array(
+        [[exact_ref_monomial(a1 + a2, b1 + b2) for (a2, b2) in exps] for (a1, b1) in exps]
+    )
+    rhs = np.array([exact_ref_monomial(a + 3, b) for (a, b) in exps])
+    coeffs = np.linalg.solve(M, rhs)
+    oracle = lambda x, y: sum(c * x**a * y**b for c, (a, b) in zip(coeffs, exps))
+
+    p = project_L2_element(f, REF_TRI, 2)
+    pts = rng.random((20, 2)) * 0.4 + 0.05
+    assert np.abs(p(pts[:, 0], pts[:, 1]) - oracle(pts[:, 0], pts[:, 1])).max() <= 1e-12
+
+
+def test_project_element_idempotent(rng):
+    tri = np.array([[0.0, 0.0], [0.5, 0.1], [0.1, 0.6]])
+    f = lambda x, y: np.sin(3 * x) * np.cos(2 * y)
+    once = project_L2_element(f, tri, 2)
+    twice = project_L2_element(once, tri, 2)
+    assert np.abs(once.coeffs - twice.coeffs).max() <= 1e-13
+
+
+def test_project_element_orthogonality(rng):
+    # residual of a random degree-5 polynomial is L2-orthogonal to P2
+    tri = np.array([[0.1, 0.0], [0.8, 0.2], [0.3, 0.9]])
+    exps5 = monomial_exponents(5)
+    c = rng.uniform(-1, 1, len(exps5))
+    f = lambda x, y: sum(ci * x**a * y**b for ci, (a, b) in zip(c, exps5))
+    p = project_L2_element(f, tri, 2, triangle_quadrature(12))
+    rule = triangle_quadrature(12)
+    for a, b in monomial_exponents(2):
+        resid = quad_integral(
+            rule, tri, lambda x, y: (f(x, y) - p(x, y)) * x**a * y**b
+        )
+        assert abs(resid) <= 1e-12
+
+
+def test_degenerate_triangle_rejected():
+    bad = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
+    with pytest.raises(ValueError):
+        project_L2_element(lambda x, y: x, bad, 2)
 
 
 def test_mesh_mismatch_rejected(mesh2, mesh4):

@@ -1,36 +1,17 @@
-import math
-
 import numpy as np
 import pytest
 
 from pdwg.mesh import build_uniform_unit_square
 from pdwg.polyspace import (
-    EdgePolynomial,
     edge_gauss,
-    interpolate_dirichlet_nodes,
+    interpolate_nodes,
     monomial_exponents,
     p2_values,
-    project_L2_edge,
-    project_L2_element,
     project_edge_samples,
     triangle_quadrature,
 )
 
-REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
-
-
-def exact_ref_monomial(a: int, b: int) -> float:
-    # int over the reference triangle of x^a y^b
-    return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
-
-
-def quad_integral(rule, tri, f):
-    pts = rule.physical_points(tri)
-    area = 0.5 * abs(
-        (tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1])
-        - (tri[1, 1] - tri[0, 1]) * (tri[2, 0] - tri[0, 0])
-    )
-    return float(rule.physical_weights(area) @ f(pts[:, 0], pts[:, 1]))
+from conftest import REF_TRI, exact_ref_monomial, quad_integral
 
 
 def test_reference_integrals():
@@ -59,117 +40,74 @@ def test_unsupported_degree_rejected():
         triangle_quadrature(99)
 
 
-def test_project_element_reproduces_members():
-    tri = np.array([[0.2, 0.1], [0.9, 0.3], [0.4, 0.8]])
-    for f in (lambda x, y: 3.0 + 0 * x, lambda x, y: x**2, lambda x, y: x * y - 2 * y**2):
-        p = project_L2_element(f, tri, 2)
-        xs = np.array([0.4, 0.5, 0.45])
-        ys = np.array([0.3, 0.4, 0.5])
-        assert np.abs(p(xs, ys) - f(xs, ys)).max() <= 1e-13
+def edge_samples(g, pa, pb, n_points=4):
+    t, _ = edge_gauss(n_points)
+    pts = pa[None, :] + t[:, None] * (pb - pa)[None, :]
+    return np.broadcast_to(g(pts[:, 0], pts[:, 1]), t.shape)
 
 
-def test_project_element_cubic_against_normal_equation_oracle(rng):
-    # independent oracle: plain monomial basis with exact factorial moments
-    f = lambda x, y: x**3
-    exps = monomial_exponents(2)
-    M = np.array(
-        [[exact_ref_monomial(a1 + a2, b1 + b2) for (a2, b2) in exps] for (a1, b1) in exps]
-    )
-    rhs = np.array([exact_ref_monomial(a + 3, b) for (a, b) in exps])
-    coeffs = np.linalg.solve(M, rhs)
-    oracle = lambda x, y: sum(c * x**a * y**b for c, (a, b) in zip(coeffs, exps))
-
-    p = project_L2_element(f, REF_TRI, 2)
-    pts = rng.random((20, 2)) * 0.4 + 0.05
-    assert np.abs(p(pts[:, 0], pts[:, 1]) - oracle(pts[:, 0], pts[:, 1])).max() <= 1e-12
-
-
-def test_project_element_idempotent(rng):
-    tri = np.array([[0.0, 0.0], [0.5, 0.1], [0.1, 0.6]])
-    f = lambda x, y: np.sin(3 * x) * np.cos(2 * y)
-    once = project_L2_element(f, tri, 2)
-    twice = project_L2_element(once, tri, 2)
-    assert np.abs(once.coeffs - twice.coeffs).max() <= 1e-13
-
-
-def test_project_element_orthogonality(rng):
-    # residual of a random degree-5 polynomial is L2-orthogonal to P2
-    tri = np.array([[0.1, 0.0], [0.8, 0.2], [0.3, 0.9]])
-    exps5 = monomial_exponents(5)
-    c = rng.uniform(-1, 1, len(exps5))
-    f = lambda x, y: sum(ci * x**a * y**b for ci, (a, b) in zip(c, exps5))
-    p = project_L2_element(f, tri, 2, triangle_quadrature(12))
-    rule = triangle_quadrature(12)
-    for a, b in monomial_exponents(2):
-        resid = quad_integral(
-            rule, tri, lambda x, y: (f(x, y) - p(x, y)) * x**a * y**b
-        )
-        assert abs(resid) <= 1e-12
-
-
-def test_degenerate_triangle_rejected():
-    bad = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
-    with pytest.raises(ValueError):
-        project_L2_element(lambda x, y: x, bad, 2)
+def edge_values(coeffs, t):
+    """The P1 edge function c0 + c1 (t - 1/2)."""
+    return coeffs[0] + coeffs[1] * (t - 0.5)
 
 
 def test_project_edge_reproduces_members():
     pa, pb = np.array([0.0, 0.0]), np.array([1.0, 0.0])
-    const = project_L2_edge(lambda x, y: 1.0 + 0 * x, pa, pb, 1)
+    const = project_edge_samples(edge_samples(lambda x, y: 1.0 + 0 * x, pa, pb))
     t = np.linspace(0, 1, 7)
-    assert np.abs(const(t) - 1.0).max() <= 1e-14
-    lin = project_L2_edge(lambda x, y: 2 * x - 1, pa, pb, 1)
-    assert np.abs(lin(t) - (2 * t - 1)).max() <= 1e-14
+    assert np.abs(edge_values(const, t) - 1.0).max() <= 1e-14
+    lin = project_edge_samples(edge_samples(lambda x, y: 2 * x - 1, pa, pb))
+    assert np.abs(edge_values(lin, t) - (2 * t - 1)).max() <= 1e-14
 
 
 def test_project_edge_quadratic_onto_linear():
     # project t^2 onto P1: normal equations give t - 1/6
     pa, pb = np.array([0.0, 0.0]), np.array([1.0, 0.0])
-    p = project_L2_edge(lambda x, y: x**2, pa, pb, 1)
+    c = project_edge_samples(edge_samples(lambda x, y: x**2, pa, pb))
     t = np.linspace(0, 1, 9)
-    assert np.abs(p(t) - (t - 1 / 6)).max() <= 1e-14
+    assert np.abs(edge_values(c, t) - (t - 1 / 6)).max() <= 1e-14
     # centered coefficients of t - 1/6 = (t - 1/2) + 1/3
-    assert p.coeffs == pytest.approx([1 / 3, 1.0], abs=1e-14)
+    assert c == pytest.approx([1 / 3, 1.0], abs=1e-14)
 
 
-@pytest.mark.parametrize("degree", [0, 1, 2, 3])
-def test_edge_projection_preserves_integral(degree, rng):
+def test_edge_projection_preserves_integral(rng):
     pa, pb = np.array([0.25, 0.5]), np.array([0.5, 0.875])
     h = np.linalg.norm(pb - pa)
     c = rng.uniform(-1, 1, 7)
     g = lambda x, y: sum(ci * (x + 2 * y) ** i for i, ci in enumerate(c))
-    p = project_L2_edge(g, pa, pb, degree)
+    coeffs = project_edge_samples(edge_samples(g, pa, pb))
     t, w = edge_gauss()
     pts = pa[None, :] + t[:, None] * (pb - pa)[None, :]
     quad_int = float(w @ g(pts[:, 0], pts[:, 1])) * h
-    assert p.integral(h) == pytest.approx(quad_int, abs=1e-13)
+    # the centered-linear part integrates to zero
+    assert coeffs[0] * h == pytest.approx(quad_int, abs=1e-13)
 
 
-def test_zero_length_edge_rejected():
-    p = np.array([0.3, 0.3])
-    with pytest.raises(ValueError):
-        project_L2_edge(lambda x, y: x, p, p, 1)
+def test_edge_projection_is_batched(rng):
+    samples = rng.standard_normal((3, 5, 4))
+    got = project_edge_samples(samples)
+    assert got.shape == (3, 5, 2)
+    assert np.abs(got[1, 2] - project_edge_samples(samples[1, 2])).max() <= 1e-14
 
 
 def test_edge_sample_count_validated():
     with pytest.raises(ValueError):
-        project_edge_samples(np.zeros(3), 1, n_points=4)
+        project_edge_samples(np.zeros(3), n_points=4)
+    with pytest.raises(ValueError):
+        project_edge_samples(np.zeros((4, 3)), n_points=4)
 
 
-def test_edge_polynomial_integral():
-    p = EdgePolynomial(degree=2, coeffs=np.array([2.0, 5.0, 12.0]))
-    # int_0^1 2 + 5(t-1/2) + 12(t-1/2)^2 dt = 2 + 0 + 1
-    assert p.integral(1.0) == pytest.approx(3.0, abs=1e-15)
-    assert p.integral(0.5) == pytest.approx(1.5, abs=1e-15)
+def bottom_nodes(mesh):
+    bottom = [e for e in np.flatnonzero(mesh.boundary_edge_mask)
+              if abs(mesh.edge_midpoints[e][1]) < 1e-12]
+    return mesh.closure_p2_nodes(np.array(bottom))
 
 
 def test_interpolate_dirichlet_zero_and_linear():
     mesh = build_uniform_unit_square(1)
-    bottom = [e for e in np.flatnonzero(mesh.boundary_edge_mask)
-              if abs(mesh.edge_midpoints[e][1]) < 1e-12]
-    ids, vals = interpolate_dirichlet_nodes(lambda x, y: 0 * x, mesh, np.array(bottom))
-    assert np.all(vals == 0)
-    ids, vals = interpolate_dirichlet_nodes(lambda x, y: x, mesh, np.array(bottom))
+    ids = bottom_nodes(mesh)
+    assert np.all(interpolate_nodes(lambda x, y: 0 * x, mesh, ids) == 0)
+    vals = interpolate_nodes(lambda x, y: x, mesh, ids)
     coords = mesh.p2_node_coords[ids]
     assert sorted(vals.tolist()) == pytest.approx([0.0, 0.5, 1.0])
     assert np.allclose(coords[:, 1], 0.0)
@@ -177,11 +115,7 @@ def test_interpolate_dirichlet_zero_and_linear():
 
 def test_interpolate_dirichlet_sinsin_bottom():
     mesh = build_uniform_unit_square(4)
-    bottom = [e for e in np.flatnonzero(mesh.boundary_edge_mask)
-              if abs(mesh.edge_midpoints[e][1]) < 1e-12]
-    _, vals = interpolate_dirichlet_nodes(
-        lambda x, y: np.sin(x) * np.sin(y), mesh, np.array(bottom)
-    )
+    vals = interpolate_nodes(lambda x, y: np.sin(x) * np.sin(y), mesh, bottom_nodes(mesh))
     assert np.abs(vals).max() == 0.0
 
 

@@ -14,6 +14,7 @@ from pdwg.assembly import assemble_matrix, assemble_rhs
 from pdwg.linsolve import RESIDUAL_RTOL, SingularSystem, factor_and_solve
 from pdwg.mesh import BoundarySegmentSpec, build_uniform_unit_square, classify_boundary
 from pdwg.problems import NoiseSpec, get_problem
+from pdwg.verify import check_infsup
 
 # bounded and derandomized so that the suite stays fast and reproducible
 PROPERTY_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
@@ -102,3 +103,10 @@ def test_quadratics_are_exact_where_the_gate_accepts(config):
     tol = max(1e-10, 10 * solution.condition * np.finfo(float).eps)
     assert err <= tol
     assert np.abs(solution.lam).max() <= tol
+
+
+@PROPERTY_SETTINGS
+@given(configuration())
+def test_infsup_identity_holds_on_every_configuration(config):
+    # (weak_lap v*, lam) = ||lam||_0h^2 for the witness v*, whatever the tags
+    assert check_infsup(*config, n_samples=5)["max_rel_discrepancy"] <= 1e-12

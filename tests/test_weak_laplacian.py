@@ -1,160 +1,79 @@
 import numpy as np
 import pytest
 
+from pdwg.assembly import build_dofmap, constraint_matrix
 from pdwg.mesh import build_uniform_unit_square
-from pdwg.polyspace import monomial_exponents, project_L2_element, triangle_quadrature
-from pdwg.weak_laplacian import (
-    ElementWeakFunction,
-    discrete_weak_laplacian,
-    projected_weak_function,
-    weak_laplacian_c0_k2,
-)
+from pdwg.weak_laplacian import discrete_weak_laplacian, projected_weak_function
+
+from conftest import tags_for
 
 
-class Poly:
-    """Bivariate polynomial with closed-form gradient and Laplacian."""
-
-    def __init__(self, degree, coeffs):
-        self.exps = monomial_exponents(degree)
-        self.coeffs = np.asarray(coeffs, dtype=float)
-
-    def __call__(self, x, y):
-        return sum(c * x**a * y**b for c, (a, b) in zip(self.coeffs, self.exps))
-
-    def grad(self, x, y):
-        gx = sum(
-            c * a * x ** (a - 1) * y**b
-            for c, (a, b) in zip(self.coeffs, self.exps) if a > 0
-        )
-        gy = sum(
-            c * b * x**a * y ** (b - 1)
-            for c, (a, b) in zip(self.coeffs, self.exps) if b > 0
-        )
-        return np.asarray(gx) + 0 * x, np.asarray(gy) + 0 * y
-
-    def lap(self, x, y):
-        out = 0 * x
-        for c, (a, b) in zip(self.coeffs, self.exps):
-            if a >= 2:
-                out = out + c * a * (a - 1) * x ** (a - 2) * y**b
-            if b >= 2:
-                out = out + c * b * (b - 1) * x**a * y ** (b - 2)
-        return out
+def quadratic(c):
+    """u = c0 + c1 x + c2 y + c3 x^2 + c4 xy + c5 y^2: gradient and Laplacian."""
+    grad = lambda x, y: (c[1] + 2 * c[3] * x + c[4] * y, c[2] + c[4] * x + 2 * c[5] * y)
+    return grad, 2 * (c[3] + c[5])
 
 
 def test_compatible_quadratic_gives_constant_laplacian():
     mesh = build_uniform_unit_square(2)
-    u = lambda x, y: x**2 + y**2
-    grad = lambda x, y: (2 * x, 2 * y)
-    for t in range(mesh.num_triangles):
-        v = ElementWeakFunction.from_smooth(u, grad, mesh, t)
-        p = discrete_weak_laplacian(mesh, t, v, 0)
-        assert p.coeffs[0] == pytest.approx(4.0, abs=1e-12)
+    flux = projected_weak_function(lambda x, y: (2 * x, 2 * y), mesh)
+    assert flux.shape == (mesh.num_edges, 2)
+    lap = discrete_weak_laplacian(mesh, flux)
+    assert lap.shape == (mesh.num_triangles,)
+    assert np.abs(lap - 4.0).max() <= 1e-12
 
 
-@pytest.mark.parametrize("r", [0, 1, 2])
-def test_compatible_harmonic_linear_is_zero(r):
+def test_compatible_harmonic_linear_is_zero():
     mesh = build_uniform_unit_square(1)
-    v = ElementWeakFunction.from_smooth(
-        lambda x, y: x, lambda x, y: (1.0 + 0 * x, 0 * y), mesh, 0
-    )
-    p = discrete_weak_laplacian(mesh, 0, v, r)
-    assert np.abs(p.coeffs).max() <= 1e-12
+    flux = projected_weak_function(lambda x, y: (1.0 + 0 * x, 0 * y), mesh)
+    assert np.abs(discrete_weak_laplacian(mesh, flux)).max() <= 1e-12
 
 
 def test_pure_unit_outward_flux_on_reference_triangle():
     # triangle 0 of the n=1 mesh is (0,0),(1,0),(0,1)
     mesh = build_uniform_unit_square(1)
-    signs = mesh.tri_edge_signs[0]
-    zero = lambda x, y: 0 * x
-    vn = [lambda x, y, s=float(s): s + 0 * x for s in signs]  # outward value 1
-    v = ElementWeakFunction(v0=zero, vb=[zero] * 3, vn=vn)
-    p = discrete_weak_laplacian(mesh, 0, v, 0)
+    flux = np.zeros((mesh.num_edges, 2))
+    flux[mesh.tri_edges[0], 0] = mesh.tri_edge_signs[0]  # outward value 1
     # hand oracle: perimeter / area from the mesh tables
     perimeter = sum(mesh.h_e[e] for e in mesh.tri_edges[0])
     expected = perimeter / mesh.area[0]
     assert expected == pytest.approx(4 + 2 * np.sqrt(2.0), abs=1e-14)
-    assert p.coeffs[0] == pytest.approx(expected, abs=1e-12)
+    assert discrete_weak_laplacian(mesh, flux)[0] == pytest.approx(expected, abs=1e-12)
 
 
-@pytest.mark.parametrize("k,r", [(2, 0), (3, 1), (5, 0), (5, 3)])
-def test_consistency_with_projected_laplacian(k, r, rng):
-    # compatible traces: the discrete weak Laplacian equals Q_r(lap v0)
+def test_commutes_with_projection_for_quadratics(rng):
     mesh = build_uniform_unit_square(2)
-    poly = Poly(k, rng.uniform(-1, 1, len(monomial_exponents(k))))
-    quad = triangle_quadrature(12)
-    elements = (0, 3, 5)
-    # tolerance relative to the polynomial's own curvature scale
-    scale = max(
-        1.0,
-        max(
-            np.abs(poly.lap(*quad.physical_points(mesh.tri_coords()[t]).T)).max()
-            for t in elements
-        ),
-    )
-    for t in elements:
-        v = ElementWeakFunction.from_smooth(poly, poly.grad, mesh, t)
-        got = discrete_weak_laplacian(mesh, t, v, r, tri_degree=12, edge_points=8)
-        want = project_L2_element(poly.lap, mesh.tri_coords()[t], r, quad)
-        pts = quad.physical_points(mesh.tri_coords()[t])
-        diff = got(pts[:, 0], pts[:, 1]) - want(pts[:, 0], pts[:, 1])
-        assert np.abs(diff).max() <= 1e-12 * scale
+    for c in ([0.3, -1.0, 2.0, 1.5, -0.7, 0.25], rng.uniform(-1, 1, 6)):
+        grad, lap = quadratic(c)
+        got = discrete_weak_laplacian(mesh, projected_weak_function(grad, mesh))
+        assert np.abs(got - lap).max() <= 1e-12
 
 
-def test_commutes_with_projection_for_quadratics():
-    mesh = build_uniform_unit_square(2)
-    theta = Poly(2, [0.3, -1.0, 2.0, 1.5, -0.7, 0.25])
-    quad = triangle_quadrature(10)
-    for t in range(mesh.num_triangles):
-        v = projected_weak_function(theta, theta.grad, mesh, t, k=2)
-        lhs = discrete_weak_laplacian(mesh, t, v, 0)
-        want = project_L2_element(theta.lap, mesh.tri_coords()[t], 0, quad)
-        assert np.abs(lhs.coeffs - want.coeffs).max() <= 1e-12
-
-
-def test_simplified_c0_path_agrees_with_general(rng):
-    mesh = build_uniform_unit_square(2)
-    u = Poly(2, rng.uniform(-1, 1, 6))
-    for t in (0, 2, 7):
-        flux = rng.uniform(-1, 1, (3, 2))
-        vn = []
-        for l in range(3):
-            e = mesh.tri_edges[t, l]
-            a, b = mesh.edges[e]
-            pa, pb = mesh.vertices[a], mesh.vertices[b]
-            d = pb - pa
-            L2 = d @ d
-
-            def stored(x, y, c=flux[l], pa=pa, d=d, L2=L2):
-                s = ((x - pa[0]) * d[0] + (y - pa[1]) * d[1]) / L2
-                return c[0] + c[1] * (s - 0.5)
-
-            vn.append(stored)
-        v = ElementWeakFunction(v0=u, vb=[u] * 3, vn=vn)
-        general = discrete_weak_laplacian(mesh, t, v, 0).coeffs[0]
-        fast = weak_laplacian_c0_k2(flux, mesh, t)
-        assert fast == pytest.approx(general, abs=1e-13)
-
-
-def test_c0_k2_examples(rng):
+def test_c0_k2_examples():
     mesh = build_uniform_unit_square(2)
     # zero flux
-    assert weak_laplacian_c0_k2(np.zeros((3, 2)), mesh, 0) == 0.0
-    # exact flux of u = x^2 + y^2 - 10xy gives lap u = 4 by the divergence theorem
-    grad = lambda x, y: (2 * x - 10 * y, 2 * y - 10 * x)
-    for t in (1, 4):
-        flux = np.empty((3, 2))
-        for l in range(3):
-            e = mesh.tri_edges[t, l]
-            a, b = mesh.edges[e]
-            pa, pb = mesh.vertices[a], mesh.vertices[b]
-            ne = mesh.edge_normals[e]
-            g = lambda p: grad(p[0], p[1])[0] * ne[0] + grad(p[0], p[1])[1] * ne[1]
-            g0, g1 = g(pa), g(pb)
-            flux[l] = [(g0 + g1) / 2, g1 - g0]
-        assert weak_laplacian_c0_k2(flux, mesh, t) == pytest.approx(4.0, abs=1e-13)
-    # unit outward flux on the reference triangle of the n=1 mesh
-    mesh1 = build_uniform_unit_square(1)
-    stored = np.column_stack([mesh1.tri_edge_signs[0].astype(float), np.zeros(3)])
-    got = weak_laplacian_c0_k2(stored, mesh1, 0)
-    assert got == pytest.approx(4 + 2 * np.sqrt(2.0), abs=1e-13)
+    assert np.all(discrete_weak_laplacian(mesh, np.zeros((mesh.num_edges, 2))) == 0.0)
+    # exact flux of u = x^2 + y^2 - 10xy gives lap u = 4 by the divergence theorem;
+    # the flux is linear on each edge, so it is fixed by its endpoint values
+    grad = lambda p: np.array([2 * p[0] - 10 * p[1], 2 * p[1] - 10 * p[0]])
+    flux = np.empty((mesh.num_edges, 2))
+    for e, (a, b) in enumerate(mesh.edges):
+        g0 = grad(mesh.vertices[a]) @ mesh.edge_normals[e]
+        g1 = grad(mesh.vertices[b]) @ mesh.edge_normals[e]
+        flux[e] = [(g0 + g1) / 2, g1 - g0]
+    assert np.abs(discrete_weak_laplacian(mesh, flux) - 4.0).max() <= 1e-13
+    # the centered-linear coefficient carries no integral
+    flux[:, 1] += 7.0
+    assert np.abs(discrete_weak_laplacian(mesh, flux) - 4.0).max() <= 1e-13
+
+
+def test_weak_laplacian_matches_constraint_rows(rng):
+    # |T| * weak_lap(v) is row T of the assembled constraint B applied to v
+    for n in (1, 3, 4):
+        mesh = build_uniform_unit_square(n)
+        dofmap = build_dofmap(mesh, tags_for(mesh, "case1"))
+        v = rng.standard_normal(dofmap.n_primal)
+        flux = v[dofmap.n_u :].reshape(-1, 2)
+        got = mesh.area * discrete_weak_laplacian(mesh, flux)
+        want = constraint_matrix(mesh, dofmap) @ v
+        assert np.abs(got - want).max() <= 1e-13 * max(1.0, np.abs(want).max())
