@@ -41,12 +41,22 @@ def test_pure_unit_outward_flux_on_reference_triangle():
     assert discrete_weak_laplacian(mesh, flux)[0] == pytest.approx(expected, abs=1e-12)
 
 
-def test_commutes_with_projection_for_quadratics(rng):
+# the lowest-order scheme has only the P2 element and the P0 weak Laplacian
+@pytest.mark.parametrize("k,r", [(2, 0)])
+def test_consistency_with_projected_laplacian(k, r, rng):
+    # compatible traces of a random P_k: the weak Laplacian equals Q_r(lap v0)
     mesh = build_uniform_unit_square(2)
-    for c in ([0.3, -1.0, 2.0, 1.5, -0.7, 0.25], rng.uniform(-1, 1, 6)):
-        grad, lap = quadratic(c)
-        got = discrete_weak_laplacian(mesh, projected_weak_function(grad, mesh))
-        assert np.abs(got - lap).max() <= 1e-12
+    grad, lap = quadratic(rng.uniform(-1, 1, (k + 1) * (k + 2) // 2))
+    got = discrete_weak_laplacian(mesh, projected_weak_function(grad, mesh))
+    # tolerance relative to the polynomial's own curvature scale
+    assert np.abs(got - lap).max() <= 1e-12 * max(1.0, abs(lap))
+
+
+def test_commutes_with_projection_for_quadratics():
+    mesh = build_uniform_unit_square(2)
+    grad, lap = quadratic([0.3, -1.0, 2.0, 1.5, -0.7, 0.25])
+    got = discrete_weak_laplacian(mesh, projected_weak_function(grad, mesh))
+    assert np.abs(got - lap).max() <= 1e-12
 
 
 def test_c0_k2_examples():
