@@ -349,11 +349,15 @@ def assemble_rhs(
     tri_degree: int = DEFAULT_TRI_DEGREE,
     edge_points: int = DEFAULT_EDGE_POINTS,
     noise: NoiseSpec | None = None,
+    load: np.ndarray | None = None,
 ) -> SaddleSystem:
     """Add the load and boundary-data right-hand side of a problem.
 
     Boundary data is taken from the exact solution: g1 = u on Gamma_d and
-    g2 = grad u . n on Gamma_n (optionally noise-perturbed).
+    g2 = grad u . n on Gamma_n (optionally noise-perturbed).  ``load`` is
+    the problem's ``element_load`` on this mesh, computed here when not
+    given; it does not depend on the noise, so the solves of one problem
+    on one mesh can share it.
     """
     mesh, dofmap = matrix.mesh, matrix.dofmap
 
@@ -361,7 +365,7 @@ def assemble_rhs(
         gx, gy = problem.grad_u(x, y)
         return gx * n_out[0] + gy * n_out[1]
 
-    F = element_load(mesh, problem.f, tri_degree)
+    F = element_load(mesh, problem.f, tri_degree) if load is None else load
     g = apply_boundary_conditions(problem.u, g2, mesh, matrix.tags, dofmap, edge_points, noise)
     g_c = g[dofmap.constrained]
     rhs_dual = -matrix.S_fc @ g_c

@@ -182,6 +182,21 @@ def _validate_values(cfg: dict, command: str) -> None:
                 NoiseSpec(amplitude=a, seed=seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    if command == "noise":
+        if 0.0 not in cfg["amplitudes"]:
+            raise UsageError("amplitude list must include 0")
+        first_with_tag = {}
+        for a in cfg["amplitudes"]:
+            tag = _snapshot_tag(a)
+            if tag in first_with_tag:
+                raise UsageError(f"amplitudes {first_with_tag[tag]!r} and {a!r} would both "
+                                 f"write noise_{tag}_nodes.csv")
+            first_with_tag[tag] = a
+
+
+def _snapshot_tag(amplitude: float) -> str:
+    """File name tag of an amplitude's snapshots: a0p005 for 0.005."""
+    return f"a{amplitude:g}".replace(".", "p")
 
 
 def _prepare_out(cfg: dict, command: str) -> Path:
@@ -244,14 +259,12 @@ def main(argv=None) -> int:
             return 0
 
         if command == "noise":
-            if 0.0 not in cfg["amplitudes"]:
-                raise UsageError("amplitude list must include 0")
             study = run_noise_study(
                 cfg["problem"], cfg["case"], cfg["n"], cfg["amplitudes"],
                 cfg["seed"], deg, edge_points,
             )
             for row in study.rows:
-                tag = f"a{row.amplitude:g}".replace(".", "p")
+                tag = _snapshot_tag(row.amplitude)
                 if row.snapshot is None:
                     print(f"solver failure at amplitude {row.amplitude}: {row.error}",
                           file=sys.stderr)

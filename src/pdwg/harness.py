@@ -4,7 +4,9 @@ CSV is the canonical output; the markdown rendering of benchmark-style
 tables is a formatting layer on top.  Observed orders use log2 of the
 error ratio under mesh halving; reruns with the same inputs are
 byte-identical.  Within one call, every problem and noise amplitude on a
-(case, n) is solved against one ``Discretization`` and its single factor.
+(case, n) is solved against one ``Discretization`` and its single factor,
+and every case and noise amplitude of a problem on a mesh shares one
+``Reference``: its load, its sampled Q_h u and its snapshot columns.
 """
 
 from __future__ import annotations
@@ -12,11 +14,12 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
 
-from pdwg.assembly import assemble_matrix, assemble_rhs
+from pdwg.assembly import assemble_matrix, assemble_rhs, element_load
 from pdwg.linsolve import (
     CondensedFactor,
     Solution,
@@ -24,8 +27,14 @@ from pdwg.linsolve import (
     factor_and_solve,
     saddle_factor,
 )
-from pdwg.mesh import build_uniform_unit_square, classify_boundary
-from pdwg.norms import ErrorReport, ExactProjection, error_norms, project_exact
+from pdwg.mesh import Mesh, build_uniform_unit_square, classify_boundary
+from pdwg.norms import (
+    ErrorReport,
+    ExactSide,
+    error_norms,
+    project_exact,
+    sample_projection,
+)
 from pdwg.polyspace import DEFAULT_EDGE_POINTS, DEFAULT_TRI_DEGREE
 from pdwg.problems import (
     DEFAULT_NOISE_SEED,
@@ -88,62 +97,112 @@ class ConvergenceTable:
 
 @dataclass
 class FieldSnapshot:
-    """Nodal and per-element fields of one solve for plotting."""
+    """Nodal and per-element fields of one solve for plotting.
+
+    ``node_rows`` and ``element_rows`` are the CSV rows as ``row_template``
+    writes them from ``nodes`` and ``centroids``; a snapshot built without
+    them writes them when asked for its CSV.
+    """
 
     nodes: np.ndarray      # (V+E, 2)
     u0: np.ndarray         # (V+E,)
     err: np.ndarray        # (V+E,) u0 - u(x, y)
     centroids: np.ndarray  # (T, 2)
     lam: np.ndarray        # (T,)
+    node_rows: str | None = field(default=None, repr=False)
+    element_rows: str | None = field(default=None, repr=False)
 
     def nodes_csv(self) -> str:
-        return "x,y,u0,err\n" + _rows_csv("%r,%r,%.12e,%.12e\n", self.nodes, self.u0, self.err)
+        rows = self.node_rows if self.node_rows is not None else row_template(self.nodes, 2)
+        return "x,y,u0,err\n" + _fill_rows(rows, self.u0, self.err)
 
     def elements_csv(self) -> str:
-        return "cx,cy,lambda\n" + _rows_csv("%r,%r,%.12e\n", self.centroids, self.lam)
+        rows = (self.element_rows if self.element_rows is not None
+                else row_template(self.centroids, 1))
+        return "cx,cy,lambda\n" + _fill_rows(rows, self.lam)
 
 
-def _rows_csv(row_format: str, *columns: np.ndarray) -> str:
-    """One ``row_format`` line per row of the column-stacked arrays.
+def row_template(points: np.ndarray, n_values: int) -> str:
+    """CSV rows ``x,y`` followed by ``n_values`` ``%.12e`` fields, per point.
 
-    ``%r`` writes a coordinate as the repr of a Python float, as ``tolist``
-    gives it, so ``numpy.loadtxt`` reads it back exactly.
+    A coordinate is written as the repr of a Python float, as ``tolist``
+    gives it, so ``numpy.loadtxt`` reads it back exactly; the value fields
+    stay ``%.12e`` conversions for ``_fill_rows``.  No repr of a float holds
+    a ``%``.
     """
-    table = np.column_stack(columns)
-    return (row_format * len(table)) % tuple(table.ravel().tolist())
+    row = "%r,%r" + ",%%.12e" * n_values + "\n"
+    return (row * len(points)) % tuple(points.ravel().tolist())
 
 
-class Discretization:
-    """Mesh, boundary tags, matrix part and condensed factor of one (case, n).
+def _fill_rows(template: str, *columns: np.ndarray) -> str:
+    return template % tuple(np.column_stack(columns).ravel().tolist())
 
-    The saddle matrix depends only on these, so ``solve`` assembles just
-    the right-hand side of a problem and noise amplitude and reuses the one
-    factor.  The factor is built by the first ``solve``, so work done
-    before it, such as the exact projection, does not add to the memory the
-    factor holds; setting ``factor`` to None frees it, and the next
-    ``solve`` factors again.  A SingularSystem raised while factoring is
-    raised again by every ``solve``.
+
+class Reference:
+    """One problem on one mesh: what every solve and measurement of it shares.
+
+    The element load, the Q_h u side of the error field and the exact
+    columns of the snapshots depend on the problem and the mesh only, not
+    on the boundary case, the noise or the solution.  A study builds one
+    Reference per (problem, mesh), so each solve adds only its boundary
+    data and the work that depends on u_h.  The error side and the snapshot
+    columns are built when first used: a study that writes no snapshot
+    builds no snapshot columns, and a single solve measures after its
+    factor is freed.
     """
 
     def __init__(
         self,
-        case_name: str,
-        n: int,
+        problem: ManufacturedSolution,
+        mesh: Mesh,
         tri_degree: int = DEFAULT_TRI_DEGREE,
         edge_points: int = DEFAULT_EDGE_POINTS,
     ):
+        self.problem = problem
+        self.mesh = mesh
         self.tri_degree = tri_degree
         self.edge_points = edge_points
-        self.mesh = build_uniform_unit_square(n)
-        self.tags = classify_boundary(self.mesh, list(get_case(case_name).segments))
-        self.matrix = assemble_matrix(self.mesh, self.tags)
+        self.load = element_load(mesh, problem.f, tri_degree)
+
+    @cached_property
+    def exact_side(self) -> ExactSide:
+        qhu = project_exact(self.problem, self.mesh, self.tri_degree, self.edge_points)
+        return sample_projection(qhu, self.mesh, self.tri_degree, self.edge_points)
+
+    @cached_property
+    def _snapshot_columns(self):
+        nodes = self.mesh.p2_node_coords
+        centroids = self.mesh.centroids
+        exact = self.problem.u(nodes[:, 0], nodes[:, 1])
+        return nodes, exact, centroids, row_template(nodes, 2), row_template(centroids, 1)
+
+    def snapshot(self, solution: Solution) -> FieldSnapshot:
+        nodes, exact, centroids, node_rows, element_rows = self._snapshot_columns
+        return FieldSnapshot(nodes=nodes, u0=solution.u0, err=solution.u0 - exact,
+                             centroids=centroids, lam=solution.lam,
+                             node_rows=node_rows, element_rows=element_rows)
+
+
+class Discretization:
+    """Boundary tags, matrix part and condensed factor of one (case, mesh).
+
+    The saddle matrix depends only on these, so ``solve`` assembles just
+    the right-hand side of a problem (a ``Reference`` on the same mesh,
+    whose quadrature it uses) and noise amplitude and reuses the one
+    factor.  The factor is built by the first ``solve``; setting ``factor``
+    to None frees it, and the next ``solve`` factors again.  A
+    SingularSystem raised while factoring is raised again by every
+    ``solve``.
+    """
+
+    def __init__(self, case_name: str, mesh: Mesh):
+        self.mesh = mesh
+        self.tags = classify_boundary(mesh, list(get_case(case_name).segments))
+        self.matrix = assemble_matrix(mesh, self.tags)
         self.factor: CondensedFactor | None = None
         self.error: SingularSystem | None = None
 
-    def project(self, problem: ManufacturedSolution) -> ExactProjection:
-        return project_exact(problem, self.mesh, self.tri_degree, self.edge_points)
-
-    def solve(self, problem: ManufacturedSolution, noise: NoiseSpec | None = None) -> Solution:
+    def solve(self, ref: Reference, noise: NoiseSpec | None = None) -> Solution:
         if self.factor is None and self.error is None:
             try:
                 self.factor = saddle_factor(self.matrix)
@@ -151,23 +210,14 @@ class Discretization:
                 self.error = exc
         if self.error is not None:
             raise self.error
-        system = assemble_rhs(self.matrix, problem, self.tri_degree, self.edge_points, noise)
+        system = assemble_rhs(self.matrix, ref.problem, ref.tri_degree, ref.edge_points,
+                              noise, load=ref.load)
         return factor_and_solve(system, self.factor)
 
-    def measure(self, problem: ManufacturedSolution, solution: Solution,
-                qhu: ExactProjection) -> tuple[ErrorReport, FieldSnapshot]:
-        """Error norms against the projection ``qhu`` and the field snapshot."""
-        report = error_norms(solution, qhu, self.mesh, self.tags,
-                             self.tri_degree, self.edge_points)
-        coords = self.mesh.p2_node_coords
-        snapshot = FieldSnapshot(
-            nodes=coords,
-            u0=solution.u0,
-            err=solution.u0 - problem.u(coords[:, 0], coords[:, 1]),
-            centroids=self.mesh.centroids,
-            lam=solution.lam,
-        )
-        return report, snapshot
+    def measure(self, ref: Reference, solution: Solution) -> ErrorReport:
+        """Error norms of ``solution`` against the problem's projection."""
+        return error_norms(solution, ref.exact_side, self.mesh, self.tags,
+                           ref.tri_degree, ref.edge_points)
 
 
 def solve_single(
@@ -183,39 +233,45 @@ def solve_single(
 
     With ``pivots`` the solution also carries its factor's pivot report.
     """
-    problem = get_problem(problem_name)
-    disc = Discretization(case_name, n, tri_degree, edge_points)
-    solution = disc.solve(problem, noise)
+    mesh = build_uniform_unit_square(n)
+    ref = Reference(get_problem(problem_name), mesh, tri_degree, edge_points)
+    disc = Discretization(case_name, mesh)
+    solution = disc.solve(ref, noise)
     if pivots:
         solution = replace(solution, pivot_report=disc.factor.pivot_report())
     disc.factor = None  # the only solve: free the factor before measuring
-    return (solution, *disc.measure(problem, solution, disc.project(problem)))
+    return solution, disc.measure(ref, solution), ref.snapshot(solution)
 
 
 def _convergence_tables(
-    problem_names: list[str],
-    case_name: str,
+    problems_by_case: dict[str, list[str]],
     n_list: list[int],
     tri_degree: int,
     edge_points: int,
-) -> dict[str, ConvergenceTable]:
-    """One table per problem on one case, all sharing one factor per mesh.
+) -> dict[tuple[str, str], ConvergenceTable]:
+    """One table per (problem, case), computed mesh by mesh.
 
-    Solver failures are recorded and the run continues.
+    On each mesh every problem's Reference is built once and shared by
+    every case, and every problem on a case shares the case's one factor;
+    both are dropped before the next mesh.  Solver failures are recorded
+    and the run continues.
     """
-    tables = {p: ConvergenceTable(problem=p, case=case_name) for p in problem_names}
-    problems = {p: get_problem(p) for p in problem_names}
+    tables = {(p, case): ConvergenceTable(problem=p, case=case)
+              for case, names in problems_by_case.items() for p in names}
+    problems = {p: get_problem(p) for p, _ in tables}
     for n in n_list:
-        disc = Discretization(case_name, n, tri_degree, edge_points)
-        for name, table in tables.items():
-            problem = problems[name]
-            qhu = disc.project(problem)
-            try:
-                solution = disc.solve(problem)
-                report, _ = disc.measure(problem, solution, qhu)
-                table.rows.append(ConvergenceRow(n=n, report=report))
-            except SingularSystem as exc:
-                table.rows.append(ConvergenceRow(n=n, report=None, error=str(exc)))
+        mesh = build_uniform_unit_square(n)
+        refs = {p: Reference(problem, mesh, tri_degree, edge_points)
+                for p, problem in problems.items()}
+        for case, names in problems_by_case.items():
+            disc = Discretization(case, mesh)
+            for p in names:
+                try:
+                    report = disc.measure(refs[p], disc.solve(refs[p]))
+                    tables[(p, case)].rows.append(ConvergenceRow(n=n, report=report))
+                except SingularSystem as exc:
+                    tables[(p, case)].rows.append(
+                        ConvergenceRow(n=n, report=None, error=str(exc)))
     for table in tables.values():
         for prev, row in zip(table.rows, table.rows[1:]):
             if prev.report is None or row.report is None or row.n != 2 * prev.n:
@@ -233,8 +289,8 @@ def run_convergence(
     edge_points: int = DEFAULT_EDGE_POINTS,
 ) -> ConvergenceTable:
     """One solve per mesh; solver failures are recorded and the run continues."""
-    return _convergence_tables([problem_name], case_name, n_list,
-                               tri_degree, edge_points)[problem_name]
+    return _convergence_tables({case_name: [problem_name]}, n_list,
+                               tri_degree, edge_points)[(problem_name, case_name)]
 
 
 @dataclass
@@ -278,14 +334,14 @@ def run_noise_study(
     Amplitude 0 reproduces the unperturbed solve bit-exactly.
     """
     study = NoiseStudy(problem=problem_name, case=case_name, n=n, seed=seed)
-    problem = get_problem(problem_name)
-    disc = Discretization(case_name, n, tri_degree, edge_points)
-    qhu = disc.project(problem)
+    mesh = build_uniform_unit_square(n)
+    ref = Reference(get_problem(problem_name), mesh, tri_degree, edge_points)
+    disc = Discretization(case_name, mesh)
     for a in amplitudes:
         try:
-            solution = disc.solve(problem, NoiseSpec(amplitude=a, seed=seed))
-            report, snapshot = disc.measure(problem, solution, qhu)
-            study.rows.append(NoiseStudyRow(amplitude=a, report=report, snapshot=snapshot))
+            solution = disc.solve(ref, NoiseSpec(amplitude=a, seed=seed))
+            study.rows.append(NoiseStudyRow(amplitude=a, report=disc.measure(ref, solution),
+                                            snapshot=ref.snapshot(solution)))
         except SingularSystem as exc:
             study.rows.append(
                 NoiseStudyRow(amplitude=a, report=None, snapshot=None, error=str(exc))
@@ -354,8 +410,9 @@ def run_benchmark_tables(
 ) -> list[Path]:
     """Regenerate every benchmark table layout as CSV plus markdown.
 
-    The tables are computed case by case, so every problem on a case shares
-    one factor per mesh.
+    Each (problem, case) table is computed once, mesh by mesh: every
+    problem on a case shares one factor per mesh, and every case on a mesh
+    shares one Reference per problem.
     """
     n_list = n_list or [1, 2, 4, 8, 16, 32]
     out_dir = Path(out_dir)
@@ -367,12 +424,7 @@ def run_benchmark_tables(
         for p in _entry_problems(entry):
             if p not in problems:
                 problems.append(p)
-    tables = {
-        (p, case): table
-        for case, problems in problems_by_case.items()
-        for p, table in _convergence_tables(
-            problems, case, n_list, tri_degree, edge_points).items()
-    }
+    tables = _convergence_tables(problems_by_case, n_list, tri_degree, edge_points)
 
     written = []
     for entry in plan:

@@ -164,28 +164,46 @@ def project_exact(
     return ExactProjection(q0_coeffs=q0, centers=centers, scales=scales, qn=qn)
 
 
-def build_error_field(
-    solution: Solution,
+@dataclass(frozen=True)
+class ExactSide:
+    """The Q_h u side of the error field, and the mesh maps applied to u_h.
+
+    Everything ``build_error_field`` samples that does not depend on the
+    solution: Q0 u at the quadrature points and the P2 nodes, Lap Q0 u, the
+    P1(e) coefficients of grad Q0 u . n_e per local edge, the Q0 u trace
+    jumps, and the element P2 dofs, the normal-derivative maps, the P2
+    Laplacians and the quadrature basis through which u_h is sampled.  It
+    depends on the problem and the mesh only, so a study builds it once and
+    measures every solution against it.  Its arrays are read-only, ``qn``
+    too, which it shares with the projection.
+    """
+
+    qn: np.ndarray             # (E, 2) Qn(grad u . n_e)
+    q0_quad: np.ndarray        # (T, Q) Q0 u at the triangle quadrature points
+    q0_nodes: np.ndarray       # (T, 6) Q0 u at the P2 nodes
+    lap_q0: np.ndarray         # (T,)
+    grad_q0: np.ndarray        # (T, 3, 2) grad Q0 u . n_e coefficients per local edge
+    q0_jump: np.ndarray        # (Ei, q) Q0 u trace jumps at edge Gauss points
+    p2_dofs: np.ndarray        # (T, 6) tri_p2_dofs
+    basis_quad: np.ndarray     # (Q, 6) P2 basis at the quadrature points
+    p2_lap: np.ndarray         # (T, 6) P2 basis Laplacians
+    normal_maps: np.ndarray    # (3, T, 2, 6) G of normal_mismatch_maps per local edge
+
+
+def sample_projection(
     qhu: ExactProjection,
     mesh: Mesh,
     tri_degree: int = DEFAULT_TRI_DEGREE,
     edge_points: int = DEFAULT_EDGE_POINTS,
-) -> ErrorField:
-    """Sample e = u_h - Q_h u on the fixed quadrature sets."""
-    if solution.u0.shape[0] != mesh.num_vertices + mesh.num_edges:
-        raise ValueError("solution does not match the mesh")
+) -> ExactSide:
+    """Sample Q_h u where ``build_error_field`` samples e."""
     if qhu.q0_coeffs.shape[0] != mesh.num_triangles:
         raise ValueError("projection does not match the mesh")
 
     tri = mesh.tri_coords()
     quad = triangle_quadrature(tri_degree)
     pts = quad.physical_points(tri)
-    u_loc = solution.u0[tri_p2_dofs(mesh)]  # (T, 6)
-
-    basis_quad = p2_values(quad.points)  # (Q, 6)
-    u0_quad = u_loc @ basis_quad.T
     q0_quad = poly_eval(qhu.q0_coeffs, qhu.centers, qhu.scales, pts)
-    e0_quad = u0_quad - q0_quad
 
     node_bary = np.array(
         [
@@ -200,26 +218,19 @@ def build_error_field(
     )
     node_pts = np.einsum("qk,tkd->tqd", node_bary, tri)
     q0_nodes = poly_eval(qhu.q0_coeffs, qhu.centers, qhu.scales, node_pts)
-    e0_nodes = u_loc - q0_nodes
 
-    bgrad = bary_gradients(tri)
-    lap_u0 = np.einsum("ti,ti->t", u_loc, p2_laplacians(bgrad))
     lap_q0 = 2.0 * (qhu.q0_coeffs[:, 3] + qhu.q0_coeffs[:, 5]) / qhu.scales**2
-    lap_e0 = lap_u0 - lap_q0
 
-    en = solution.un - qhu.qn
-
-    mismatch = np.empty((mesh.num_triangles, 3, 2))
-    for l, (e, s, G) in enumerate(normal_mismatch_maps(mesh)):
-        grad_u0_coeffs = np.einsum("tci,ti->tc", G, u_loc)
+    maps = normal_mismatch_maps(mesh)
+    grad_q0 = np.empty((mesh.num_triangles, 3, 2))
+    for l, (e, s, _G) in enumerate(maps):
         va = mesh.triangles[:, l]
         vb = mesh.triangles[:, (l + 1) % 3]
         lo = np.where(s > 0, va, vb)
         hi = np.where(s > 0, vb, va)
         ends = np.stack([mesh.vertices[lo], mesh.vertices[hi]], axis=1)  # (T, 2, 2)
         gq = poly_grad_dot(qhu.q0_coeffs, qhu.centers, qhu.scales, ends, mesh.edge_normals[e])
-        grad_q0_coeffs = np.stack([0.5 * (gq[:, 0] + gq[:, 1]), gq[:, 1] - gq[:, 0]], axis=1)
-        mismatch[:, l, :] = grad_u0_coeffs - grad_q0_coeffs - en[e]
+        grad_q0[:, l, :] = np.stack([0.5 * (gq[:, 0] + gq[:, 1]), gq[:, 1] - gq[:, 0]], axis=1)
 
     interior = np.flatnonzero(~mesh.boundary_edge_mask)
     t, _ = edge_gauss(edge_points)
@@ -235,13 +246,61 @@ def build_error_field(
     else:
         q0_jump = np.zeros((0, len(t)))
 
+    side = ExactSide(
+        qn=qhu.qn,
+        q0_quad=q0_quad,
+        q0_nodes=q0_nodes,
+        lap_q0=lap_q0,
+        grad_q0=grad_q0,
+        q0_jump=q0_jump,
+        p2_dofs=tri_p2_dofs(mesh),
+        basis_quad=p2_values(quad.points),
+        p2_lap=p2_laplacians(bary_gradients(tri)),
+        normal_maps=np.stack([G for _e, _s, G in maps]),
+    )
+    for arr in vars(side).values():
+        arr.setflags(write=False)
+    return side
+
+
+def build_error_field(
+    solution: Solution,
+    qhu: ExactProjection | ExactSide,
+    mesh: Mesh,
+    tri_degree: int = DEFAULT_TRI_DEGREE,
+    edge_points: int = DEFAULT_EDGE_POINTS,
+) -> ErrorField:
+    """Sample e = u_h - Q_h u on the fixed quadrature sets.
+
+    ``qhu`` is Q_h u as a projection, which is sampled first, or already
+    sampled by ``sample_projection``; the quadrature sets are then the ones
+    it was sampled on.
+    """
+    if solution.u0.shape[0] != mesh.num_vertices + mesh.num_edges:
+        raise ValueError("solution does not match the mesh")
+    if isinstance(qhu, ExactProjection):
+        qhu = sample_projection(qhu, mesh, tri_degree, edge_points)
+    elif qhu.lap_q0.shape[0] != mesh.num_triangles:
+        raise ValueError("projection does not match the mesh")
+
+    u_loc = solution.u0[qhu.p2_dofs]  # (T, 6)
+    e0_quad = u_loc @ qhu.basis_quad.T - qhu.q0_quad
+    e0_nodes = u_loc - qhu.q0_nodes
+    lap_e0 = np.einsum("ti,ti->t", u_loc, qhu.p2_lap) - qhu.lap_q0
+    en = solution.un - qhu.qn
+
+    mismatch = np.empty((mesh.num_triangles, 3, 2))
+    for l in range(3):
+        grad_u0_coeffs = np.einsum("tci,ti->tc", qhu.normal_maps[l], u_loc)
+        mismatch[:, l, :] = grad_u0_coeffs - qhu.grad_q0[:, l, :] - en[mesh.tri_edges[:, l]]
+
     return ErrorField(
         e0_quad=e0_quad,
         e0_nodes=e0_nodes,
         lap_e0=lap_e0,
         en=en,
         mismatch=mismatch,
-        q0_jump=q0_jump,
+        q0_jump=qhu.q0_jump,
         lam=np.asarray(solution.lam, dtype=float),
     )
 

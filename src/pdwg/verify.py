@@ -14,12 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pdwg.assembly import (
-    SaddleSystem,
-    build_saddle_system,
-    normal_mismatch_maps,
-    tri_p2_dofs,
-)
+from pdwg.assembly import SaddleSystem, build_saddle_system
 from pdwg.linsolve import Solution, factor_and_solve
 from pdwg.mesh import BoundaryTags, Mesh, build_uniform_unit_square, classify_boundary
 from pdwg.norms import (
@@ -28,8 +23,8 @@ from pdwg.norms import (
     lambda_jump,
     lambda_norm,
     norms_of_error,
-    poly_grad_dot,
     project_exact,
+    sample_projection,
 )
 from pdwg.polyspace import triangle_quadrature
 from pdwg.problems import ManufacturedSolution, get_case, get_problem
@@ -145,17 +140,15 @@ def projection_stabilizer_load(qhu: ExactProjection, mesh: Mesh) -> np.ndarray:
     """
     n_u = mesh.num_vertices + mesh.num_edges
     g = np.zeros(n_u + 2 * mesh.num_edges)
-    p2 = tri_p2_dofs(mesh)
-    for l, (e, _s, G) in enumerate(normal_mismatch_maps(mesh)):
-        ends_lo = np.where(_s > 0, mesh.triangles[:, l], mesh.triangles[:, (l + 1) % 3])
-        ends_hi = np.where(_s > 0, mesh.triangles[:, (l + 1) % 3], mesh.triangles[:, l])
-        ends = np.stack([mesh.vertices[ends_lo], mesh.vertices[ends_hi]], axis=1)
-        gq = poly_grad_dot(qhu.q0_coeffs, qhu.centers, qhu.scales, ends, mesh.edge_normals[e])
-        mu = np.stack([0.5 * (gq[:, 0] + gq[:, 1]), gq[:, 1] - gq[:, 0]], axis=1) - qhu.qn[e]
+    side = sample_projection(qhu, mesh)
+    for l in range(3):
+        e = mesh.tri_edges[:, l]
+        G = side.normal_maps[l]
+        mu = side.grad_q0[:, l, :] - qhu.qn[e]
         h_e = mesh.h_e[e]
         w0 = h_e / mesh.h_t * mu[:, 0]
         w1 = h_e / (12.0 * mesh.h_t) * mu[:, 1]
-        np.add.at(g, p2, G[:, 0, :] * w0[:, None] + G[:, 1, :] * w1[:, None])
+        np.add.at(g, side.p2_dofs, G[:, 0, :] * w0[:, None] + G[:, 1, :] * w1[:, None])
         np.add.at(g, n_u + 2 * e, -w0)
         np.add.at(g, n_u + 2 * e + 1, -w1)
     return g

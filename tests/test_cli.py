@@ -100,6 +100,20 @@ def test_noise_requires_zero_amplitude(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "amplitudes",
+    ["0,0.001,0.0010000001", "0,0.01,0.01", "0.01,0.02"],
+    ids=["same_tag", "repeated", "no_zero"],
+)
+def test_noise_amplitude_list_rejected_before_writing(amplitudes, tmp_path, capsys):
+    # 0.001 and 0.0010000001 would both write noise_a0p001_*.csv
+    out = tmp_path / "out"
+    assert cli.main(["noise", "--n", "2", "--amplitudes", amplitudes,
+                     "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
+
 def test_noise_outputs(tmp_path):
     code = run(
         ["noise", "--problem", "coscos", "--case", "figures", "--n", "4",

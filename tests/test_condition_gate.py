@@ -13,7 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from pdwg.assembly import assemble_matrix, assemble_rhs
-from pdwg.harness import Discretization, run_noise_study, solve_single
+from pdwg.harness import Discretization, Reference, run_noise_study, solve_single
 from pdwg.linsolve import (
     COND_MAX,
     SingularSystem,
@@ -52,8 +52,9 @@ def splu_without_lu(monkeypatch):
 
 
 def test_solves_never_read_l_or_u(splu_without_lu):
-    disc = Discretization("case1", 8)
-    solution = disc.solve(get_problem("sinsin"))
+    mesh = build_uniform_unit_square(8)
+    disc = Discretization("case1", mesh)
+    solution = disc.solve(Reference(get_problem("sinsin"), mesh))
     assert solution.pivot_report is None
     assert 0.0 < solution.condition <= COND_MAX
 

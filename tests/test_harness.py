@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -220,6 +222,48 @@ def singular_splu(monkeypatch):
 
     monkeypatch.setattr(spla, "splu", failing_splu)
     return calls
+
+
+@pytest.fixture
+def call_counts(monkeypatch):
+    """Count the calls of named pdwg functions, under every name bound to them."""
+    counts = {}
+
+    def count(module, name):
+        original = getattr(sys.modules[module], name)
+        counts[name] = 0
+
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        for m in [m for key, m in list(sys.modules.items()) if key.startswith("pdwg")]:
+            for key, value in list(vars(m).items()):
+                if value is original:
+                    monkeypatch.setattr(m, key, counted)
+
+    count("pdwg.assembly", "element_load")
+    count("pdwg.norms", "project_exact")
+    return counts
+
+
+def test_noise_study_builds_load_and_projection_once(call_counts):
+    amplitudes = [0.0, 0.005, 0.05, 0.1]
+    study = run_noise_study("coscos", "figures", 8, amplitudes, seed=11)
+    assert call_counts == {"element_load": 1, "project_exact": 1}
+    for a, row in zip(amplitudes, study.rows):
+        noise = NoiseSpec(amplitude=a, seed=11)
+        _, report, snapshot = solve_single("coscos", "figures", 8, noise=noise)
+        assert row.report.as_dict() == report.as_dict()
+        assert row.snapshot.nodes_csv().encode() == snapshot.nodes_csv().encode()
+        assert row.snapshot.elements_csv().encode() == snapshot.elements_csv().encode()
+
+
+def test_benchmark_tables_project_once_per_problem_and_mesh(tmp_path, call_counts):
+    # 12 (problem, case) tables over 4 problems: each problem's load and
+    # projection on a mesh serve every case
+    run_benchmark_tables(tmp_path, n_list=[2, 4])
+    assert call_counts == {"element_load": 4 * 2, "project_exact": 4 * 2}
 
 
 def test_noise_study_factors_once_and_matches_fresh_solves(splu_calls):

@@ -1,18 +1,29 @@
 import numpy as np
 import pytest
 
-from pdwg.assembly import build_saddle_system
+from pdwg.assembly import build_saddle_system, normal_mismatch_maps, tri_p2_dofs
 from pdwg.linsolve import Solution, PivotReport, factor_and_solve
 from pdwg.mesh import build_uniform_unit_square
 from pdwg.norms import (
+    ErrorField,
     build_error_field,
     error_norms,
     lambda_norm,
     norms_of_error,
     poly_eval,
+    poly_grad_dot,
     project_exact,
+    sample_projection,
 )
-from pdwg.polyspace import monomial_exponents, monomial_values, triangle_quadrature
+from pdwg.polyspace import (
+    bary_gradients,
+    edge_gauss,
+    monomial_exponents,
+    monomial_values,
+    p2_laplacians,
+    p2_values,
+    triangle_quadrature,
+)
 from pdwg.problems import get_problem
 
 from conftest import REF_TRI, exact_ref_monomial, quad_integral, tags_for
@@ -74,6 +85,77 @@ def lambda_norm_oracle(lam, mesh, tags):
                 J += mesh.edge_tri_signs[e, slot] * lam[t]
         total += mesh.h_e[e] * (J**2 * mesh.h_e[e])
     return float(np.sqrt(total))
+
+
+def build_error_field_from_scratch(solution, qhu, mesh, tri_degree=6, edge_points=4):
+    """Oracle of build_error_field: every sample of Q_h u and every mesh map
+    built anew from the projection, as before the exact side was sampled
+    once per study."""
+    tri = mesh.tri_coords()
+    quad = triangle_quadrature(tri_degree)
+    pts = quad.physical_points(tri)
+    u_loc = solution.u0[tri_p2_dofs(mesh)]
+
+    basis_quad = p2_values(quad.points)
+    u0_quad = u_loc @ basis_quad.T
+    q0_quad = poly_eval(qhu.q0_coeffs, qhu.centers, qhu.scales, pts)
+    e0_quad = u0_quad - q0_quad
+
+    node_bary = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                          [0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]], dtype=float)
+    node_pts = np.einsum("qk,tkd->tqd", node_bary, tri)
+    q0_nodes = poly_eval(qhu.q0_coeffs, qhu.centers, qhu.scales, node_pts)
+    e0_nodes = u_loc - q0_nodes
+
+    bgrad = bary_gradients(tri)
+    lap_u0 = np.einsum("ti,ti->t", u_loc, p2_laplacians(bgrad))
+    lap_q0 = 2.0 * (qhu.q0_coeffs[:, 3] + qhu.q0_coeffs[:, 5]) / qhu.scales**2
+    lap_e0 = lap_u0 - lap_q0
+
+    en = solution.un - qhu.qn
+
+    mismatch = np.empty((mesh.num_triangles, 3, 2))
+    for l, (e, s, G) in enumerate(normal_mismatch_maps(mesh)):
+        grad_u0_coeffs = np.einsum("tci,ti->tc", G, u_loc)
+        va = mesh.triangles[:, l]
+        vb = mesh.triangles[:, (l + 1) % 3]
+        lo = np.where(s > 0, va, vb)
+        hi = np.where(s > 0, vb, va)
+        ends = np.stack([mesh.vertices[lo], mesh.vertices[hi]], axis=1)
+        gq = poly_grad_dot(qhu.q0_coeffs, qhu.centers, qhu.scales, ends, mesh.edge_normals[e])
+        grad_q0_coeffs = np.stack([0.5 * (gq[:, 0] + gq[:, 1]), gq[:, 1] - gq[:, 0]], axis=1)
+        mismatch[:, l, :] = grad_u0_coeffs - grad_q0_coeffs - en[e]
+
+    interior = np.flatnonzero(~mesh.boundary_edge_mask)
+    t, _ = edge_gauss(edge_points)
+    pa = mesh.vertices[mesh.edges[interior, 0]]
+    pb = mesh.vertices[mesh.edges[interior, 1]]
+    epts = pa[:, None, :] + t[None, :, None] * (pb - pa)[:, None, :]
+    t1 = mesh.edge_tris[interior, 0]
+    t2 = mesh.edge_tris[interior, 1]
+    v1 = poly_eval(qhu.q0_coeffs[t1], qhu.centers[t1], qhu.scales[t1], epts)
+    v2 = poly_eval(qhu.q0_coeffs[t2], qhu.centers[t2], qhu.scales[t2], epts)
+
+    return ErrorField(e0_quad=e0_quad, e0_nodes=e0_nodes, lap_e0=lap_e0, en=en,
+                      mismatch=mismatch, q0_jump=v1 - v2,
+                      lam=np.asarray(solution.lam, dtype=float))
+
+
+@pytest.mark.parametrize("n", [2, 4, 8])
+@pytest.mark.parametrize("case", ["case1", "case5", "figures"])
+def test_error_field_bits_match_from_scratch_oracle(case, n):
+    problem = get_problem("coscos")
+    mesh = build_uniform_unit_square(n)
+    solution = factor_and_solve(build_saddle_system(mesh, tags_for(mesh, case), problem))
+    qhu = project_exact(problem, mesh)
+    want = build_error_field_from_scratch(solution, qhu, mesh)
+    side = sample_projection(qhu, mesh)
+    for got in (build_error_field(solution, qhu, mesh),
+                build_error_field(solution, side, mesh)):
+        for name, a in vars(want).items():
+            b = getattr(got, name)
+            assert (a.shape, a.dtype) == (b.shape, b.dtype), name
+            assert a.tobytes() == b.tobytes(), name
 
 
 def test_zero_error_for_projected_global_quadratic(mesh4):
@@ -324,3 +406,5 @@ def test_mesh_mismatch_rejected(mesh2, mesh4):
     )
     with pytest.raises(ValueError):
         error_norms(sol, qhu, mesh4, tags_for(mesh4, "case1"))
+    with pytest.raises(ValueError):
+        build_error_field(sol, sample_projection(qhu, mesh2), mesh4)
