@@ -105,8 +105,15 @@ def _build_parser() -> argparse.ArgumentParser:
 def _effective_config(args: argparse.Namespace) -> dict:
     cfg = dict(_DEFAULTS)
     if getattr(args, "config", None):
-        with open(args.config, encoding="utf-8") as fh:
-            file_cfg = json.load(fh)
+        try:
+            with open(args.config, encoding="utf-8") as fh:
+                file_cfg = json.load(fh)
+        except OSError as exc:
+            raise UsageError(f"cannot read config file {args.config!r}: {exc.strerror}") from exc
+        except ValueError as exc:
+            raise UsageError(f"config file {args.config!r} is not valid JSON: {exc}") from exc
+        if not isinstance(file_cfg, dict):
+            raise UsageError(f"config file {args.config!r} must hold a JSON object")
         unknown = set(file_cfg) - set(cfg)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")

@@ -9,10 +9,14 @@ their Vandermonde.  Edge fluxes live in P1 with the centered basis
 ``project_edge_samples`` is the one edge P1 projection, used for the
 Neumann data and for Qn of an exact flux.  Triangle rules are conical
 products of Gauss-Legendre and Gauss-Jacobi lines (positive weights,
-interior points, exact to the requested total degree).  Defaults follow the
-solver-wide convention: triangle rules exact to degree 6, 4-point edge Gauss
-(exact to degree 7); L1 and max-norm quantities reuse these fixed sample
-sets.
+interior points, exact to the requested total degree).  The Gauss-Jacobi
+line for the weight (1 - x) is computed here by Golub-Welsch, from the
+eigenvalues and eigenvectors of its Jacobi matrix, so that importing the
+package needs no ``scipy.special``.  Both rule families are cached per
+process; a triangle rule's arrays are read-only, since every caller shares
+them.  Defaults follow the solver-wide convention: triangle rules exact to
+degree 6, 4-point edge Gauss (exact to degree 7); L1 and max-norm
+quantities reuse these fixed sample sets.
 """
 
 from __future__ import annotations
@@ -23,7 +27,6 @@ from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.special import roots_jacobi
 
 DEFAULT_TRI_DEGREE = 6
 DEFAULT_EDGE_POINTS = 4
@@ -64,6 +67,21 @@ class TriangleQuadrature:
         return area[:, None] * (2.0 * self.weights)
 
 
+def gauss_jacobi_1_0(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """m-point Gauss rule on [-1, 1] for the weight (1 - x); weights sum to 2.
+
+    Golub-Welsch: the nodes are the eigenvalues of the Jacobi matrix of the
+    Jacobi polynomials P_k^(1,0), and the weights are the weight's integral
+    times the squared first components of the unit eigenvectors.
+    """
+    k = np.arange(m, dtype=float)
+    diag = -1.0 / ((2 * k + 1) * (2 * k + 3))
+    k = k[1:]
+    off = np.sqrt(4 * k**2 * (k + 1) ** 2 / ((2 * k + 1) ** 2 * (2 * k + 2) * (2 * k)))
+    nodes, vectors = np.linalg.eigh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+    return nodes, 2.0 * vectors[0] ** 2
+
+
 @lru_cache(maxsize=None)
 def triangle_quadrature(min_degree: int) -> TriangleQuadrature:
     """Rule exact for all bivariate monomials of total degree <= min_degree."""
@@ -73,14 +91,17 @@ def triangle_quadrature(min_degree: int) -> TriangleQuadrature:
     # xi on [0,1] (Gauss-Legendre), eta on [0,1] with weight (1-eta) (Gauss-Jacobi)
     x, wx = leggauss(m)
     xi, wxi = 0.5 * (x + 1.0), 0.5 * wx
-    xj, wj = roots_jacobi(m, 1.0, 0.0)
+    xj, wj = gauss_jacobi_1_0(m)
     eta, weta = 0.5 * (xj + 1.0), 0.25 * wj
     XI, ETA = np.meshgrid(xi, eta, indexing="ij")
     W = np.outer(wxi, weta)
     l1 = (XI * (1.0 - ETA)).ravel()
     l2 = ETA.ravel()
     points = np.column_stack([1.0 - l1 - l2, l1, l2])
-    return TriangleQuadrature(degree=min_degree, points=points, weights=W.ravel())
+    weights = W.ravel()
+    points.setflags(write=False)
+    weights.setflags(write=False)
+    return TriangleQuadrature(degree=min_degree, points=points, weights=weights)
 
 
 @lru_cache(maxsize=None)

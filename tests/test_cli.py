@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,6 +160,27 @@ def test_unknown_config_key_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "text, message",
+    [
+        (None, "cannot read config file"),
+        ("{bad", "is not valid JSON"),
+        ("4", "must hold a JSON object"),
+        ("[1,2]", "must hold a JSON object"),
+    ],
+    ids=["missing_file", "malformed_json", "json_number", "json_list"],
+)
+def test_unreadable_config_is_a_usage_error(text, message, tmp_path, capsys):
+    cfg = tmp_path / "run.json"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "out"
+    assert cli.main(["solve", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "command, values",
     [
         (["solve"], {"n": "4"}),
@@ -199,3 +224,13 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
 
 def test_verify_subcommand_passes(tmp_path):
     assert run(["verify"], tmp_path) == 0
+
+
+def test_cli_import_leaves_out_scipy_special():
+    # scipy.special would add about a tenth to every CLI start; nothing in pdwg needs it
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    code = "import sys, pdwg.cli; print('scipy.special' in sys.modules)"
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                            text=True, check=True, timeout=120)
+    assert result.stdout.strip() == "False"

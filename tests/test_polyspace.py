@@ -3,7 +3,9 @@ import pytest
 
 from pdwg.mesh import build_uniform_unit_square
 from pdwg.polyspace import (
+    MAX_TRI_DEGREE,
     edge_gauss,
+    gauss_jacobi_1_0,
     interpolate_nodes,
     monomial_exponents,
     p2_values,
@@ -23,7 +25,7 @@ def test_reference_integrals():
     )
 
 
-@pytest.mark.parametrize("degree", range(11))
+@pytest.mark.parametrize("degree", range(MAX_TRI_DEGREE + 1))
 def test_rule_exact_for_all_monomials(degree):
     rule = triangle_quadrature(degree)
     assert rule.weights.sum() == pytest.approx(0.5, abs=1e-14)
@@ -31,6 +33,25 @@ def test_rule_exact_for_all_monomials(degree):
     for a, b in monomial_exponents(degree):
         got = quad_integral(rule, REF_TRI, lambda x, y: x**a * y**b)
         assert got == pytest.approx(exact_ref_monomial(a, b), rel=1e-13, abs=1e-16)
+
+
+@pytest.mark.parametrize("m", range(1, (MAX_TRI_DEGREE + 2) // 2 + 1))
+def test_gauss_jacobi_line_matches_scipy(m):
+    from scipy.special import roots_jacobi
+
+    x, w = gauss_jacobi_1_0(m)
+    x_ref, w_ref = roots_jacobi(m, 1.0, 0.0)
+    np.testing.assert_allclose(x, x_ref, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(w, w_ref, rtol=1e-13, atol=0)
+
+
+def test_triangle_rule_is_cached_and_read_only():
+    rule = triangle_quadrature(7)
+    assert triangle_quadrature(7) is rule
+    with pytest.raises(ValueError):
+        rule.points[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        rule.weights[0] = 1.0
 
 
 def test_unsupported_degree_rejected():
