@@ -17,8 +17,14 @@ normal-derivative-mismatch term; for C0 elements the trace mismatch
 v0 - vb is structurally zero (there is no independent vb unknown), so only
 the h^-1 term reaches the assembled matrix.  The h^-3 machinery lives in
 the norms module, where the error field has a genuine trace mismatch.
-Assembly runs in a fixed element/edge traversal order and mirrors the
-strict upper triangle so the assembled matrix is exactly symmetric.
+Assembly runs in a fixed element/edge traversal order.  The stabilizer
+sums each of its upper-triangle entries once, from the local block entries
+(a, b) whose global dofs satisfy i <= j, and mirrors the strict upper
+triangle, so S and the saddle matrix are exactly symmetric.  (Summing the
+lower triangle from its own copies of the block entries would sum the
+duplicates of one position in another order, since the conversion to CSR
+sorts each row; its bits would then differ from the mirror's.)  The saddle
+matrix is built in CSR, the format in which ``pdwg.linsolve`` slices it.
 """
 
 from __future__ import annotations
@@ -160,25 +166,24 @@ def assemble_stabilizer(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     flux; the edge mass in the centered basis is diag(h_e, h_e/12).
     """
     n_u = dofmap.n_u
-    p2 = tri_p2_dofs(mesh)
+    p2 = tri_p2_dofs(mesh).astype(np.int32)
     rows_list, cols_list, data_list = [], [], []
     for e, _s, G in normal_mismatch_maps(mesh):
-        T = len(e)
-        R = np.zeros((T, 2, 8))
+        R = np.zeros((len(e), 2, 8))
         R[:, :, :6] = G
         R[:, 0, 6] = -1.0
         R[:, 1, 7] = -1.0
         w = (mesh.h_e[e] / mesh.h_t)[:, None] * np.array([1.0, 1.0 / 12.0])
         K = np.einsum("tia,ti,tib->tab", R, w, R)
-        dofs = np.concatenate(
-            [p2, (n_u + 2 * e)[:, None], (n_u + 2 * e + 1)[:, None]], axis=1
-        )
-        r = np.broadcast_to(dofs[:, :, None], (T, 8, 8))
-        c = np.broadcast_to(dofs[:, None, :], (T, 8, 8))
-        keep = r <= c
-        rows_list.append(r[keep])
-        cols_list.append(c[keep])
-        data_list.append(K[keep])
+        flux = (n_u + 2 * e).astype(np.int32)[:, None]
+        dofs = np.concatenate([p2, flux, flux + 1], axis=1)
+        # entries (t, a, b) of the blocks with dofs[t, a] <= dofs[t, b], in
+        # block order; flat entry t*64 + a*8 + b sits at row dofs.flat[t*8 + a]
+        # and column dofs.flat[t*8 + b]
+        kept = np.flatnonzero(dofs[:, :, None] <= dofs[:, None, :])
+        rows_list.append(dofs.ravel()[kept // 8])
+        cols_list.append(dofs.ravel()[kept // 64 * 8 + kept % 8])
+        data_list.append(K.ravel()[kept])
     n = dofmap.n_primal
     upper = sp.coo_matrix(
         (np.concatenate(data_list), (np.concatenate(rows_list), np.concatenate(cols_list))),
@@ -312,7 +317,7 @@ class SystemMatrix:
     B: sp.csr_matrix          # constraint rows over all primal dofs
     S_fc: sp.csr_matrix       # stabilizer rows of free, columns of constrained dofs
     B_c: sp.csr_matrix        # constraint columns of constrained dofs
-    M: sp.csc_matrix          # [S_ff B_f^T; B_f 0]
+    M: sp.csr_matrix          # [S_ff B_f^T; B_f 0]
 
     @property
     def n_free(self) -> int:
@@ -338,7 +343,7 @@ def assemble_matrix(mesh: Mesh, tags: BoundaryTags) -> SystemMatrix:
     free, con = dofmap.free, dofmap.constrained
     S_f = S[free]
     B_f = B[:, free]
-    M = sp.bmat([[S_f[:, free], B_f.T], [B_f, None]], format="csc")
+    M = sp.bmat([[S_f[:, free], B_f.T], [B_f, None]], format="csr")
     return SystemMatrix(mesh=mesh, tags=tags, dofmap=dofmap, S=S, B=B,
                         S_fc=S_f[:, con], B_c=B[:, con], M=M)
 

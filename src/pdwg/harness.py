@@ -51,11 +51,19 @@ CSV_HEADER = (
 )
 
 
+# A norm at or below EXACT_NORM is roundoff, not discretization error: the
+# quadratic-exactness criterion calls a solution exact there.
+EXACT_NORM = 1e-8
+
+
 def compute_order(coarse_err: float, fine_err: float):
-    """Observed order log2(coarse/fine); None when undefined."""
+    """Observed order log2(coarse/fine); None when undefined, or when both
+    norms are at most EXACT_NORM, where their ratio is roundoff."""
     if coarse_err is None or fine_err is None:
         return None
     if coarse_err <= 0.0 or fine_err <= 0.0:
+        return None
+    if coarse_err <= EXACT_NORM and fine_err <= EXACT_NORM:
         return None
     return math.log2(coarse_err / fine_err)
 
@@ -128,10 +136,14 @@ def row_template(points: np.ndarray, n_values: int) -> str:
     A coordinate is written as the repr of a Python float, as ``tolist``
     gives it, so ``numpy.loadtxt`` reads it back exactly; the value fields
     stay ``%.12e`` conversions for ``_fill_rows``.  No repr of a float holds
-    a ``%``.
+    a ``%``.  Mesh coordinates repeat, so the repr is taken once per
+    distinct bit pattern (which keeps -0.0 apart from 0.0).
     """
-    row = "%r,%r" + ",%%.12e" * n_values + "\n"
-    return (row * len(points)) % tuple(points.ravel().tolist())
+    coords = np.ascontiguousarray(points, dtype=float).reshape(-1, 2)
+    bits, inverse = np.unique(coords.view(np.int64), return_inverse=True)
+    text = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
+    row = "%s,%s" + ",%%.12e" * n_values + "\n"
+    return (row * len(coords)) % tuple(text[inverse.ravel()].tolist())
 
 
 def _fill_rows(template: str, *columns: np.ndarray) -> str:

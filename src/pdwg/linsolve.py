@@ -9,9 +9,13 @@ Schur complement
     K = M_kk - M_kq D^-1 M_qk,
 
 which keeps the free P2 values and the multipliers, about half of the
-unknowns (24448 of 48896 for case1 at n = 64).  K is equilibrated
-symmetrically and factored by SuperLU in a symmetric minimum-degree order
-without pivoting.  The factor is gated by solves alone: three solves of a
+unknowns (24448 of 48896 for case1 at n = 64).  M comes in CSR; its kept
+rows are sliced once, and give both M_kq and the leading block of K.  M is
+exactly symmetric, so M_qk is the transpose of M_kq.  K is equilibrated
+symmetrically, its entries scaled in place by s of their row and then by s
+of their column (the products diag(s) K diag(s) forms, in the same order),
+and factored by SuperLU in a symmetric minimum-degree order without
+pivoting.  The factor is gated by solves alone: three solves of a
 Hager 1-norm estimate of ||K^-1||_1 give the condition estimate kappa_1(K),
 and the backward error of each of them shows a factor that broke down.  If
 the factor without pivoting fails the gate, the same K is factored once
@@ -236,9 +240,10 @@ def _equilibration(K) -> tuple[np.ndarray, float, float]:
 class CondensedFactor:
     """Gated factor of M with the unknowns ``flux`` eliminated (see module doc).
 
-    Built once per matrix; ``solve`` then takes any number of right-hand
-    sides.  ``condition`` is the 1-norm condition estimate of the
-    equilibrated condensed matrix.  Raises SingularSystem when SuperLU
+    M must be exactly symmetric, as the saddle matrices are; a CSR M is
+    used as it is.  Built once per matrix; ``solve`` then takes any number
+    of right-hand sides.  ``condition`` is the 1-norm condition estimate of
+    the equilibrated condensed matrix.  Raises SingularSystem when SuperLU
     fails or the factor breaks down both without and with pivoting, or when
     the condition estimate is above COND_MAX or not finite.
     """
@@ -248,12 +253,17 @@ class CondensedFactor:
         self.keep = keep = np.setdiff1d(np.arange(M.shape[0]), flux, assume_unique=True)
         self.flux = flux
         self.inv_d = 1.0 / flux_diagonal(M, flux)
-        self.M_kq = M[keep][:, flux]
-        self.M_qk = M[flux][:, keep]
-        K = M[keep][:, keep] - self.M_kq @ sp.diags(self.inv_d) @ self.M_qk
+        M_k = M[keep]
+        self.M_kq = M_k[:, flux]
+        self.M_qk = self.M_kq.T  # M is exactly symmetric
+        K = M_k[:, keep] - self.M_kq @ sp.diags(self.inv_d) @ self.M_qk
+        del M_k  # not held through the factorization
 
         self.s, norm_1, norm_inf = _equilibration(K)
-        K = (sp.diags(self.s) @ K @ sp.diags(self.s)).tocsc()
+        # diag(s) K diag(s) entry by entry: first s of the row, then s of the column
+        K.data *= np.repeat(self.s, np.diff(K.indptr))
+        K.data *= self.s[K.indices]
+        K = K.tocsc()
         try:
             self.lu = _factor(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
                               options={"SymmetricMode": True})

@@ -155,10 +155,9 @@ def project_exact(
     pts = quad.physical_points(tri)
     w = quad.physical_weights(mesh.area)
     V = p2_vandermonde(centers, scales, pts)
-    M = np.einsum("tqa,tq,tqb->tab", V, w, V)
+    Vw = (V * w[..., None]).transpose(0, 2, 1)
     uvals = np.broadcast_to(problem.u(pts[..., 0], pts[..., 1]), w.shape)
-    rhs = np.einsum("tqa,tq,tq->ta", V, w, uvals)
-    q0 = np.linalg.solve(M, rhs[..., None])[..., 0]
+    q0 = np.linalg.solve(Vw @ V, Vw @ uvals[..., None])[..., 0]
 
     qn = projected_weak_function(problem.grad_u, mesh, edge_points)
     return ExactProjection(q0_coeffs=q0, centers=centers, scales=scales, qn=qn)
@@ -216,7 +215,7 @@ def sample_projection(
         ],
         dtype=float,
     )
-    node_pts = np.einsum("qk,tkd->tqd", node_bary, tri)
+    node_pts = node_bary @ tri
     q0_nodes = poly_eval(qhu.q0_coeffs, qhu.centers, qhu.scales, node_pts)
 
     lap_q0 = 2.0 * (qhu.q0_coeffs[:, 3] + qhu.q0_coeffs[:, 5]) / qhu.scales**2

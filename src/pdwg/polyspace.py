@@ -54,10 +54,17 @@ class TriangleQuadrature:
     weights: np.ndarray
 
     def physical_points(self, tri: np.ndarray) -> np.ndarray:
-        """Map to a physical triangle; ``tri`` is (3, 2) or (T, 3, 2)."""
+        """Map to a physical triangle; ``tri`` is (3, 2) or (T, 3, 2).
+
+        For (T, 3, 2) the three vertex terms are summed in vertex order,
+        which gives the same bits as ``einsum("qk,tkd->tqd")`` at a third
+        less cost; ``matmul`` does not.
+        """
         if tri.ndim == 2:
             return self.points @ tri
-        return np.einsum("qk,tkd->tqd", self.points, tri)
+        p = self.points[:, :, None]
+        return (p[:, 0] * tri[:, None, 0] + p[:, 1] * tri[:, None, 1]
+                + p[:, 2] * tri[:, None, 2])
 
     def physical_weights(self, area) -> np.ndarray:
         """Weights on a physical triangle of the given area(s)."""

@@ -1,16 +1,23 @@
+import math
 import sys
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pdwg import cli
 from pdwg.harness import (
     CSV_HEADER,
+    EXACT_NORM,
+    NORM_KEYS,
     FieldSnapshot,
     benchmark_table_plan,
     compute_order,
     render_markdown,
+    row_template,
     run_benchmark_tables,
     run_convergence,
     run_noise_study,
@@ -29,6 +36,20 @@ def test_compute_order_degenerate_cases():
     assert compute_order(0.0, 1e-3) is None
     assert compute_order(1e-3, 0.0) is None
     assert compute_order(None, 1e-3) is None
+
+
+def test_compute_order_leaves_roundoff_norms_blank():
+    assert compute_order(1e-8, 1.4e-10) is None
+    assert compute_order(3e-12, 1e-10) is None
+    assert compute_order(2e-8, 1e-9) == pytest.approx(math.log2(20.0), abs=1e-14)
+    assert compute_order(1e-9, 2e-8) == pytest.approx(-math.log2(20.0), abs=1e-14)
+    # quad is reproduced exactly, so every norm of its table is roundoff
+    table = run_convergence("quad", "case1", [1, 2, 4])
+    for row in table.rows[1:]:
+        assert max(row.report.as_dict().values()) <= EXACT_NORM
+        assert set(row.orders) == set(NORM_KEYS)
+        assert all(o is None for o in row.orders.values())
+    assert all(line.endswith(",,,,,,") for line in table.to_csv().splitlines()[1:])
 
 
 def test_convergence_table_structure():
@@ -119,6 +140,27 @@ def test_snapshot_csv_bytes_match_row_by_row_writer(make):
     nodes, elements = _row_by_row_csvs(snapshot)
     assert snapshot.nodes_csv().encode() == nodes.encode()
     assert snapshot.elements_csv().encode() == elements.encode()
+
+
+SPECIAL_FLOATS = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+                  2.2250738585072014e-308, 1e-310, 1.0 / 3.0, 0.5, 1.0)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(
+    points=hnp.arrays(
+        np.float64,
+        st.tuples(st.integers(0, 30), st.just(2)),
+        elements=st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_subnormal=True)),
+    ),
+    n_values=st.integers(0, 3),
+    transposed=st.booleans(),
+)
+def test_row_template_matches_row_by_row_writer(points, n_values, transposed):
+    if transposed:
+        points = np.asfortranarray(points)
+    want = "".join("%r,%r" % (x, y) + ",%.12e" * n_values + "\n" for x, y in points.tolist())
+    assert row_template(points, n_values) == want
 
 
 def test_snapshot_error_column_is_pointwise():
