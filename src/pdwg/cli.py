@@ -72,26 +72,29 @@ def _build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="JSON config file; flags override its values")
+        p.add_argument("--out", "-o", help=f"output directory (default ${OUTPUT_DIR_ENV} or ./pdwg_out)")
+
+    def study(p):
+        common(p)
         p.add_argument("--problem", help="problem name (see `catalog`)")
         p.add_argument("--case", help="boundary configuration name")
-        p.add_argument("--out", "-o", help=f"output directory (default ${OUTPUT_DIR_ENV} or ./pdwg_out)")
         p.add_argument("--quadrature-degree", type=int, dest="quadrature_degree",
                        help="triangle quadrature exactness degree override")
-        p.add_argument("--diagnostics", action="store_true", default=None,
-                       help="print factorization diagnostics")
 
     p = sub.add_parser("solve", help="solve one configuration, write snapshot + error report")
-    common(p)
+    study(p)
     p.add_argument("--n", type=int, help="subdivision parameter")
+    p.add_argument("--diagnostics", action="store_true", default=None,
+                   help="also print the residual, the pivot range and the condition estimate")
 
     p = sub.add_parser("converge", help="run a convergence study, write the table CSV")
-    common(p)
+    study(p)
     p.add_argument("--n-list", dest="n_list", help="comma-separated mesh parameters")
     p.add_argument("--plan", choices=["benchmark"],
                    help="regenerate every benchmark table instead of a single study")
 
     p = sub.add_parser("noise", help="run the boundary-data noise study")
-    common(p)
+    study(p)
     p.add_argument("--n", type=int, help="subdivision parameter")
     p.add_argument("--amplitudes", help="comma-separated noise amplitudes (include 0)")
     p.add_argument("--seed", type=int, help="noise PRNG seed")

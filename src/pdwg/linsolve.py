@@ -22,15 +22,17 @@ the factor without pivoting fails the gate, the same K is factored once
 more with partial pivoting.  The gate never reads the factor's L or U,
 because the first read makes SuperLU build and keep CSC copies of both,
 about as much memory again as the factor itself; the pivot report,
-which needs U, is computed only on request.  The fluxes follow by
-back-substitution, and iterative refinement and the residual check run
-against the full system M.  The saddle matrix depends only on the mesh
-and the boundary partition, so one factor serves every right-hand side:
-the gate runs once, while refinement and the residual check run for each
-``solve``.
+which needs U, is computed only when ``pivot_report`` is called, which
+``pdwg solve --diagnostics`` and the mixed-case pivot check of
+``pdwg verify`` do.  The fluxes follow by back-substitution, and
+iterative refinement and the residual check run against the full system
+M.  The saddle matrix depends only on the mesh and the boundary
+partition, so one factor serves every right-hand side: the gate runs
+once, while refinement and the residual check run for each ``solve``.
 
 ``solve_sparse`` is the plain partial-pivoting LU of any sparse matrix,
-without condensation or scaling, gated on its pivots.
+without condensation or scaling, gated on its pivots.  No pdwg code
+calls it.
 """
 
 from __future__ import annotations
@@ -98,7 +100,8 @@ class Solution:
     u0 holds the values at the V + E P2 nodes, un the (E, 2) stored flux
     coefficients and lam the per-triangle multiplier values.  condition is
     the 1-norm condition estimate of the equilibrated condensed matrix;
-    pivot_report is None unless it was asked for (see factor_and_solve).
+    pivot_report is None unless a caller set it from its factor's
+    ``pivot_report``.
     """
 
     u0: np.ndarray
@@ -193,6 +196,8 @@ def _refine(M, b: np.ndarray, solve) -> tuple[np.ndarray, float]:
 def solve_sparse(M, b: np.ndarray) -> SparseSolve:
     """LU-factor a sparse matrix with partial pivoting and solve, with refinement.
 
+    No pdwg code calls this; it stays only because perfbench/tracing.py
+    hooks it by name, and a traced name that no longer exists fails there.
     Raises SingularSystem when SuperLU reports singularity, the smallest
     pivot magnitude falls below PIVOT_RTOL times the largest, or the
     refined residual stays above RESIDUAL_RTOL * max(1, ||b||_inf).
@@ -315,12 +320,11 @@ def saddle_factor(system: SystemMatrix) -> CondensedFactor:
 def factor_and_solve(system: SaddleSystem, factor: CondensedFactor | None = None) -> Solution:
     """Solve the assembled saddle-point system and scatter back to fields.
 
-    ``factor`` is the saddle_factor of system's matrix.  When it is not
-    given, a factor is built here for this one solve, and the Solution also
-    carries that factor's pivot report.
+    ``factor`` is the saddle_factor of system's matrix; when it is not
+    given, one is built here for this one solve.  The Solution carries no
+    pivot report: ask a factor for ``pivot_report`` where it is needed.
     """
-    pivots = factor is None
-    if pivots:
+    if factor is None:
         factor = saddle_factor(system)
     dofmap = system.dofmap
     nf = system.n_free
@@ -335,6 +339,5 @@ def factor_and_solve(system: SaddleSystem, factor: CondensedFactor | None = None
         un=un,
         lam=lam,
         residual_inf=solved.residual_inf,
-        pivot_report=factor.pivot_report() if pivots else None,
         condition=factor.condition,
     )

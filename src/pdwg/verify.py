@@ -6,6 +6,10 @@ system symmetry/positive-semidefiniteness, exactness on quadratics, and
 factorization pivots for the well-posed mixed configuration.  Constants
 hidden behind the theory's mesh-independence statements are reported
 empirically, never asserted against fixed values from the analysis.
+The checks build their systems, factors and solutions as the studies do:
+``run_standard_checks`` makes one ``harness.Discretization`` per (case, n)
+and one ``harness.Reference`` per (problem, n), so a factor is built once
+and serves every check on its matrix.
 """
 
 from __future__ import annotations
@@ -14,20 +18,20 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pdwg.assembly import SaddleSystem, build_saddle_system
-from pdwg.linsolve import Solution, factor_and_solve
-from pdwg.mesh import BoundaryTags, Mesh, build_uniform_unit_square, classify_boundary
+from pdwg.assembly import SystemMatrix, assemble_matrix, assemble_rhs, element_load
+from pdwg.harness import Discretization, Reference
+from pdwg.linsolve import Solution, saddle_factor
+from pdwg.mesh import BoundaryTags, Mesh, build_uniform_unit_square
 from pdwg.norms import (
     ExactProjection,
+    ExactSide,
     build_error_field,
     lambda_jump,
     lambda_norm,
     norms_of_error,
-    project_exact,
     sample_projection,
 )
-from pdwg.polyspace import triangle_quadrature
-from pdwg.problems import ManufacturedSolution, get_case, get_problem
+from pdwg.problems import ManufacturedSolution, get_problem
 from pdwg.weak_laplacian import discrete_weak_laplacian, projected_weak_function
 
 VERIFY_SEED = 20240801
@@ -79,11 +83,7 @@ def check_commutative(
     element, so the L2(T) norm is |difference| * sqrt(|T|).
     """
     lhs = discrete_weak_laplacian(mesh, projected_weak_function(theta.grad_u, mesh, edge_points))
-    quad = triangle_quadrature(tri_degree)
-    pts = quad.physical_points(mesh.tri_coords())
-    w = quad.physical_weights(mesh.area)
-    fvals = np.broadcast_to(theta.f(pts[..., 0], pts[..., 1]), w.shape)
-    f_mean = np.einsum("tq,tq->t", w, fvals) / mesh.area
+    f_mean = element_load(mesh, theta.f, tri_degree) / mesh.area
     return float(np.max(np.abs(lhs - f_mean) * np.sqrt(mesh.area)))
 
 
@@ -107,16 +107,18 @@ def check_infsup(
     tags: BoundaryTags,
     n_samples: int = 20,
     seed: int = VERIFY_SEED,
-    system: SaddleSystem | None = None,
+    system: SystemMatrix | None = None,
 ) -> dict:
     """Identity (weak_lap v*, lam) = ||lam||_0h^2 plus the norm-ratio report.
 
     Random multipliers are uniform in [-1, 1] per element.  Returns the max
     relative identity discrepancy and the ratios ||v*||_2h^2 / ||lam||_0h^2
     (the empirical inf-sup constant; bounded, never pinned to a number).
+    ``system`` holds the S and B of (mesh, tags); assembled here when not
+    given.
     """
     if system is None:
-        system = build_saddle_system(mesh, tags, get_problem("quad"))
+        system = assemble_matrix(mesh, tags)
     rng = np.random.Generator(np.random.PCG64(seed))
     max_rel = 0.0
     ratios = []
@@ -132,15 +134,16 @@ def check_infsup(
     return {"max_rel_discrepancy": max_rel, "ratios": ratios}
 
 
-def projection_stabilizer_load(qhu: ExactProjection, mesh: Mesh) -> np.ndarray:
+def projection_stabilizer_load(qhu: ExactProjection | ExactSide, mesh: Mesh) -> np.ndarray:
     """Vector g with g_i = s(Q_h u, phi_i) against the C0 primal basis.
 
     Only the h^-1 normal-derivative mismatch of Q_h u survives against C0
-    test functions.
+    test functions.  ``qhu`` is Q_h u as a projection, which is sampled
+    first, or already sampled by ``sample_projection``.
     """
     n_u = mesh.num_vertices + mesh.num_edges
     g = np.zeros(n_u + 2 * mesh.num_edges)
-    side = sample_projection(qhu, mesh)
+    side = sample_projection(qhu, mesh) if isinstance(qhu, ExactProjection) else qhu
     for l in range(3):
         e = mesh.tri_edges[:, l]
         G = side.normal_maps[l]
@@ -155,13 +158,14 @@ def projection_stabilizer_load(qhu: ExactProjection, mesh: Mesh) -> np.ndarray:
 
 
 def check_error_equations(
-    solution: Solution, qhu: ExactProjection, system: SaddleSystem
+    solution: Solution, qhu: ExactProjection | ExactSide, system: SystemMatrix
 ) -> tuple[float, float]:
     """Residuals of the two post-solve error identities.
 
     First: max over free test directions of s(e_h, v) + (weak_lap v, lam)
     + s(Q_h u, v); second: ||B e_h||_inf, the statement that the error has
-    vanishing discrete weak Laplacian.
+    vanishing discrete weak Laplacian.  ``qhu`` is taken as by
+    ``projection_stabilizer_load``.
     """
     mesh, dofmap = system.mesh, system.dofmap
     z = solution.primal
@@ -177,19 +181,17 @@ def check_error_equations(
     return sehv, sehv2
 
 
-def quadratic_consistency_residual(n: int = 4, case: str = "case1") -> float:
+def quadratic_consistency_residual(disc: Discretization, ref: Reference) -> float:
     """Residual of the interpolant of a quadratic solution in the system.
 
-    For quadratic u the projected field and exact fluxes satisfy the
-    assembled equations with multiplier zero.
+    For quadratic u (``ref.problem``) the projected field and exact fluxes
+    satisfy the assembled equations with multiplier zero.
     """
-    problem = get_problem("quad")
-    mesh = build_uniform_unit_square(n)
-    tags = classify_boundary(mesh, list(get_case(case).segments))
-    system = build_saddle_system(mesh, tags, problem)
-    qhu = project_exact(problem, mesh)
+    problem, mesh = ref.problem, disc.mesh
+    system = assemble_rhs(disc.matrix, problem, ref.tri_degree, ref.edge_points,
+                          load=ref.load)
     coords = mesh.p2_node_coords
-    q = np.concatenate([problem.u(coords[:, 0], coords[:, 1]), qhu.qn.ravel()])
+    q = np.concatenate([problem.u(coords[:, 0], coords[:, 1]), ref.exact_side.qn.ravel()])
     x = np.concatenate([q[system.dofmap.free], np.zeros(mesh.num_triangles)])
     return float(np.abs(system.M @ x - system.rhs).max())
 
@@ -210,50 +212,70 @@ def _p2_basis_problems() -> list[ManufacturedSolution]:
     ]
 
 
-def coercivity_ratio(n: int, problem_name: str = "sinsin", case: str = "case1") -> float:
+def coercivity_ratio(disc: Discretization, ref: Reference) -> float:
     """Empirical constant in sum_T ||lap e0||^2 <= C s(e_h, e_h) after a solve."""
-    problem = get_problem(problem_name)
-    mesh = build_uniform_unit_square(n)
-    tags = classify_boundary(mesh, list(get_case(case).segments))
-    system = build_saddle_system(mesh, tags, problem)
-    solution = factor_and_solve(system)
-    qhu = project_exact(problem, mesh)
-    fieldv = build_error_field(solution, qhu, mesh)
+    mesh = disc.mesh
+    fieldv = build_error_field(disc.solve(ref), ref.exact_side, mesh)
     lap_sq = float(np.sum(mesh.area * fieldv.lap_e0**2))
-    rep = norms_of_error(fieldv, mesh, tags)
+    rep = norms_of_error(fieldv, mesh, disc.tags)
     s_ee = rep.h2**2 - lap_sq
     return lap_sq / s_ee if s_ee > 0 else np.inf
 
 
 def run_standard_checks(seed: int = VERIFY_SEED) -> VerificationReport:
-    """The full identity suite run by the `verify` CLI subcommand."""
-    report = VerificationReport()
+    """The full identity suite run by the `verify` CLI subcommand.
+
+    One Discretization per (case, n) and one Reference per (problem, n)
+    serve every check on them: case1 at n=4 gives the quad error
+    equations, symmetry, positive-semidefiniteness, quadratic consistency
+    and a coercivity ratio from one matrix and one factor.  Each factor is
+    freed after its last use.  The case2 pivots run first, while nothing
+    else is held: reading U makes a factor keep copies of L and U, and
+    the one at n=32 sets the peak memory of the run.
+    """
+    meshes = {n: build_uniform_unit_square(n) for n in (1, 2, 4, 8, 16, 32)}
+
+    worst_pivot = 0.0
+    for n in (8, 16, 32):
+        pr = saddle_factor(Discretization("case2", meshes[n]).matrix).pivot_report()
+        worst_pivot = max(worst_pivot, 1e-12 * pr.max_pivot / pr.min_pivot)
 
     worst = 0.0
     for n in (1, 2, 4):
-        mesh = build_uniform_unit_square(n)
         for theta in _p2_basis_problems():
-            worst = max(worst, check_commutative(mesh, theta))
-    report.add("commutative_quadratic", worst, 1e-12, "theta in P2, n in {1,2,4}")
+            worst = max(worst, check_commutative(meshes[n], theta))
+    commutative_sinsin = check_commutative(meshes[4], get_problem("sinsin"), tri_degree=8)
 
-    mesh4 = build_uniform_unit_square(4)
-    report.add(
-        "commutative_sinsin",
-        check_commutative(mesh4, get_problem("sinsin"), tri_degree=8),
-        1e-10,
-        "n=4, degree-8 quadrature",
-    )
-
-    case1 = get_case("case1")
+    case1 = {n: Discretization("case1", meshes[n]) for n in (2, 4, 8, 16, 32)}
     worst_rel = 0.0
     ratios = []
     for n in (2, 4, 8, 16):
-        mesh = build_uniform_unit_square(n)
-        tags = classify_boundary(mesh, list(case1.segments))
-        out = check_infsup(mesh, tags, n_samples=20, seed=seed)
+        disc = case1[n]
+        out = check_infsup(disc.mesh, disc.tags, n_samples=20, seed=seed, system=disc.matrix)
         if n <= 8:
             worst_rel = max(worst_rel, out["max_rel_discrepancy"])
         ratios.extend(out["ratios"])
+
+    disc4, quad = case1[4], Reference(get_problem("quad"), meshes[4])
+    sehv, sehv2 = check_error_equations(disc4.solve(quad), quad.exact_side, disc4.matrix)
+    sinsin = {n: Reference(get_problem("sinsin"), meshes[n]) for n in (4, 8, 16, 32)}
+    _, sehv2_s = check_error_equations(case1[8].solve(sinsin[8]), sinsin[8].exact_side,
+                                       case1[8].matrix)
+    system = disc4.matrix
+    asym = float(np.abs(system.M - system.M.T).max())
+    rng = np.random.Generator(np.random.PCG64(seed))
+    vs = rng.standard_normal((100, system.S.shape[0]))
+    psd_min = float(min(v @ (system.S @ v) for v in vs))
+    consistency = quadratic_consistency_residual(disc4, quad)
+
+    cs = []
+    for n in (4, 8, 16, 32):
+        cs.append(coercivity_ratio(case1[n], sinsin[n]))
+        case1[n].factor = None  # its last use
+
+    report = VerificationReport()
+    report.add("commutative_quadratic", worst, 1e-12, "theta in P2, n in {1,2,4}")
+    report.add("commutative_sinsin", commutative_sinsin, 1e-10, "n=4, degree-8 quadrature")
     report.add("infsup_identity", worst_rel, 1e-12, "20 draws, n in {2,4,8}")
     spread = max(ratios) / min(ratios)
     report.add(
@@ -262,50 +284,15 @@ def run_standard_checks(seed: int = VERIFY_SEED) -> VerificationReport:
         4.0,
         f"|v*|^2_2h / |lam|^2_0h in [{min(ratios):.3f}, {max(ratios):.3f}]",
     )
-
-    problem = get_problem("quad")
-    mesh = build_uniform_unit_square(4)
-    tags = classify_boundary(mesh, list(case1.segments))
-    system = build_saddle_system(mesh, tags, problem)
-    solution = factor_and_solve(system)
-    qhu = project_exact(problem, mesh)
-    sehv, sehv2 = check_error_equations(solution, qhu, system)
     report.add("error_equation_multiplier", sehv, 1e-9, "quad/case1, n=4")
     report.add("error_equation_constraint", sehv2, 1e-10, "quad/case1, n=4")
-
-    sp = get_problem("sinsin")
-    mesh8 = build_uniform_unit_square(8)
-    tags8 = classify_boundary(mesh8, list(case1.segments))
-    system8 = build_saddle_system(mesh8, tags8, sp)
-    sol8 = factor_and_solve(system8)
-    _, sehv2_s = check_error_equations(sol8, project_exact(sp, mesh8), system8)
     report.add("error_equation_constraint_smooth", sehv2_s, 1e-8, "sinsin/case1, n=8")
-
-    asym = float(np.abs(system.M - system.M.T).max())
     report.add("system_symmetry", asym, 1e-14, "case1, n=4")
-
-    rng = np.random.Generator(np.random.PCG64(seed))
-    vs = rng.standard_normal((100, system.S.shape[0]))
-    psd_min = float(min(v @ (system.S @ v) for v in vs))
     report.add("stabilizer_psd", max(0.0, -psd_min), 1e-12, "min v^T S v over 100 draws")
-
-    report.add("quadratic_consistency", quadratic_consistency_residual(4), 1e-10,
+    report.add("quadratic_consistency", consistency, 1e-10,
                "interpolated quadratic solves the system")
-
-    case2 = get_case("case2")
-    worst_pivot = 0.0
-    for n in (8, 16, 32):
-        mesh = build_uniform_unit_square(n)
-        tags = classify_boundary(mesh, list(case2.segments))
-        sysn = build_saddle_system(mesh, tags, sp)
-        sol = factor_and_solve(sysn)
-        pr = sol.pivot_report
-        worst_pivot = max(worst_pivot, 1e-12 * pr.max_pivot / pr.min_pivot)
     report.add("mixed_case_pivots", worst_pivot, 1.0,
                "min pivot >= 1e-12 * scale for case2, n <= 32")
-
-    cs = [coercivity_ratio(n) for n in (4, 8, 16, 32)]
     report.add("coercivity_ratio", max(cs), 4.0,
                f"sum|lap e0|^2 / s(e,e) in [{min(cs):.3f}, {max(cs):.3f}]")
-
     return report

@@ -8,8 +8,10 @@ from pdwg.assembly import (
     assemble_stabilizer,
     build_dofmap,
     build_saddle_system,
+    element_load,
     neumann_flux_coefficients,
 )
+from pdwg.harness import Discretization, Reference
 from pdwg.mesh import BoundarySegmentSpec, build_uniform_unit_square, classify_boundary
 from pdwg.norms import project_exact
 from pdwg.polyspace import edge_gauss
@@ -241,9 +243,13 @@ def test_system_symmetric_and_blocks(mesh4):
     assert abs(system.M - system.M.T).max() <= 1e-14
     nf = system.n_free
     assert np.abs(system.M[nf:, nf:].toarray()).max() == 0.0
-    assert np.array_equal(system.rhs[:nf], system.rhs_dual)
-    assert np.array_equal(system.rhs[nf:], system.rhs_primal)
+    g_c = system.g[system.dofmap.constrained]
+    assert np.array_equal(system.rhs[:nf], -system.S_fc @ g_c)
+    load = element_load(mesh4, get_problem("sinsin").f)
+    assert np.array_equal(system.rhs[nf:], load - system.B_c @ g_c)
 
 
-def test_quadratic_interpolant_satisfies_system():
-    assert quadratic_consistency_residual(4, "case1") <= 1e-10
+def test_quadratic_interpolant_satisfies_system(mesh4):
+    residual = quadratic_consistency_residual(Discretization("case1", mesh4),
+                                              Reference(get_problem("quad"), mesh4))
+    assert residual <= 1e-10

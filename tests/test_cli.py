@@ -226,6 +226,23 @@ def test_verify_subcommand_passes(tmp_path):
     assert run(["verify"], tmp_path) == 0
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["converge", "--diagnostics"],
+        ["noise", "--diagnostics"],
+        ["verify", "--diagnostics"],
+        ["verify", "--case", "case2"],
+        ["verify", "--problem", "quad"],
+        ["verify", "--quadrature-degree", "8"],
+    ],
+    ids=lambda a: "_".join(a).replace("-", ""),
+)
+def test_flags_a_subcommand_would_ignore_are_usage_errors(args, tmp_path):
+    assert run(args, tmp_path / "out") == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_import_leaves_out_scipy_special():
     # scipy.special would add about a tenth to every CLI start; nothing in pdwg needs it
     src = str(Path(cli.__file__).resolve().parents[1])

@@ -66,14 +66,22 @@ def test_solves_never_read_l_or_u(splu_without_lu):
     assert solution.pivot_report is None
 
 
+def test_one_shot_solve_never_reads_l_or_u(splu_without_lu):
+    mesh = build_uniform_unit_square(4)
+    system = assemble_rhs(assemble_matrix(mesh, tags_for(mesh, "case5")), get_problem("sinsin"))
+    solution = factor_and_solve(system)
+    assert solution.pivot_report is None
+    assert 0.0 < solution.condition <= COND_MAX
+
+
 def test_pivot_report_on_request_matches_one_shot_factor():
     solution, _, _ = solve_single("sinsin", "case5", 8, pivots=True)
     mesh = build_uniform_unit_square(8)
     system = assemble_rhs(assemble_matrix(mesh, tags_for(mesh, "case5")), get_problem("sinsin"))
-    one_shot = factor_and_solve(system)
-    assert solution.pivot_report == one_shot.pivot_report
-    assert 0.0 < one_shot.pivot_report.ratio < 1.0
-    assert solution.condition == one_shot.condition
+    pivots = saddle_factor(system).pivot_report()
+    assert solution.pivot_report == pivots
+    assert 0.0 < pivots.ratio < 1.0
+    assert solution.condition == factor_and_solve(system).condition
 
 
 @pytest.mark.parametrize("case, n", [("case1", 2), ("case5", 4), ("figures", 4)])

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
+import pdwg.assembly as assembly
 from pdwg.assembly import build_saddle_system
-from pdwg.linsolve import factor_and_solve
+from pdwg.harness import Discretization, Reference
+from pdwg.linsolve import factor_and_solve, saddle_factor
 from pdwg.mesh import build_uniform_unit_square
 from pdwg.norms import lambda_norm, project_exact
 from pdwg.polyspace import edge_gauss, triangle_quadrature
@@ -205,31 +208,57 @@ def test_error_equation_constraint_smooth_source():
     assert sehv2 <= 1e-8
 
 
-def test_quadratic_consistency():
-    assert quadratic_consistency_residual(4) <= 1e-10
+def test_quadratic_consistency(mesh4):
+    disc = Discretization("case1", mesh4)
+    assert quadratic_consistency_residual(disc, Reference(get_problem("quad"), mesh4)) <= 1e-10
 
 
 @pytest.mark.parametrize("n", [8, 16, 32])
 def test_wellposed_mixed_factorization_pivots(n):
-    problem = get_problem("sinsin")
     mesh = build_uniform_unit_square(n)
-    tags = tags_for(mesh, "case2")
-    solution = factor_and_solve(build_saddle_system(mesh, tags, problem))
-    pr = solution.pivot_report
+    pr = saddle_factor(Discretization("case2", mesh).matrix).pivot_report()
     assert pr.min_pivot >= 1e-12 * pr.max_pivot
 
 
 def test_coercivity_ratio_bounded():
-    cs = [coercivity_ratio(n) for n in (4, 8, 16, 32)]
+    cs = []
+    for n in (4, 8, 16, 32):
+        mesh = build_uniform_unit_square(n)
+        cs.append(coercivity_ratio(Discretization("case1", mesh),
+                                   Reference(get_problem("sinsin"), mesh)))
     assert all(np.isfinite(cs))
     # empirical range is [1.09, 1.86]; generous headroom, not a theory value
     assert max(cs) <= 4.0
     assert min(cs) > 0.0
 
 
+STANDARD_CHECKS = [
+    "commutative_quadratic", "commutative_sinsin", "infsup_identity",
+    "infsup_ratio_spread", "error_equation_multiplier", "error_equation_constraint",
+    "error_equation_constraint_smooth", "system_symmetry", "stabilizer_psd",
+    "quadratic_consistency", "mixed_case_pivots", "coercivity_ratio",
+]
+
+
 def test_standard_checks_all_pass():
     report = run_standard_checks()
     assert report.ok, "\n".join(report.lines())
-    names = {c.name for c in report.checks}
-    assert {"commutative_quadratic", "infsup_identity", "system_symmetry",
-            "stabilizer_psd", "quadratic_consistency"} <= names
+    assert [c.name for c in report.checks] == STANDARD_CHECKS
+
+
+def test_standard_checks_share_matrices_and_factors(monkeypatch):
+    # one matrix per (case, n): case1 at n in {2,4,8,16,32}, case2 at n in {8,16,32};
+    # one factor per (case, n) that solves or reports pivots, all but case1 at n=2
+    calls = {"stabilizer": 0, "splu": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            calls[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(assembly, "assemble_stabilizer",
+                        counted("stabilizer", assembly.assemble_stabilizer))
+    monkeypatch.setattr(spla, "splu", counted("splu", spla.splu))
+    assert run_standard_checks().ok
+    assert calls == {"stabilizer": 8, "splu": 7}
