@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Subcommands: solve, converge, noise, verify.  Flag values override config
-file values; the effective configuration is echoed into the output
-directory for provenance.  Exit codes: 0 success, 1 check failure,
+file values; the effective values of the subcommand's own options are
+echoed into the output directory for provenance.  Exit codes: 0 success, 1 check failure,
 2 usage error, 3 solver failure.
 """
 
@@ -22,6 +22,7 @@ from pdwg.harness import (
 )
 from pdwg.linsolve import SingularSystem
 from pdwg.mesh import check_alignment
+from pdwg.norms import PROJECTION_MIN_TRI_DEGREE
 from pdwg.polyspace import DEFAULT_EDGE_POINTS, DEFAULT_TRI_DEGREE, MAX_TRI_DEGREE
 from pdwg.problems import DEFAULT_NOISE_SEED, NoiseSpec, case_configs, catalog, get_case
 
@@ -41,8 +42,7 @@ _DEFAULTS = {
 }
 
 
-# the exact projection's P2 moment matrix needs a rule exact to degree 2 * 2
-QUADRATURE_DEGREES = range(4, MAX_TRI_DEGREE + 1)
+QUADRATURE_DEGREES = range(PROJECTION_MIN_TRI_DEGREE, MAX_TRI_DEGREE + 1)
 
 
 class UsageError(Exception):
@@ -209,10 +209,15 @@ def _snapshot_tag(amplitude: float) -> str:
     return f"a{amplitude:g}".replace(".", "p")
 
 
-def _prepare_out(cfg: dict, command: str) -> Path:
+def _prepare_out(cfg: dict, args: argparse.Namespace) -> Path:
+    """Create the output directory and echo the subcommand's configuration.
+
+    Only the keys the subcommand's parser registers are echoed: the others
+    are defaults or config-file values that the subcommand never reads.
+    """
     out = Path(cfg["out"])
     out.mkdir(parents=True, exist_ok=True)
-    echo = {"command": command, **{k: v for k, v in cfg.items()}}
+    echo = {"command": args.command, **{k: cfg[k] for k in vars(args) if k in cfg}}
     (out / "config.json").write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n",
                                      encoding="utf-8")
     return out
@@ -229,7 +234,7 @@ def main(argv=None) -> int:
         cfg = _effective_config(args)
         command = args.command
         _validate_values(cfg, command)
-        out = _prepare_out(cfg, command)
+        out = _prepare_out(cfg, args)
         deg = cfg["quadrature_degree"]
         edge_points = max(DEFAULT_EDGE_POINTS, (deg + 2) // 2)
 

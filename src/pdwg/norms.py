@@ -1,7 +1,9 @@
 """Error fields e = u_h - Q_h u and the seven reported norms.
 
 Per element, e0 is the difference between the solved C0 field and the
-elementwise (discontinuous) P2 projection Q0 u; the flux error is the
+elementwise (discontinuous) P2 projection Q0 u.  Both are stored as values
+at the element's six P2 nodes, so e0 is their nodal difference and every
+sample of it goes through the P2 nodal basis once.  The flux error is the
 stored coefficient difference against Qn(grad u . n_e).  Norm conventions:
 
 * ||e||_2h^2 = sum_T ||Lap e0||_T^2 + s(e, e), where the h^-1 stabilizer
@@ -31,8 +33,6 @@ from pdwg.polyspace import (
     DEFAULT_TRI_DEGREE,
     bary_gradients,
     edge_gauss,
-    monomial_exponents,
-    monomial_values,
     p2_laplacians,
     p2_values,
     triangle_quadrature,
@@ -41,14 +41,16 @@ from pdwg.problems import ManufacturedSolution
 from pdwg.weak_laplacian import projected_weak_function
 
 
+# The P2 mass matrix of Q0 u needs a triangle rule exact to degree 2 * 2.
+PROJECTION_MIN_TRI_DEGREE = 4
+
+
 @dataclass(frozen=True)
 class ExactProjection:
-    """Q_h u: elementwise Q0 u coefficients plus per-edge Qn(grad u . n_e)."""
+    """Q_h u: Q0 u at each element's P2 nodes plus per-edge Qn(grad u . n_e)."""
 
-    q0_coeffs: np.ndarray  # (T, 6) centered/scaled monomial coefficients
-    centers: np.ndarray    # (T, 2)
-    scales: np.ndarray     # (T,)
-    qn: np.ndarray         # (E, 2) stored edge-flux coefficients
+    q0: np.ndarray  # (T, 6) Q0 u at the local nodes v0, v1, v2, m01, m12, m20
+    qn: np.ndarray  # (E, 2) stored edge-flux coefficients
 
 
 @dataclass(frozen=True)
@@ -110,83 +112,76 @@ class ErrorField:
         )
 
 
-def p2_vandermonde(centers, scales, pts) -> np.ndarray:
-    """Centered/scaled P2 monomials at pts (T, Q, 2); (T, Q, 6)."""
-    xi = (pts[..., 0] - centers[:, None, 0]) / scales[:, None]
-    eta = (pts[..., 1] - centers[:, None, 1]) / scales[:, None]
-    return monomial_values(monomial_exponents(2), xi, eta)
-
-
-def poly_eval(coeffs, centers, scales, pts):
-    """Batched centered/scaled monomial evaluation; pts is (T, Q, 2)."""
-    return np.einsum("tqm,tm->tq", p2_vandermonde(centers, scales, pts), coeffs)
-
-
-def poly_grad_dot(coeffs, centers, scales, pts, direction):
-    """Batched gradient of a degree-2 monomial poly dotted with (T, 2) vectors."""
-    xi = (pts[..., 0] - centers[:, None, 0]) / scales[:, None]
-    eta = (pts[..., 1] - centers[:, None, 1]) / scales[:, None]
-    exps = monomial_exponents(2)
-    gx = np.stack(
-        [a * xi ** max(a - 1, 0) * eta**b if a > 0 else np.zeros_like(xi) for a, b in exps],
-        axis=-1,
-    )
-    gy = np.stack(
-        [b * xi**a * eta ** max(b - 1, 0) if b > 0 else np.zeros_like(xi) for a, b in exps],
-        axis=-1,
-    )
-    out = np.einsum("tqm,tm->tq", gx, coeffs) * direction[:, None, 0] + np.einsum(
-        "tqm,tm->tq", gy, coeffs
-    ) * direction[:, None, 1]
-    return out / scales[:, None]
-
-
 def project_exact(
     problem: ManufacturedSolution,
     mesh: Mesh,
     tri_degree: int = DEFAULT_TRI_DEGREE,
     edge_points: int = DEFAULT_EDGE_POINTS,
 ) -> ExactProjection:
-    """Compute Q_h u = {Q0 u elementwise, Qn(grad u . n_e) per edge}."""
-    tri = mesh.tri_coords()
-    centers = tri.mean(axis=1)
-    scales = np.asarray(mesh.h_t, dtype=float)
+    """Compute Q_h u = {Q0 u elementwise, Qn(grad u . n_e) per edge}.
+
+    Every element is an affine image of the reference triangle, so its P2
+    mass matrix and its load are 2|T| times their reference forms; the area
+    cancels, and one reference mass matrix serves every element.
+    """
+    if tri_degree < PROJECTION_MIN_TRI_DEGREE:
+        raise ValueError(
+            f"the P2 projection needs a triangle rule exact to degree "
+            f">= {PROJECTION_MIN_TRI_DEGREE}, got {tri_degree}"
+        )
     quad = triangle_quadrature(tri_degree)
-    pts = quad.physical_points(tri)
-    w = quad.physical_weights(mesh.area)
-    V = p2_vandermonde(centers, scales, pts)
-    Vw = (V * w[..., None]).transpose(0, 2, 1)
-    uvals = np.broadcast_to(problem.u(pts[..., 0], pts[..., 1]), w.shape)
-    q0 = np.linalg.solve(Vw @ V, Vw @ uvals[..., None])[..., 0]
+    pts = quad.physical_points(mesh.tri_coords())
+    phi = p2_values(quad.points)
+    phi_w = quad.weights[:, None] * phi
+    uvals = np.broadcast_to(problem.u(pts[..., 0], pts[..., 1]), pts.shape[:2])
+    q0 = np.linalg.solve(phi.T @ phi_w, (uvals @ phi_w).T).T
 
     qn = projected_weak_function(problem.grad_u, mesh, edge_points)
-    return ExactProjection(q0_coeffs=q0, centers=centers, scales=scales, qn=qn)
+    return ExactProjection(q0=q0, qn=qn)
 
 
 @dataclass(frozen=True)
 class ExactSide:
-    """The Q_h u side of the error field, and the mesh maps applied to u_h.
+    """The Q_h u side of the error field, and the mesh maps applied to it.
 
     Everything ``build_error_field`` samples that does not depend on the
-    solution: Q0 u at the quadrature points and the P2 nodes, Lap Q0 u, the
-    P1(e) coefficients of grad Q0 u . n_e per local edge, the Q0 u trace
-    jumps, and the element P2 dofs, the normal-derivative maps, the P2
-    Laplacians and the quadrature basis through which u_h is sampled.  It
-    depends on the problem and the mesh only, so a study builds it once and
-    measures every solution against it.  Its arrays are read-only, ``qn``
-    too, which it shares with the projection.
+    solution: Q0 u at the P2 nodes, the Q0 u trace jumps, and the element
+    P2 dofs, the normal-derivative maps, the P2 Laplacians and the
+    quadrature basis through which e0 = u_h - Q0 u is sampled.  It depends
+    on the problem and the mesh only, so a study builds it once and
+    measures every solution against it.  Its arrays are read-only, ``q0``
+    and ``qn`` too, which it shares with the projection.
     """
 
     qn: np.ndarray             # (E, 2) Qn(grad u . n_e)
-    q0_quad: np.ndarray        # (T, Q) Q0 u at the triangle quadrature points
-    q0_nodes: np.ndarray       # (T, 6) Q0 u at the P2 nodes
-    lap_q0: np.ndarray         # (T,)
-    grad_q0: np.ndarray        # (T, 3, 2) grad Q0 u . n_e coefficients per local edge
+    q0: np.ndarray             # (T, 6) Q0 u at the P2 nodes
     q0_jump: np.ndarray        # (Ei, q) Q0 u trace jumps at edge Gauss points
     p2_dofs: np.ndarray        # (T, 6) tri_p2_dofs
     basis_quad: np.ndarray     # (Q, 6) P2 basis at the quadrature points
     p2_lap: np.ndarray         # (T, 6) P2 basis Laplacians
     normal_maps: np.ndarray    # (3, T, 2, 6) G of normal_mismatch_maps per local edge
+
+
+def _trace_jumps(q0: np.ndarray, mesh: Mesh, edge_points: int) -> np.ndarray:
+    """Jumps of the Q0 u traces across the interior edges; (Ei, q).
+
+    Sampled at the edge Gauss points: the point at arc parameter t of edge
+    (a, b) has barycentric coordinates 1 - t at a, t at b and 0 at the third
+    vertex of either element.  The jump is the first element's trace minus
+    the second's.
+    """
+    interior = np.flatnonzero(~mesh.boundary_edge_mask)
+    t, _ = edge_gauss(edge_points)
+    a = mesh.edges[interior, 0][:, None, None]
+    b = mesh.edges[interior, 1][:, None, None]
+
+    def trace(slot):
+        tris = mesh.edge_tris[interior, slot]
+        verts = mesh.triangles[tris][:, None, :]  # (Ei, 1, 3)
+        bary = (verts == a) * (1.0 - t)[:, None] + (verts == b) * t[:, None]
+        return np.einsum("eqi,ei->eq", p2_values(bary), q0[tris])
+
+    return trace(0) - trace(1)
 
 
 def sample_projection(
@@ -196,66 +191,16 @@ def sample_projection(
     edge_points: int = DEFAULT_EDGE_POINTS,
 ) -> ExactSide:
     """Sample Q_h u where ``build_error_field`` samples e."""
-    if qhu.q0_coeffs.shape[0] != mesh.num_triangles:
+    if qhu.q0.shape[0] != mesh.num_triangles:
         raise ValueError("projection does not match the mesh")
-
-    tri = mesh.tri_coords()
-    quad = triangle_quadrature(tri_degree)
-    pts = quad.physical_points(tri)
-    q0_quad = poly_eval(qhu.q0_coeffs, qhu.centers, qhu.scales, pts)
-
-    node_bary = np.array(
-        [
-            [1, 0, 0],
-            [0, 1, 0],
-            [0, 0, 1],
-            [0.5, 0.5, 0],
-            [0, 0.5, 0.5],
-            [0.5, 0, 0.5],
-        ],
-        dtype=float,
-    )
-    node_pts = node_bary @ tri
-    q0_nodes = poly_eval(qhu.q0_coeffs, qhu.centers, qhu.scales, node_pts)
-
-    lap_q0 = 2.0 * (qhu.q0_coeffs[:, 3] + qhu.q0_coeffs[:, 5]) / qhu.scales**2
-
-    maps = normal_mismatch_maps(mesh)
-    grad_q0 = np.empty((mesh.num_triangles, 3, 2))
-    for l, (e, s, _G) in enumerate(maps):
-        va = mesh.triangles[:, l]
-        vb = mesh.triangles[:, (l + 1) % 3]
-        lo = np.where(s > 0, va, vb)
-        hi = np.where(s > 0, vb, va)
-        ends = np.stack([mesh.vertices[lo], mesh.vertices[hi]], axis=1)  # (T, 2, 2)
-        gq = poly_grad_dot(qhu.q0_coeffs, qhu.centers, qhu.scales, ends, mesh.edge_normals[e])
-        grad_q0[:, l, :] = np.stack([0.5 * (gq[:, 0] + gq[:, 1]), gq[:, 1] - gq[:, 0]], axis=1)
-
-    interior = np.flatnonzero(~mesh.boundary_edge_mask)
-    t, _ = edge_gauss(edge_points)
-    if len(interior):
-        pa = mesh.vertices[mesh.edges[interior, 0]]
-        pb = mesh.vertices[mesh.edges[interior, 1]]
-        epts = pa[:, None, :] + t[None, :, None] * (pb - pa)[:, None, :]
-        t1 = mesh.edge_tris[interior, 0]
-        t2 = mesh.edge_tris[interior, 1]
-        v1 = poly_eval(qhu.q0_coeffs[t1], qhu.centers[t1], qhu.scales[t1], epts)
-        v2 = poly_eval(qhu.q0_coeffs[t2], qhu.centers[t2], qhu.scales[t2], epts)
-        q0_jump = v1 - v2
-    else:
-        q0_jump = np.zeros((0, len(t)))
-
     side = ExactSide(
         qn=qhu.qn,
-        q0_quad=q0_quad,
-        q0_nodes=q0_nodes,
-        lap_q0=lap_q0,
-        grad_q0=grad_q0,
-        q0_jump=q0_jump,
+        q0=qhu.q0,
+        q0_jump=_trace_jumps(qhu.q0, mesh, edge_points),
         p2_dofs=tri_p2_dofs(mesh),
-        basis_quad=p2_values(quad.points),
-        p2_lap=p2_laplacians(bary_gradients(tri)),
-        normal_maps=np.stack([G for _e, _s, G in maps]),
+        basis_quad=p2_values(triangle_quadrature(tri_degree).points),
+        p2_lap=p2_laplacians(bary_gradients(mesh.tri_coords())),
+        normal_maps=np.stack([G for _e, _s, G in normal_mismatch_maps(mesh)]),
     )
     for arr in vars(side).values():
         arr.setflags(write=False)
@@ -273,30 +218,27 @@ def build_error_field(
 
     ``qhu`` is Q_h u as a projection, which is sampled first, or already
     sampled by ``sample_projection``; the quadrature sets are then the ones
-    it was sampled on.
+    it was sampled on.  u_h and Q0 u share the P2 nodal basis, so every
+    sample of e0 is linear in their nodal difference.
     """
     if solution.u0.shape[0] != mesh.num_vertices + mesh.num_edges:
         raise ValueError("solution does not match the mesh")
+    if qhu.q0.shape[0] != mesh.num_triangles:
+        raise ValueError("projection does not match the mesh")
     if isinstance(qhu, ExactProjection):
         qhu = sample_projection(qhu, mesh, tri_degree, edge_points)
-    elif qhu.lap_q0.shape[0] != mesh.num_triangles:
-        raise ValueError("projection does not match the mesh")
 
-    u_loc = solution.u0[qhu.p2_dofs]  # (T, 6)
-    e0_quad = u_loc @ qhu.basis_quad.T - qhu.q0_quad
-    e0_nodes = u_loc - qhu.q0_nodes
-    lap_e0 = np.einsum("ti,ti->t", u_loc, qhu.p2_lap) - qhu.lap_q0
+    e_loc = solution.u0[qhu.p2_dofs] - qhu.q0  # (T, 6)
     en = solution.un - qhu.qn
-
     mismatch = np.empty((mesh.num_triangles, 3, 2))
     for l in range(3):
-        grad_u0_coeffs = np.einsum("tci,ti->tc", qhu.normal_maps[l], u_loc)
-        mismatch[:, l, :] = grad_u0_coeffs - qhu.grad_q0[:, l, :] - en[mesh.tri_edges[:, l]]
+        mismatch[:, l, :] = (np.einsum("tci,ti->tc", qhu.normal_maps[l], e_loc)
+                             - en[mesh.tri_edges[:, l]])
 
     return ErrorField(
-        e0_quad=e0_quad,
-        e0_nodes=e0_nodes,
-        lap_e0=lap_e0,
+        e0_quad=e_loc @ qhu.basis_quad.T,
+        e0_nodes=e_loc,
+        lap_e0=np.einsum("ti,ti->t", e_loc, qhu.p2_lap),
         en=en,
         mismatch=mismatch,
         q0_jump=qhu.q0_jump,

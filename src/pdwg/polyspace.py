@@ -1,22 +1,19 @@
-"""Quadrature, the P2 monomial Vandermonde, the edge P1 projection and the
-P2 nodal basis.
+"""Quadrature, the edge P1 projection and the P2 nodal basis.
 
-Element polynomials (the projection Q0 u in ``pdwg.norms``) use monomials
-centered at the element centroid and scaled by the element diameter, which
-keeps the local mass systems well conditioned; ``monomial_values`` builds
-their Vandermonde.  Edge fluxes live in P1 with the centered basis
-1, (t - 1/2) on the canonical arc parameter t in [0, 1];
-``project_edge_samples`` is the one edge P1 projection, used for the
-Neumann data and for Qn of an exact flux.  Triangle rules are conical
-products of Gauss-Legendre and Gauss-Jacobi lines (positive weights,
-interior points, exact to the requested total degree).  The Gauss-Jacobi
-line for the weight (1 - x) is computed here by Golub-Welsch, from the
-eigenvalues and eigenvectors of its Jacobi matrix, so that importing the
-package needs no ``scipy.special``.  Both rule families are cached per
-process; a triangle rule's arrays are read-only, since every caller shares
-them.  Defaults follow the solver-wide convention: triangle rules exact to
-degree 6, 4-point edge Gauss (exact to degree 7); L1 and max-norm
-quantities reuse these fixed sample sets.
+The P2 nodal basis is the one element basis: u_h and the projection Q0 u
+in ``pdwg.norms`` are both stored as values at the six local nodes.  Edge
+fluxes live in P1 with the centered basis 1, (t - 1/2) on the canonical
+arc parameter t in [0, 1]; ``project_edge_samples`` is the one edge P1
+projection, used for the Neumann data and for Qn of an exact flux.
+Triangle rules are conical products of Gauss-Legendre and Gauss-Jacobi
+lines (positive weights, interior points, exact to the requested total
+degree).  The Gauss-Jacobi line for the weight (1 - x) is computed here by
+Golub-Welsch, from the eigenvalues and eigenvectors of its Jacobi matrix,
+so that importing the package needs no ``scipy.special``.  Both rule
+families are cached per process; a triangle rule's arrays are read-only,
+since every caller shares them.  Defaults follow the solver-wide
+convention: triangle rules exact to degree 6, 4-point edge Gauss (exact to
+degree 7); L1 and max-norm quantities reuse these fixed sample sets.
 """
 
 from __future__ import annotations
@@ -31,13 +28,6 @@ from numpy.polynomial.legendre import leggauss
 DEFAULT_TRI_DEGREE = 6
 DEFAULT_EDGE_POINTS = 4
 MAX_TRI_DEGREE = 20
-
-
-def monomial_exponents(degree: int) -> np.ndarray:
-    """Graded exponent table [(0,0),(1,0),(0,1),(2,0),(1,1),(0,2),...]."""
-    return np.asarray(
-        [(d - b, b) for d in range(degree + 1) for b in range(d + 1)], dtype=np.int64
-    )
 
 
 @dataclass(frozen=True)
@@ -91,7 +81,7 @@ def gauss_jacobi_1_0(m: int) -> tuple[np.ndarray, np.ndarray]:
 
 @lru_cache(maxsize=None)
 def triangle_quadrature(min_degree: int) -> TriangleQuadrature:
-    """Rule exact for all bivariate monomials of total degree <= min_degree."""
+    """Rule exact for all bivariate polynomials of total degree <= min_degree."""
     if not 0 <= min_degree <= MAX_TRI_DEGREE:
         raise ValueError(f"unsupported quadrature degree {min_degree}")
     m = max(1, (min_degree + 2) // 2)
@@ -118,11 +108,6 @@ def edge_gauss(n_points: int = DEFAULT_EDGE_POINTS) -> tuple[np.ndarray, np.ndar
         raise ValueError("edge rule needs at least one point")
     x, w = leggauss(n_points)
     return 0.5 * (x + 1.0), 0.5 * w
-
-
-def monomial_values(exps: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
-    """Vandermonde of local monomials at local coordinates; (..., m)."""
-    return np.stack([xi**a * eta**b for a, b in exps], axis=-1)
 
 
 def project_edge_samples(samples, n_points: int = DEFAULT_EDGE_POINTS) -> np.ndarray:

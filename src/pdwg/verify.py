@@ -147,7 +147,7 @@ def projection_stabilizer_load(qhu: ExactProjection | ExactSide, mesh: Mesh) -> 
     for l in range(3):
         e = mesh.tri_edges[:, l]
         G = side.normal_maps[l]
-        mu = side.grad_q0[:, l, :] - qhu.qn[e]
+        mu = np.einsum("tci,ti->tc", G, side.q0) - qhu.qn[e]
         h_e = mesh.h_e[e]
         w0 = h_e / mesh.h_t * mu[:, 0]
         w1 = h_e / (12.0 * mesh.h_t) * mu[:, 1]

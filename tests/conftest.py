@@ -14,6 +14,18 @@ def exact_ref_monomial(a: int, b: int) -> float:
     return math.factorial(a) * math.factorial(b) / math.factorial(a + b + 2)
 
 
+def monomial_exponents(degree: int) -> np.ndarray:
+    """Graded exponent table [(0,0),(1,0),(0,1),(2,0),(1,1),(0,2),...]."""
+    return np.asarray(
+        [(d - b, b) for d in range(degree + 1) for b in range(d + 1)], dtype=np.int64
+    )
+
+
+def monomial_values(exps: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.ndarray:
+    """Vandermonde of local monomials at local coordinates; (..., m)."""
+    return np.stack([xi**a * eta**b for a, b in exps], axis=-1)
+
+
 def quad_integral(rule, tri, f):
     pts = rule.physical_points(tri)
     area = 0.5 * abs(

@@ -9,6 +9,7 @@ import pytest
 import pdwg.cli as cli
 import pdwg.harness as harness
 from pdwg.linsolve import SingularSystem
+from pdwg.problems import DEFAULT_NOISE_SEED
 
 
 def run(args, tmp_path, extra=()):
@@ -224,6 +225,15 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
 
 def test_verify_subcommand_passes(tmp_path):
     assert run(["verify"], tmp_path) == 0
+
+
+def test_verify_echoes_only_the_options_it_reads(tmp_path):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"case": "case99", "n": 4}))
+    out = tmp_path / "o"
+    assert cli.main(["verify", "--config", str(cfg), "--out", str(out)]) == 0
+    echo = json.loads((out / "config.json").read_text())
+    assert echo == {"command": "verify", "out": str(out), "seed": DEFAULT_NOISE_SEED}
 
 
 @pytest.mark.parametrize(

@@ -2,8 +2,10 @@
 
 The stabilizer, the quadrature map and the condensed factor must give the
 same bits as these oracles, so that the saddle matrix, the load and the
-factor, and with them every solution, stay byte-identical.  Only the P2
-projection Q0 u may move, at roundoff.
+factor, and with them every solution, stay byte-identical.  The P2
+projection Q0 u is checked against an independent basis instead: the mass
+system of centered/scaled monomials, solved per element, must give the same
+values at the P2 nodes to roundoff.
 """
 
 import numpy as np
@@ -21,11 +23,11 @@ from pdwg.assembly import (
 )
 from pdwg.linsolve import saddle_factor
 from pdwg.mesh import build_uniform_unit_square
-from pdwg.norms import p2_vandermonde, project_exact
+from pdwg.norms import project_exact
 from pdwg.polyspace import MAX_TRI_DEGREE, triangle_quadrature
 from pdwg.problems import get_problem
 
-from conftest import tags_for
+from conftest import monomial_exponents, monomial_values, tags_for
 
 SIZES = (1, 2, 3, 8, 16)
 CASES = ("case1", "case2", "case5")
@@ -71,16 +73,33 @@ def saddle_einsum(S, B, dofmap):
     return sp.bmat([[S_f[:, free], B_f.T], [B_f, None]], format="csc").tocsr()
 
 
+def centered_monomials(tri, pts):
+    """P2 monomials centered at the centroid and scaled by the diameter, at
+    pts (T, Q, 2); (T, Q, 6)."""
+    centers = tri.mean(axis=1)
+    scales = np.max(np.linalg.norm(tri - np.roll(tri, 1, axis=1), axis=2), axis=1)
+    xi = (pts[..., 0] - centers[:, None, 0]) / scales[:, None]
+    eta = (pts[..., 1] - centers[:, None, 1]) / scales[:, None]
+    return monomial_values(monomial_exponents(2), xi, eta)
+
+
+P2_NODE_BARY = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1],
+                         [0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]])
+
+
 def q0_einsum(problem, mesh, tri_degree=6):
+    """Q0 u at the P2 nodes, from the monomial mass system of each element."""
     tri = mesh.tri_coords()
     quad = triangle_quadrature(tri_degree)
     pts = physical_points_einsum(quad, tri)
     w = quad.physical_weights(mesh.area)
-    V = p2_vandermonde(tri.mean(axis=1), np.asarray(mesh.h_t, dtype=float), pts)
+    V = centered_monomials(tri, pts)
     M = np.einsum("tqa,tq,tqb->tab", V, w, V)
     uvals = np.broadcast_to(problem.u(pts[..., 0], pts[..., 1]), w.shape)
     rhs = np.einsum("tqa,tq,tq->ta", V, w, uvals)
-    return np.linalg.solve(M, rhs[..., None])[..., 0]
+    coeffs = np.linalg.solve(M, rhs[..., None])[..., 0]
+    nodes = np.einsum("qk,tkd->tqd", P2_NODE_BARY, tri)
+    return np.einsum("tqa,ta->tq", centered_monomials(tri, nodes), coeffs)
 
 
 def assert_same_csr(A, B):
@@ -129,5 +148,16 @@ def test_projection_matches_einsum_to_roundoff(n, name):
     problem = get_problem(name)
     mesh = build_uniform_unit_square(n)
     want = q0_einsum(problem, mesh)
-    got = project_exact(problem, mesh).q0_coeffs
+    got = project_exact(problem, mesh).q0
     assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("n", (1, 8, 64))
+@pytest.mark.parametrize("tri_degree", (4, 6, 12, 20))
+def test_projection_matches_einsum_for_every_rule(tri_degree, n):
+    mesh = build_uniform_unit_square(n)
+    for name in ("sinsin", "coscos", "quad"):
+        problem = get_problem(name)
+        want = q0_einsum(problem, mesh, tri_degree)
+        got = project_exact(problem, mesh, tri_degree).q0
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name

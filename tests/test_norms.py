@@ -7,33 +7,38 @@ from pdwg.mesh import build_uniform_unit_square
 from pdwg.norms import (
     ErrorField,
     build_error_field,
+    PROJECTION_MIN_TRI_DEGREE,
     error_norms,
     lambda_norm,
     norms_of_error,
-    poly_eval,
-    poly_grad_dot,
     project_exact,
     sample_projection,
 )
 from pdwg.polyspace import (
     bary_gradients,
     edge_gauss,
-    monomial_exponents,
-    monomial_values,
     p2_laplacians,
     p2_values,
     triangle_quadrature,
 )
 from pdwg.problems import get_problem
 
-from conftest import REF_TRI, exact_ref_monomial, quad_integral, tags_for
+from conftest import (
+    REF_TRI,
+    exact_ref_monomial,
+    monomial_exponents,
+    monomial_values,
+    quad_integral,
+    tags_for,
+)
 
 
 def project_L2_element(f, tri, degree, quad=None):
     """L2 projection of f onto P_degree on one triangle (oracle of project_exact).
 
     Solves the mass system of one element in the centered/scaled monomial
-    basis; returns the projection as a callable (x, y) with ``.coeffs``.
+    basis; returns the projection as a callable (x, y) with ``.coeffs`` and
+    its gradient as ``.grad`` (x, y) -> (d/dx, d/dy).
     """
     tri = np.asarray(tri, dtype=float)
     d1, d2 = tri[1] - tri[0], tri[2] - tri[0]
@@ -58,7 +63,15 @@ def project_L2_element(f, tri, degree, quad=None):
     def projection(x, y):
         return vandermonde(x, y) @ coeffs
 
+    def grad(x, y):
+        xi = (np.asarray(x) - center[0]) / scale
+        eta = (np.asarray(y) - center[1]) / scale
+        gx = sum(c * a * xi ** max(a - 1, 0) * eta**b for c, (a, b) in zip(coeffs, exps))
+        gy = sum(c * b * xi**a * eta ** max(b - 1, 0) for c, (a, b) in zip(coeffs, exps))
+        return gx / scale, gy / scale
+
     projection.coeffs = coeffs
+    projection.grad = grad
     return projection
 
 
@@ -87,75 +100,88 @@ def lambda_norm_oracle(lam, mesh, tags):
     return float(np.sqrt(total))
 
 
-def build_error_field_from_scratch(solution, qhu, mesh, tri_degree=6, edge_points=4):
-    """Oracle of build_error_field: every sample of Q_h u and every mesh map
-    built anew from the projection, as before the exact side was sampled
-    once per study."""
+def build_error_field_from_scratch(solution, problem, qn, mesh, tri_degree=6, edge_points=4):
+    """Oracle of build_error_field: Q0 u sampled through the monomial oracle
+    ``project_L2_element`` of each element, with every mesh map built anew.
+
+    Only the flux projection ``qn`` is taken from ``project_exact``.
+    """
     tri = mesh.tri_coords()
     quad = triangle_quadrature(tri_degree)
     pts = quad.physical_points(tri)
+    q0 = [project_L2_element(problem.u, tri[t], 2, quad) for t in range(mesh.num_triangles)]
     u_loc = solution.u0[tri_p2_dofs(mesh)]
 
-    basis_quad = p2_values(quad.points)
-    u0_quad = u_loc @ basis_quad.T
-    q0_quad = poly_eval(qhu.q0_coeffs, qhu.centers, qhu.scales, pts)
+    u0_quad = u_loc @ p2_values(quad.points).T
+    q0_quad = np.array([q0[t](pts[t, :, 0], pts[t, :, 1]) for t in range(len(q0))])
     e0_quad = u0_quad - q0_quad
 
     node_bary = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1],
                           [0.5, 0.5, 0], [0, 0.5, 0.5], [0.5, 0, 0.5]], dtype=float)
     node_pts = np.einsum("qk,tkd->tqd", node_bary, tri)
-    q0_nodes = poly_eval(qhu.q0_coeffs, qhu.centers, qhu.scales, node_pts)
+    q0_nodes = np.array([q0[t](node_pts[t, :, 0], node_pts[t, :, 1]) for t in range(len(q0))])
     e0_nodes = u_loc - q0_nodes
 
     bgrad = bary_gradients(tri)
     lap_u0 = np.einsum("ti,ti->t", u_loc, p2_laplacians(bgrad))
-    lap_q0 = 2.0 * (qhu.q0_coeffs[:, 3] + qhu.q0_coeffs[:, 5]) / qhu.scales**2
+    scales = [max(np.linalg.norm(tri[t, k] - tri[t, k - 1]) for k in range(3))
+              for t in range(len(q0))]
+    lap_q0 = np.array([2.0 * (p.coeffs[3] + p.coeffs[5]) / h**2 for p, h in zip(q0, scales)])
     lap_e0 = lap_u0 - lap_q0
 
-    en = solution.un - qhu.qn
+    en = solution.un - qn
 
     mismatch = np.empty((mesh.num_triangles, 3, 2))
     for l, (e, s, G) in enumerate(normal_mismatch_maps(mesh)):
         grad_u0_coeffs = np.einsum("tci,ti->tc", G, u_loc)
         va = mesh.triangles[:, l]
         vb = mesh.triangles[:, (l + 1) % 3]
-        lo = np.where(s > 0, va, vb)
-        hi = np.where(s > 0, vb, va)
-        ends = np.stack([mesh.vertices[lo], mesh.vertices[hi]], axis=1)
-        gq = poly_grad_dot(qhu.q0_coeffs, qhu.centers, qhu.scales, ends, mesh.edge_normals[e])
+        lo = mesh.vertices[np.where(s > 0, va, vb)]
+        hi = mesh.vertices[np.where(s > 0, vb, va)]
+        normal = mesh.edge_normals[e]
+        gq = np.array([[np.dot(q0[t].grad(*p[t]), normal[t]) for p in (lo, hi)]
+                       for t in range(len(q0))])
         grad_q0_coeffs = np.stack([0.5 * (gq[:, 0] + gq[:, 1]), gq[:, 1] - gq[:, 0]], axis=1)
         mismatch[:, l, :] = grad_u0_coeffs - grad_q0_coeffs - en[e]
 
     interior = np.flatnonzero(~mesh.boundary_edge_mask)
     t, _ = edge_gauss(edge_points)
-    pa = mesh.vertices[mesh.edges[interior, 0]]
-    pb = mesh.vertices[mesh.edges[interior, 1]]
-    epts = pa[:, None, :] + t[None, :, None] * (pb - pa)[:, None, :]
-    t1 = mesh.edge_tris[interior, 0]
-    t2 = mesh.edge_tris[interior, 1]
-    v1 = poly_eval(qhu.q0_coeffs[t1], qhu.centers[t1], qhu.scales[t1], epts)
-    v2 = poly_eval(qhu.q0_coeffs[t2], qhu.centers[t2], qhu.scales[t2], epts)
+    q0_jump = []
+    for e in interior:
+        pa, pb = mesh.vertices[mesh.edges[e]]
+        epts = pa + t[:, None] * (pb - pa)
+        t1, t2 = mesh.edge_tris[e]
+        q0_jump.append(q0[t1](epts[:, 0], epts[:, 1]) - q0[t2](epts[:, 0], epts[:, 1]))
 
     return ErrorField(e0_quad=e0_quad, e0_nodes=e0_nodes, lap_e0=lap_e0, en=en,
-                      mismatch=mismatch, q0_jump=v1 - v2,
+                      mismatch=mismatch, q0_jump=np.array(q0_jump),
                       lam=np.asarray(solution.lam, dtype=float))
+
+
+# order of the derivative of Q0 u that each error field samples
+FIELD_DERIVATIVES = {"e0_quad": 0, "e0_nodes": 0, "lap_e0": 2, "en": 0, "mismatch": 1,
+                     "q0_jump": 0, "lam": 0}
 
 
 @pytest.mark.parametrize("n", [2, 4, 8])
 @pytest.mark.parametrize("case", ["case1", "case5", "figures"])
 def test_error_field_bits_match_from_scratch_oracle(case, n):
+    # the projection and its samples give the same bits.  The monomial
+    # oracle agrees with both to roundoff: 1e-12 of the size of Q0 u, times
+    # h^-k for a field that samples a k-th derivative of it
     problem = get_problem("coscos")
     mesh = build_uniform_unit_square(n)
     solution = factor_and_solve(build_saddle_system(mesh, tags_for(mesh, case), problem))
     qhu = project_exact(problem, mesh)
-    want = build_error_field_from_scratch(solution, qhu, mesh)
-    side = sample_projection(qhu, mesh)
-    for got in (build_error_field(solution, qhu, mesh),
-                build_error_field(solution, side, mesh)):
-        for name, a in vars(want).items():
-            b = getattr(got, name)
-            assert (a.shape, a.dtype) == (b.shape, b.dtype), name
-            assert a.tobytes() == b.tobytes(), name
+    want = build_error_field_from_scratch(solution, problem, qhu.qn, mesh)
+    got = build_error_field(solution, qhu, mesh)
+    side = build_error_field(solution, sample_projection(qhu, mesh), mesh)
+    for name, a in vars(want).items():
+        b = getattr(got, name)
+        assert (a.shape, a.dtype) == (b.shape, b.dtype), name
+        size = np.abs(qhu.q0).max() / mesh.h_t.min() ** FIELD_DERIVATIVES[name]
+        assert np.abs(a - b).max() <= 1e-12 * size, name
+        assert b.tobytes() == getattr(side, name).tobytes(), name
 
 
 def test_zero_error_for_projected_global_quadratic(mesh4):
@@ -295,7 +321,7 @@ def test_project_exact_reproduces_quadratic(mesh4, rng):
     # map unit samples into each triangle via barycentric mixing
     bary = rng.dirichlet([1, 1, 1], size=5)
     pts = np.einsum("qk,tkd->tqd", bary, tri)
-    got = poly_eval(qhu.q0_coeffs, qhu.centers, qhu.scales, pts)
+    got = qhu.q0 @ p2_values(bary).T
     want = problem.u(pts[..., 0], pts[..., 1])
     assert np.abs(got - want).max() <= 1e-12
 
@@ -324,10 +350,7 @@ def test_project_exact_sinsin_against_high_order_oracle(mesh2):
     want = oracle(pts[:, 0], pts[:, 1])
 
     def values(qhu):
-        return poly_eval(
-            qhu.q0_coeffs[t : t + 1], qhu.centers[t : t + 1], qhu.scales[t : t + 1],
-            pts[None, :, :],
-        )[0]
+        return p2_values(quad.points) @ qhu.q0[t]
 
     # same rule as the oracle: the batched mass solve agrees to rounding
     sharp = project_exact(problem, mesh2, tri_degree=12)
@@ -338,6 +361,13 @@ def test_project_exact_sinsin_against_high_order_oracle(mesh2):
     assert np.abs(values(default) - want).max() <= 1e-6
 
 
+@pytest.mark.parametrize("tri_degree", [0, PROJECTION_MIN_TRI_DEGREE - 1])
+def test_project_exact_rejects_rules_too_weak_for_the_p2_mass(mesh2, tri_degree):
+    # below degree 4 the P2 mass matrix is singular or wrong
+    assert PROJECTION_MIN_TRI_DEGREE == 4
+    with pytest.raises(ValueError, match="degree >= 4"):
+        project_exact(get_problem("sinsin"), mesh2, tri_degree=tri_degree)
+    project_exact(get_problem("sinsin"), mesh2, tri_degree=PROJECTION_MIN_TRI_DEGREE)
 
 
 def test_project_element_reproduces_members():

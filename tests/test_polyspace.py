@@ -7,13 +7,12 @@ from pdwg.polyspace import (
     edge_gauss,
     gauss_jacobi_1_0,
     interpolate_nodes,
-    monomial_exponents,
     p2_values,
     project_edge_samples,
     triangle_quadrature,
 )
 
-from conftest import REF_TRI, exact_ref_monomial, quad_integral
+from conftest import REF_TRI, exact_ref_monomial, monomial_exponents, quad_integral
 
 
 def test_reference_integrals():
