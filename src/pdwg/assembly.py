@@ -41,6 +41,7 @@ from pdwg.polyspace import (
     DEFAULT_TRI_DEGREE,
     bary_gradients,
     edge_gauss,
+    edge_points_for,
     interpolate_nodes,
     project_edge_samples,
     triangle_quadrature,
@@ -353,17 +354,17 @@ def assemble_rhs(
     matrix: SystemMatrix,
     problem: ManufacturedSolution,
     tri_degree: int = DEFAULT_TRI_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
     noise: NoiseSpec | None = None,
     load: np.ndarray | None = None,
 ) -> SaddleSystem:
     """Add the load and boundary-data right-hand side of a problem.
 
     Boundary data is taken from the exact solution: g1 = u on Gamma_d and
-    g2 = grad u . n on Gamma_n (optionally noise-perturbed).  ``load`` is
-    the problem's ``element_load`` on this mesh, computed here when not
-    given; it does not depend on the noise, so the solves of one problem
-    on one mesh can share it.
+    g2 = grad u . n on Gamma_n (optionally noise-perturbed), projected with
+    the edge rule ``edge_points_for(tri_degree)``.  ``load`` is the
+    problem's ``element_load`` on this mesh at ``tri_degree``, computed
+    here when not given; it does not depend on the noise, so the solves of
+    one problem on one mesh can share it.
     """
     mesh, dofmap = matrix.mesh, matrix.dofmap
 
@@ -372,7 +373,8 @@ def assemble_rhs(
         return gx * n_out[0] + gy * n_out[1]
 
     F = element_load(mesh, problem.f, tri_degree) if load is None else load
-    g = apply_boundary_conditions(problem.u, g2, mesh, matrix.tags, dofmap, edge_points, noise)
+    g = apply_boundary_conditions(problem.u, g2, mesh, matrix.tags, dofmap,
+                                  edge_points_for(tri_degree), noise)
     g_c = g[dofmap.constrained]
     rhs = np.concatenate([-matrix.S_fc @ g_c, F - matrix.B_c @ g_c])
     return SaddleSystem(**vars(matrix), g=g, rhs=rhs)
@@ -383,8 +385,7 @@ def build_saddle_system(
     tags: BoundaryTags,
     problem: ManufacturedSolution,
     tri_degree: int = DEFAULT_TRI_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
     noise: NoiseSpec | None = None,
 ) -> SaddleSystem:
     """Assemble the saddle-point system for a manufactured problem."""
-    return assemble_rhs(assemble_matrix(mesh, tags), problem, tri_degree, edge_points, noise)
+    return assemble_rhs(assemble_matrix(mesh, tags), problem, tri_degree, noise)

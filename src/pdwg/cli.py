@@ -1,9 +1,10 @@
 """Command-line entry point.
 
 Subcommands: solve, converge, noise, verify.  Flag values override config
-file values; the effective values of the subcommand's own options are
-echoed into the output directory for provenance.  Exit codes: 0 success, 1 check failure,
-2 usage error, 3 solver failure.
+file values; a subcommand reads, checks and echoes into the output
+directory only the options its parser registers.  Exit codes: 0 success,
+1 check failure, 2 usage error, 3 solver failure (a singular system, or a
+run out of memory).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from pdwg.harness import (
 from pdwg.linsolve import SingularSystem
 from pdwg.mesh import check_alignment
 from pdwg.norms import PROJECTION_MIN_TRI_DEGREE
-from pdwg.polyspace import DEFAULT_EDGE_POINTS, DEFAULT_TRI_DEGREE, MAX_TRI_DEGREE
+from pdwg.polyspace import DEFAULT_TRI_DEGREE, MAX_TRI_DEGREE
 from pdwg.problems import DEFAULT_NOISE_SEED, NoiseSpec, case_configs, catalog, get_case
 
 OUTPUT_DIR_ENV = "PDWG_OUTPUT_DIR"
@@ -120,7 +121,9 @@ def _effective_config(args: argparse.Namespace) -> dict:
         unknown = set(file_cfg) - set(cfg)
         if unknown:
             raise UsageError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(file_cfg)
+        # the subcommand never reads the keys its parser does not register,
+        # so their file values are neither parsed nor checked
+        cfg.update({k: v for k, v in file_cfg.items() if k in vars(args)})
     for key in cfg:
         val = getattr(args, key, None)
         if val is not None:
@@ -236,13 +239,10 @@ def main(argv=None) -> int:
         _validate_values(cfg, command)
         out = _prepare_out(cfg, args)
         deg = cfg["quadrature_degree"]
-        edge_points = max(DEFAULT_EDGE_POINTS, (deg + 2) // 2)
 
         if command == "solve":
             solution, report, snapshot = solve_single(
-                cfg["problem"], cfg["case"], cfg["n"], deg, edge_points,
-                pivots=cfg["diagnostics"],
-            )
+                cfg["problem"], cfg["case"], cfg["n"], deg, pivots=cfg["diagnostics"])
             (out / "solution_nodes.csv").write_text(snapshot.nodes_csv(), encoding="utf-8")
             (out / "solution_elements.csv").write_text(snapshot.elements_csv(), encoding="utf-8")
             lines = ["norm,value"] + [f"{k},{v:.12e}" for k, v in report.as_dict().items()]
@@ -259,10 +259,10 @@ def main(argv=None) -> int:
 
         if command == "converge":
             if cfg["plan"] == "benchmark":
-                written = run_benchmark_tables(out, cfg["n_list"], deg, edge_points)
+                written = run_benchmark_tables(out, cfg["n_list"], deg)
                 print(f"wrote {len(written)} files to {out}")
                 return 0
-            table = run_convergence(cfg["problem"], cfg["case"], cfg["n_list"], deg, edge_points)
+            table = run_convergence(cfg["problem"], cfg["case"], cfg["n_list"], deg)
             path = out / f"{cfg['problem']}_{cfg['case']}.csv"
             path.write_text(table.to_csv(), encoding="utf-8")
             print(table.to_csv(), end="")
@@ -274,10 +274,8 @@ def main(argv=None) -> int:
             return 0
 
         if command == "noise":
-            study = run_noise_study(
-                cfg["problem"], cfg["case"], cfg["n"], cfg["amplitudes"],
-                cfg["seed"], deg, edge_points,
-            )
+            study = run_noise_study(cfg["problem"], cfg["case"], cfg["n"],
+                                    cfg["amplitudes"], cfg["seed"], deg)
             for row in study.rows:
                 tag = _snapshot_tag(row.amplitude)
                 if row.snapshot is None:
@@ -307,6 +305,10 @@ def main(argv=None) -> int:
         return 2
     except SingularSystem as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        detail = f": {exc}" if str(exc) else ""
+        print(f"solver failure: out of memory{detail}", file=sys.stderr)
         return 3
     return 0
 

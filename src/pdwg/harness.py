@@ -28,14 +28,8 @@ from pdwg.linsolve import (
     saddle_factor,
 )
 from pdwg.mesh import Mesh, build_uniform_unit_square, classify_boundary
-from pdwg.norms import (
-    ErrorReport,
-    ExactSide,
-    error_norms,
-    project_exact,
-    sample_projection,
-)
-from pdwg.polyspace import DEFAULT_EDGE_POINTS, DEFAULT_TRI_DEGREE
+from pdwg.norms import ErrorReport, ExactProjection, error_norms, project_exact
+from pdwg.polyspace import DEFAULT_TRI_DEGREE
 from pdwg.problems import (
     DEFAULT_NOISE_SEED,
     ManufacturedSolution,
@@ -153,14 +147,16 @@ def _fill_rows(template: str, *columns: np.ndarray) -> str:
 class Reference:
     """One problem on one mesh: what every solve and measurement of it shares.
 
-    The element load, the Q_h u side of the error field and the exact
-    columns of the snapshots depend on the problem and the mesh only, not
-    on the boundary case, the noise or the solution.  A study builds one
-    Reference per (problem, mesh), so each solve adds only its boundary
-    data and the work that depends on u_h.  The error side and the snapshot
-    columns are built when first used: a study that writes no snapshot
-    builds no snapshot columns, and a single solve measures after its
-    factor is freed.
+    The element load, the sampled projection Q_h u and the exact columns of
+    the snapshots depend on the problem, the mesh and the quadrature degree
+    only, not on the boundary case, the noise or the solution.  A study
+    builds one Reference per (problem, mesh), so each solve adds only its
+    boundary data and the work that depends on u_h.  Every rule follows
+    from ``tri_degree``: the load's and the projection's triangle rule, and
+    the edge rule ``edge_points_for`` pairs with it.  The projection and
+    the snapshot columns are built when first used: a study that writes no
+    snapshot builds no snapshot columns, and a single solve measures after
+    its factor is freed.
     """
 
     def __init__(
@@ -168,18 +164,15 @@ class Reference:
         problem: ManufacturedSolution,
         mesh: Mesh,
         tri_degree: int = DEFAULT_TRI_DEGREE,
-        edge_points: int = DEFAULT_EDGE_POINTS,
     ):
         self.problem = problem
         self.mesh = mesh
         self.tri_degree = tri_degree
-        self.edge_points = edge_points
         self.load = element_load(mesh, problem.f, tri_degree)
 
     @cached_property
-    def exact_side(self) -> ExactSide:
-        qhu = project_exact(self.problem, self.mesh, self.tri_degree, self.edge_points)
-        return sample_projection(qhu, self.mesh, self.tri_degree, self.edge_points)
+    def projection(self) -> ExactProjection:
+        return project_exact(self.problem, self.mesh, self.tri_degree)
 
     @cached_property
     def _snapshot_columns(self):
@@ -222,14 +215,12 @@ class Discretization:
                 self.error = exc
         if self.error is not None:
             raise self.error
-        system = assemble_rhs(self.matrix, ref.problem, ref.tri_degree, ref.edge_points,
-                              noise, load=ref.load)
+        system = assemble_rhs(self.matrix, ref.problem, ref.tri_degree, noise, load=ref.load)
         return factor_and_solve(system, self.factor)
 
     def measure(self, ref: Reference, solution: Solution) -> ErrorReport:
         """Error norms of ``solution`` against the problem's projection."""
-        return error_norms(solution, ref.exact_side, self.mesh, self.tags,
-                           ref.tri_degree, ref.edge_points)
+        return error_norms(solution, ref.projection, self.mesh, self.tags)
 
 
 def solve_single(
@@ -237,7 +228,6 @@ def solve_single(
     case_name: str,
     n: int,
     tri_degree: int = DEFAULT_TRI_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
     noise: NoiseSpec | None = None,
     pivots: bool = False,
 ):
@@ -246,7 +236,7 @@ def solve_single(
     With ``pivots`` the solution also carries its factor's pivot report.
     """
     mesh = build_uniform_unit_square(n)
-    ref = Reference(get_problem(problem_name), mesh, tri_degree, edge_points)
+    ref = Reference(get_problem(problem_name), mesh, tri_degree)
     disc = Discretization(case_name, mesh)
     solution = disc.solve(ref, noise)
     if pivots:
@@ -259,7 +249,6 @@ def _convergence_tables(
     problems_by_case: dict[str, list[str]],
     n_list: list[int],
     tri_degree: int,
-    edge_points: int,
 ) -> dict[tuple[str, str], ConvergenceTable]:
     """One table per (problem, case), computed mesh by mesh.
 
@@ -273,7 +262,7 @@ def _convergence_tables(
     problems = {p: get_problem(p) for p, _ in tables}
     for n in n_list:
         mesh = build_uniform_unit_square(n)
-        refs = {p: Reference(problem, mesh, tri_degree, edge_points)
+        refs = {p: Reference(problem, mesh, tri_degree)
                 for p, problem in problems.items()}
         for case, names in problems_by_case.items():
             disc = Discretization(case, mesh)
@@ -298,11 +287,10 @@ def run_convergence(
     case_name: str,
     n_list: list[int],
     tri_degree: int = DEFAULT_TRI_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
 ) -> ConvergenceTable:
     """One solve per mesh; solver failures are recorded and the run continues."""
     return _convergence_tables({case_name: [problem_name]}, n_list,
-                               tri_degree, edge_points)[(problem_name, case_name)]
+                               tri_degree)[(problem_name, case_name)]
 
 
 @dataclass
@@ -339,7 +327,6 @@ def run_noise_study(
     amplitudes: list[float],
     seed: int = DEFAULT_NOISE_SEED,
     tri_degree: int = DEFAULT_TRI_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
 ) -> NoiseStudy:
     """Solve once per amplitude against one factor, with the same seed.
 
@@ -347,7 +334,7 @@ def run_noise_study(
     """
     study = NoiseStudy(problem=problem_name, case=case_name, n=n, seed=seed)
     mesh = build_uniform_unit_square(n)
-    ref = Reference(get_problem(problem_name), mesh, tri_degree, edge_points)
+    ref = Reference(get_problem(problem_name), mesh, tri_degree)
     disc = Discretization(case_name, mesh)
     for a in amplitudes:
         try:
@@ -418,7 +405,6 @@ def run_benchmark_tables(
     out_dir: Path,
     n_list: list[int] | None = None,
     tri_degree: int = DEFAULT_TRI_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
 ) -> list[Path]:
     """Regenerate every benchmark table layout as CSV plus markdown.
 
@@ -436,7 +422,7 @@ def run_benchmark_tables(
         for p in _entry_problems(entry):
             if p not in problems:
                 problems.append(p)
-    tables = _convergence_tables(problems_by_case, n_list, tri_degree, edge_points)
+    tables = _convergence_tables(problems_by_case, n_list, tri_degree)
 
     written = []
     for entry in plan:

@@ -4,15 +4,18 @@ Per element, e0 is the difference between the solved C0 field and the
 elementwise (discontinuous) P2 projection Q0 u.  Both are stored as values
 at the element's six P2 nodes, so e0 is their nodal difference and every
 sample of it goes through the P2 nodal basis once.  The flux error is the
-stored coefficient difference against Qn(grad u . n_e).  Norm conventions:
+stored coefficient difference against Qn(grad u . n_e).  ``project_exact``
+returns Q_h u already sampled on the triangle rule of one degree and on
+the edge rule that ``edge_points_for`` pairs with it; the error field and
+its norms are measured on those rules.  Norm conventions:
 
 * ||e||_2h^2 = sum_T ||Lap e0||_T^2 + s(e, e), where the h^-1 stabilizer
   part uses (grad e0 . n_e - e_n) per element edge and the h^-3 part uses
   the inter-element mismatch of the Q0 u traces (the continuous u0 cancels;
   the single-valued edge value is the trace average, so each element side
   sees half the jump and boundary edges contribute nothing).
-* ||e||, ||e||_L1, ||e||_Linf sample e0: L2/L1 with the fixed triangle
-  rule, the max over quadrature points plus the 6 P2 nodes per element.
+* ||e||, ||e||_L1, ||e||_Linf sample e0: L2/L1 with the projection's
+  triangle rule, the max over its points plus the 6 P2 nodes per element.
 * ||e||_1h^2 = sum_T h_T ||e_n||^2_{0, bdry T} and the W11 analogue sum
   element-boundary integrals, so interior edges count once per side.
 * ||lam||_0h keeps only the jump term for piecewise constants, with true
@@ -29,10 +32,10 @@ from pdwg.assembly import normal_mismatch_maps, tri_p2_dofs
 from pdwg.linsolve import Solution
 from pdwg.mesh import BoundaryTags, Mesh
 from pdwg.polyspace import (
-    DEFAULT_EDGE_POINTS,
     DEFAULT_TRI_DEGREE,
     bary_gradients,
     edge_gauss,
+    edge_points_for,
     p2_laplacians,
     p2_values,
     triangle_quadrature,
@@ -47,10 +50,26 @@ PROJECTION_MIN_TRI_DEGREE = 4
 
 @dataclass(frozen=True)
 class ExactProjection:
-    """Q_h u: Q0 u at each element's P2 nodes plus per-edge Qn(grad u . n_e)."""
+    """Q_h u on one mesh, sampled where ``build_error_field`` samples e.
 
-    q0: np.ndarray  # (T, 6) Q0 u at the local nodes v0, v1, v2, m01, m12, m20
-    qn: np.ndarray  # (E, 2) stored edge-flux coefficients
+    Q0 u at each element's P2 nodes and Qn(grad u . n_e) per edge, with the
+    Q0 u trace jumps and the mesh maps through which e0 = u_h - Q0 u is
+    sampled: the element P2 dofs, the P2 basis at the points of
+    ``triangle_quadrature(tri_degree)``, the P2 Laplacians and the
+    normal-derivative maps.  Edge rules have ``edge_points_for(tri_degree)``
+    points.  It depends on the problem, the mesh and the degree only, so a
+    study builds it once and measures every solution against it; its arrays
+    are read-only.
+    """
+
+    tri_degree: int
+    q0: np.ndarray             # (T, 6) Q0 u at the local nodes v0, v1, v2, m01, m12, m20
+    qn: np.ndarray             # (E, 2) stored edge-flux coefficients
+    q0_jump: np.ndarray        # (Ei, q) Q0 u trace jumps at edge Gauss points
+    p2_dofs: np.ndarray        # (T, 6) tri_p2_dofs
+    basis_quad: np.ndarray     # (Q, 6) P2 basis at the quadrature points
+    p2_lap: np.ndarray         # (T, 6) P2 basis Laplacians
+    normal_maps: np.ndarray    # (3, T, 2, 6) G of normal_mismatch_maps per local edge
 
 
 @dataclass(frozen=True)
@@ -116,9 +135,8 @@ def project_exact(
     problem: ManufacturedSolution,
     mesh: Mesh,
     tri_degree: int = DEFAULT_TRI_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
 ) -> ExactProjection:
-    """Compute Q_h u = {Q0 u elementwise, Qn(grad u . n_e) per edge}.
+    """Compute Q_h u = {Q0 u elementwise, Qn(grad u . n_e) per edge}, sampled.
 
     Every element is an affine image of the reference triangle, so its P2
     mass matrix and its load are 2|T| times their reference forms; the area
@@ -129,49 +147,38 @@ def project_exact(
             f"the P2 projection needs a triangle rule exact to degree "
             f">= {PROJECTION_MIN_TRI_DEGREE}, got {tri_degree}"
         )
+    edge_points = edge_points_for(tri_degree)
     quad = triangle_quadrature(tri_degree)
     pts = quad.physical_points(mesh.tri_coords())
     phi = p2_values(quad.points)
     phi_w = quad.weights[:, None] * phi
     uvals = np.broadcast_to(problem.u(pts[..., 0], pts[..., 1]), pts.shape[:2])
     q0 = np.linalg.solve(phi.T @ phi_w, (uvals @ phi_w).T).T
+    del pts, uvals  # not held while the samples are built
 
-    qn = projected_weak_function(problem.grad_u, mesh, edge_points)
-    return ExactProjection(q0=q0, qn=qn)
-
-
-@dataclass(frozen=True)
-class ExactSide:
-    """The Q_h u side of the error field, and the mesh maps applied to it.
-
-    Everything ``build_error_field`` samples that does not depend on the
-    solution: Q0 u at the P2 nodes, the Q0 u trace jumps, and the element
-    P2 dofs, the normal-derivative maps, the P2 Laplacians and the
-    quadrature basis through which e0 = u_h - Q0 u is sampled.  It depends
-    on the problem and the mesh only, so a study builds it once and
-    measures every solution against it.  Its arrays are read-only, ``q0``
-    and ``qn`` too, which it shares with the projection.
-    """
-
-    qn: np.ndarray             # (E, 2) Qn(grad u . n_e)
-    q0: np.ndarray             # (T, 6) Q0 u at the P2 nodes
-    q0_jump: np.ndarray        # (Ei, q) Q0 u trace jumps at edge Gauss points
-    p2_dofs: np.ndarray        # (T, 6) tri_p2_dofs
-    basis_quad: np.ndarray     # (Q, 6) P2 basis at the quadrature points
-    p2_lap: np.ndarray         # (T, 6) P2 basis Laplacians
-    normal_maps: np.ndarray    # (3, T, 2, 6) G of normal_mismatch_maps per local edge
+    arrays = dict(
+        q0=q0,
+        qn=projected_weak_function(problem.grad_u, mesh, edge_points),
+        q0_jump=_trace_jumps(q0, mesh, edge_gauss(edge_points)[0]),
+        p2_dofs=tri_p2_dofs(mesh),
+        basis_quad=phi,
+        p2_lap=p2_laplacians(bary_gradients(mesh.tri_coords())),
+        normal_maps=np.stack([G for _e, _s, G in normal_mismatch_maps(mesh)]),
+    )
+    for arr in arrays.values():
+        arr.setflags(write=False)
+    return ExactProjection(tri_degree=tri_degree, **arrays)
 
 
-def _trace_jumps(q0: np.ndarray, mesh: Mesh, edge_points: int) -> np.ndarray:
+def _trace_jumps(q0: np.ndarray, mesh: Mesh, t: np.ndarray) -> np.ndarray:
     """Jumps of the Q0 u traces across the interior edges; (Ei, q).
 
-    Sampled at the edge Gauss points: the point at arc parameter t of edge
-    (a, b) has barycentric coordinates 1 - t at a, t at b and 0 at the third
-    vertex of either element.  The jump is the first element's trace minus
-    the second's.
+    Sampled at the edge rule's nodes t (q of them): the point at arc
+    parameter t of edge (a, b) has barycentric coordinates 1 - t at a, t at
+    b and 0 at the third vertex of either element.  The jump is the first
+    element's trace minus the second's.
     """
     interior = np.flatnonzero(~mesh.boundary_edge_mask)
-    t, _ = edge_gauss(edge_points)
     a = mesh.edges[interior, 0][:, None, None]
     b = mesh.edges[interior, 1][:, None, None]
 
@@ -184,49 +191,16 @@ def _trace_jumps(q0: np.ndarray, mesh: Mesh, edge_points: int) -> np.ndarray:
     return trace(0) - trace(1)
 
 
-def sample_projection(
-    qhu: ExactProjection,
-    mesh: Mesh,
-    tri_degree: int = DEFAULT_TRI_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
-) -> ExactSide:
-    """Sample Q_h u where ``build_error_field`` samples e."""
-    if qhu.q0.shape[0] != mesh.num_triangles:
-        raise ValueError("projection does not match the mesh")
-    side = ExactSide(
-        qn=qhu.qn,
-        q0=qhu.q0,
-        q0_jump=_trace_jumps(qhu.q0, mesh, edge_points),
-        p2_dofs=tri_p2_dofs(mesh),
-        basis_quad=p2_values(triangle_quadrature(tri_degree).points),
-        p2_lap=p2_laplacians(bary_gradients(mesh.tri_coords())),
-        normal_maps=np.stack([G for _e, _s, G in normal_mismatch_maps(mesh)]),
-    )
-    for arr in vars(side).values():
-        arr.setflags(write=False)
-    return side
+def build_error_field(solution: Solution, qhu: ExactProjection, mesh: Mesh) -> ErrorField:
+    """Sample e = u_h - Q_h u on the rules that ``qhu`` was sampled on.
 
-
-def build_error_field(
-    solution: Solution,
-    qhu: ExactProjection | ExactSide,
-    mesh: Mesh,
-    tri_degree: int = DEFAULT_TRI_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
-) -> ErrorField:
-    """Sample e = u_h - Q_h u on the fixed quadrature sets.
-
-    ``qhu`` is Q_h u as a projection, which is sampled first, or already
-    sampled by ``sample_projection``; the quadrature sets are then the ones
-    it was sampled on.  u_h and Q0 u share the P2 nodal basis, so every
-    sample of e0 is linear in their nodal difference.
+    u_h and Q0 u share the P2 nodal basis, so every sample of e0 is linear
+    in their nodal difference.
     """
     if solution.u0.shape[0] != mesh.num_vertices + mesh.num_edges:
         raise ValueError("solution does not match the mesh")
     if qhu.q0.shape[0] != mesh.num_triangles:
         raise ValueError("projection does not match the mesh")
-    if isinstance(qhu, ExactProjection):
-        qhu = sample_projection(qhu, mesh, tri_degree, edge_points)
 
     e_loc = solution.u0[qhu.p2_dofs] - qhu.q0  # (T, 6)
     en = solution.un - qhu.qn
@@ -251,9 +225,8 @@ def norms_of_error(
     mesh: Mesh,
     tags: BoundaryTags,
     tri_degree: int = DEFAULT_TRI_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
 ) -> ErrorReport:
-    """Evaluate the seven norms of a sampled error field."""
+    """Evaluate the seven norms of an error field sampled at ``tri_degree``."""
     quad = triangle_quadrature(tri_degree)
     w = quad.physical_weights(mesh.area)
     l2 = float(np.sqrt(np.einsum("tq,tq->", w, field.e0_quad**2)))
@@ -268,7 +241,7 @@ def norms_of_error(
     h2_sq = float(np.sum(mesh.area * field.lap_e0**2))
     h1_sq = 0.0
     w11 = 0.0
-    t, wq = edge_gauss(edge_points)
+    t, wq = edge_gauss(edge_points_for(tri_degree))
     tau = t - 0.5
     for l in range(3):
         e = mesh.tri_edges[:, l]
@@ -302,16 +275,10 @@ def norms_of_error(
 
 
 def error_norms(
-    solution: Solution,
-    qhu: ExactProjection,
-    mesh: Mesh,
-    tags: BoundaryTags,
-    tri_degree: int = DEFAULT_TRI_DEGREE,
-    edge_points: int = DEFAULT_EDGE_POINTS,
+    solution: Solution, qhu: ExactProjection, mesh: Mesh, tags: BoundaryTags
 ) -> ErrorReport:
     """All seven norms of e = u_h - Q_h u (plus ||lambda_h||_0h)."""
-    field = build_error_field(solution, qhu, mesh, tri_degree, edge_points)
-    return norms_of_error(field, mesh, tags, tri_degree, edge_points)
+    return norms_of_error(build_error_field(solution, qhu, mesh), mesh, tags, qhu.tri_degree)
 
 
 def lambda_jump(lam: np.ndarray, mesh: Mesh) -> np.ndarray:

@@ -13,7 +13,8 @@ so that importing the package needs no ``scipy.special``.  Both rule
 families are cached per process; a triangle rule's arrays are read-only,
 since every caller shares them.  Defaults follow the solver-wide
 convention: triangle rules exact to degree 6, 4-point edge Gauss (exact to
-degree 7); L1 and max-norm quantities reuse these fixed sample sets.
+degree 7); L1 and max-norm quantities reuse these fixed sample sets.  A
+triangle degree fixes the edge rule that goes with it (``edge_points_for``).
 """
 
 from __future__ import annotations
@@ -99,6 +100,15 @@ def triangle_quadrature(min_degree: int) -> TriangleQuadrature:
     points.setflags(write=False)
     weights.setflags(write=False)
     return TriangleQuadrature(degree=min_degree, points=points, weights=weights)
+
+
+def edge_points_for(tri_degree: int) -> int:
+    """Edge Gauss points used with a triangle rule of the given degree.
+
+    As many points as the triangle rule has per line, and never fewer than
+    the default four, so the edge rule is exact to degree >= tri_degree.
+    """
+    return max(DEFAULT_EDGE_POINTS, (tri_degree + 2) // 2)
 
 
 @lru_cache(maxsize=None)

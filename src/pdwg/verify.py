@@ -24,12 +24,10 @@ from pdwg.linsolve import Solution, saddle_factor
 from pdwg.mesh import BoundaryTags, Mesh, build_uniform_unit_square
 from pdwg.norms import (
     ExactProjection,
-    ExactSide,
     build_error_field,
     lambda_jump,
     lambda_norm,
     norms_of_error,
-    sample_projection,
 )
 from pdwg.problems import ManufacturedSolution, get_problem
 from pdwg.weak_laplacian import discrete_weak_laplacian, projected_weak_function
@@ -134,38 +132,35 @@ def check_infsup(
     return {"max_rel_discrepancy": max_rel, "ratios": ratios}
 
 
-def projection_stabilizer_load(qhu: ExactProjection | ExactSide, mesh: Mesh) -> np.ndarray:
+def projection_stabilizer_load(qhu: ExactProjection, mesh: Mesh) -> np.ndarray:
     """Vector g with g_i = s(Q_h u, phi_i) against the C0 primal basis.
 
     Only the h^-1 normal-derivative mismatch of Q_h u survives against C0
-    test functions.  ``qhu`` is Q_h u as a projection, which is sampled
-    first, or already sampled by ``sample_projection``.
+    test functions.
     """
     n_u = mesh.num_vertices + mesh.num_edges
     g = np.zeros(n_u + 2 * mesh.num_edges)
-    side = sample_projection(qhu, mesh) if isinstance(qhu, ExactProjection) else qhu
     for l in range(3):
         e = mesh.tri_edges[:, l]
-        G = side.normal_maps[l]
-        mu = np.einsum("tci,ti->tc", G, side.q0) - qhu.qn[e]
+        G = qhu.normal_maps[l]
+        mu = np.einsum("tci,ti->tc", G, qhu.q0) - qhu.qn[e]
         h_e = mesh.h_e[e]
         w0 = h_e / mesh.h_t * mu[:, 0]
         w1 = h_e / (12.0 * mesh.h_t) * mu[:, 1]
-        np.add.at(g, side.p2_dofs, G[:, 0, :] * w0[:, None] + G[:, 1, :] * w1[:, None])
+        np.add.at(g, qhu.p2_dofs, G[:, 0, :] * w0[:, None] + G[:, 1, :] * w1[:, None])
         np.add.at(g, n_u + 2 * e, -w0)
         np.add.at(g, n_u + 2 * e + 1, -w1)
     return g
 
 
 def check_error_equations(
-    solution: Solution, qhu: ExactProjection | ExactSide, system: SystemMatrix
+    solution: Solution, qhu: ExactProjection, system: SystemMatrix
 ) -> tuple[float, float]:
     """Residuals of the two post-solve error identities.
 
     First: max over free test directions of s(e_h, v) + (weak_lap v, lam)
     + s(Q_h u, v); second: ||B e_h||_inf, the statement that the error has
-    vanishing discrete weak Laplacian.  ``qhu`` is taken as by
-    ``projection_stabilizer_load``.
+    vanishing discrete weak Laplacian.
     """
     mesh, dofmap = system.mesh, system.dofmap
     z = solution.primal
@@ -188,10 +183,9 @@ def quadratic_consistency_residual(disc: Discretization, ref: Reference) -> floa
     satisfy the assembled equations with multiplier zero.
     """
     problem, mesh = ref.problem, disc.mesh
-    system = assemble_rhs(disc.matrix, problem, ref.tri_degree, ref.edge_points,
-                          load=ref.load)
+    system = assemble_rhs(disc.matrix, problem, ref.tri_degree, load=ref.load)
     coords = mesh.p2_node_coords
-    q = np.concatenate([problem.u(coords[:, 0], coords[:, 1]), ref.exact_side.qn.ravel()])
+    q = np.concatenate([problem.u(coords[:, 0], coords[:, 1]), ref.projection.qn.ravel()])
     x = np.concatenate([q[system.dofmap.free], np.zeros(mesh.num_triangles)])
     return float(np.abs(system.M @ x - system.rhs).max())
 
@@ -215,9 +209,9 @@ def _p2_basis_problems() -> list[ManufacturedSolution]:
 def coercivity_ratio(disc: Discretization, ref: Reference) -> float:
     """Empirical constant in sum_T ||lap e0||^2 <= C s(e_h, e_h) after a solve."""
     mesh = disc.mesh
-    fieldv = build_error_field(disc.solve(ref), ref.exact_side, mesh)
+    fieldv = build_error_field(disc.solve(ref), ref.projection, mesh)
     lap_sq = float(np.sum(mesh.area * fieldv.lap_e0**2))
-    rep = norms_of_error(fieldv, mesh, disc.tags)
+    rep = norms_of_error(fieldv, mesh, disc.tags, ref.tri_degree)
     s_ee = rep.h2**2 - lap_sq
     return lap_sq / s_ee if s_ee > 0 else np.inf
 
@@ -257,9 +251,9 @@ def run_standard_checks(seed: int = VERIFY_SEED) -> VerificationReport:
         ratios.extend(out["ratios"])
 
     disc4, quad = case1[4], Reference(get_problem("quad"), meshes[4])
-    sehv, sehv2 = check_error_equations(disc4.solve(quad), quad.exact_side, disc4.matrix)
+    sehv, sehv2 = check_error_equations(disc4.solve(quad), quad.projection, disc4.matrix)
     sinsin = {n: Reference(get_problem("sinsin"), meshes[n]) for n in (4, 8, 16, 32)}
-    _, sehv2_s = check_error_equations(case1[8].solve(sinsin[8]), sinsin[8].exact_side,
+    _, sehv2_s = check_error_equations(case1[8].solve(sinsin[8]), sinsin[8].projection,
                                        case1[8].matrix)
     system = disc4.matrix
     asym = float(np.abs(system.M - system.M.T).max())

@@ -185,10 +185,12 @@ def test_unreadable_config_is_a_usage_error(text, message, tmp_path, capsys):
     "command, values",
     [
         (["solve"], {"n": "4"}),
+        (["solve"], {"n": "abc"}),
         (["converge"], {"n_list": 4}),
+        (["converge"], {"n_list": "x"}),
         (["noise", "--n", "2"], {"amplitudes": [0, "0.01"]}),
     ],
-    ids=["string_n", "scalar_n_list", "string_amplitude"],
+    ids=["string_n", "word_n", "scalar_n_list", "unparsable_n_list", "string_amplitude"],
 )
 def test_config_values_of_wrong_type_are_usage_errors(command, values, tmp_path, capsys):
     cfg = tmp_path / "run.json"
@@ -197,6 +199,27 @@ def test_config_values_of_wrong_type_are_usage_errors(command, values, tmp_path,
     assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, values",
+    [
+        (["verify", "--seed", "7"], {"n": "abc"}),
+        (["verify", "--seed", "7"], {"problem": "nope"}),
+        (["solve", "--problem", "quad", "--n", "1"], {"n_list": "x"}),
+        (["solve", "--problem", "quad", "--n", "1"], {"amplitudes": "x", "plan": 3}),
+    ],
+    ids=["verify_word_n", "verify_unknown_problem", "solve_unparsable_n_list",
+         "solve_bad_noise_and_plan"],
+)
+def test_config_values_the_subcommand_does_not_read_are_ignored(command, values, tmp_path):
+    # only the keys a subcommand registers are parsed, checked and echoed
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(values))
+    out = tmp_path / "out"
+    assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == 0
+    echo = json.loads((out / "config.json").read_text())
+    assert not set(values) & set(echo)
 
 
 def test_diagnostics_print_residual_pivots_and_condition(tmp_path, capsys):
@@ -221,6 +244,18 @@ def test_solver_failure_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(harness, "factor_and_solve", boom)
     code = run(["solve", "--problem", "quad", "--case", "case1", "--n", "1"], tmp_path)
     assert code == 3
+
+
+def test_out_of_memory_is_a_solver_failure(tmp_path, monkeypatch, capsys):
+    message = ("Unable to allocate 14.9 GiB for an array with shape (2000000000,) "
+               "and data type float64")
+
+    def oom(n):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(harness, "build_uniform_unit_square", oom)
+    assert run(["solve", "--n", "20000"], tmp_path) == 3
+    assert capsys.readouterr().err == f"solver failure: out of memory: {message}\n"
 
 
 def test_verify_subcommand_passes(tmp_path):

@@ -12,16 +12,17 @@ from pdwg.norms import (
     lambda_norm,
     norms_of_error,
     project_exact,
-    sample_projection,
 )
 from pdwg.polyspace import (
     bary_gradients,
     edge_gauss,
+    edge_points_for,
     p2_laplacians,
     p2_values,
     triangle_quadrature,
 )
 from pdwg.problems import get_problem
+from pdwg.weak_laplacian import projected_weak_function
 
 from conftest import (
     REF_TRI,
@@ -166,22 +167,19 @@ FIELD_DERIVATIVES = {"e0_quad": 0, "e0_nodes": 0, "lap_e0": 2, "en": 0, "mismatc
 @pytest.mark.parametrize("n", [2, 4, 8])
 @pytest.mark.parametrize("case", ["case1", "case5", "figures"])
 def test_error_field_bits_match_from_scratch_oracle(case, n):
-    # the projection and its samples give the same bits.  The monomial
-    # oracle agrees with both to roundoff: 1e-12 of the size of Q0 u, times
-    # h^-k for a field that samples a k-th derivative of it
+    # the monomial oracle agrees to roundoff: 1e-12 of the size of Q0 u,
+    # times h^-k for a field that samples a k-th derivative of it
     problem = get_problem("coscos")
     mesh = build_uniform_unit_square(n)
     solution = factor_and_solve(build_saddle_system(mesh, tags_for(mesh, case), problem))
     qhu = project_exact(problem, mesh)
     want = build_error_field_from_scratch(solution, problem, qhu.qn, mesh)
     got = build_error_field(solution, qhu, mesh)
-    side = build_error_field(solution, sample_projection(qhu, mesh), mesh)
     for name, a in vars(want).items():
         b = getattr(got, name)
         assert (a.shape, a.dtype) == (b.shape, b.dtype), name
         size = np.abs(qhu.q0).max() / mesh.h_t.min() ** FIELD_DERIVATIVES[name]
         assert np.abs(a - b).max() <= 1e-12 * size, name
-        assert b.tobytes() == getattr(side, name).tobytes(), name
 
 
 def test_zero_error_for_projected_global_quadratic(mesh4):
@@ -361,6 +359,27 @@ def test_project_exact_sinsin_against_high_order_oracle(mesh2):
     assert np.abs(values(default) - want).max() <= 1e-6
 
 
+@pytest.mark.parametrize("tri_degree", [4, 8, 12, 20])
+def test_projection_is_sampled_on_the_rules_of_its_degree(mesh2, tri_degree):
+    problem = get_problem("coscos")
+    qhu = project_exact(problem, mesh2, tri_degree)
+    edge_points = edge_points_for(tri_degree)
+    assert qhu.tri_degree == tri_degree
+    assert qhu.q0_jump.shape[1] == edge_points
+    assert qhu.basis_quad.shape == (len(triangle_quadrature(tri_degree).weights), 6)
+    want = projected_weak_function(problem.grad_u, mesh2, edge_points)
+    assert qhu.qn.tobytes() == want.tobytes()
+
+
+def test_projection_arrays_are_read_only(mesh2):
+    qhu = project_exact(get_problem("sinsin"), mesh2)
+    arrays = {k: v for k, v in vars(qhu).items() if isinstance(v, np.ndarray)}
+    assert set(arrays) == set(vars(qhu)) - {"tri_degree"}
+    for arr in arrays.values():
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 1.0
+
+
 @pytest.mark.parametrize("tri_degree", [0, PROJECTION_MIN_TRI_DEGREE - 1])
 def test_project_exact_rejects_rules_too_weak_for_the_p2_mass(mesh2, tri_degree):
     # below degree 4 the P2 mass matrix is singular or wrong
@@ -434,7 +453,5 @@ def test_mesh_mismatch_rejected(mesh2, mesh4):
         np.zeros((mesh4.num_edges, 2)),
         np.zeros(mesh4.num_triangles),
     )
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="projection does not match"):
         error_norms(sol, qhu, mesh4, tags_for(mesh4, "case1"))
-    with pytest.raises(ValueError):
-        build_error_field(sol, sample_projection(qhu, mesh2), mesh4)

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
+from pdwg.cli import QUADRATURE_DEGREES
 from pdwg.mesh import build_uniform_unit_square
 from pdwg.polyspace import (
     MAX_TRI_DEGREE,
     edge_gauss,
+    edge_points_for,
     gauss_jacobi_1_0,
     interpolate_nodes,
     p2_values,
@@ -69,6 +71,14 @@ def edge_samples(g, pa, pb, n_points=4):
 def edge_values(coeffs, t):
     """The P1 edge function c0 + c1 (t - 1/2)."""
     return coeffs[0] + coeffs[1] * (t - 0.5)
+
+
+def test_edge_rule_of_every_quadrature_degree():
+    for d in QUADRATURE_DEGREES:
+        # pinned: the outputs of every --quadrature-degree depend on it
+        assert edge_points_for(d) == max(4, (d + 2) // 2), d
+        t, w = edge_gauss(edge_points_for(d))
+        assert (t**d) @ w == pytest.approx(1.0 / (d + 1), rel=1e-14), d
 
 
 def test_project_edge_reproduces_members():
