@@ -11,7 +11,12 @@ the saddle-point system
 over the free unknowns, with constrained values g eliminated by lifting.
 The matrix depends only on the mesh and the boundary tags
 (``assemble_matrix``); the problem and the data noise enter only F and g
-(``assemble_rhs``).
+(``assemble_rhs``).  S and B themselves depend on the mesh alone: the tags
+pick only which of their rows and columns are free.  They are built once
+per mesh and kept, read-only, in ``mesh.operators`` (``mesh_operator``),
+with the other mesh-only pieces that assembly and the error norms both
+read: the normal-derivative maps, the element P2 dofs, barycentric
+gradients and P2 Laplacians, and the points of each triangle rule.
 The stabilizer has an h^-3 trace-mismatch term and an h^-1
 normal-derivative-mismatch term; for C0 elements the trace mismatch
 v0 - vb is structurally zero (there is no independent vb unknown), so only
@@ -43,6 +48,7 @@ from pdwg.polyspace import (
     edge_gauss,
     edge_points_for,
     interpolate_nodes,
+    p2_laplacians,
     project_edge_samples,
     triangle_quadrature,
 )
@@ -114,6 +120,42 @@ def build_dofmap(mesh: Mesh, tags: BoundaryTags) -> DofMap:
     )
 
 
+def mesh_operator(mesh: Mesh, key, build: Callable):
+    """The mesh's operator ``key``: ``build()`` when first asked for, then kept.
+
+    An operator kept in ``mesh.operators`` depends on the mesh alone, so
+    every boundary case and problem on the mesh reads the same one; its
+    arrays (for a sparse matrix: data, indices and indptr) are made
+    read-only.  Clearing ``mesh.operators`` frees them, and the next call
+    builds again.
+    """
+    if key not in mesh.operators:
+        value = build()
+        for arr in ((value.data, value.indices, value.indptr) if sp.issparse(value)
+                    else (value,)):
+            arr.setflags(write=False)
+        mesh.operators[key] = value
+    return mesh.operators[key]
+
+
+def quadrature_points(mesh: Mesh, tri_degree: int) -> np.ndarray:
+    """(T, Q, 2) physical points of ``triangle_quadrature(tri_degree)``."""
+    return mesh_operator(mesh, ("points", tri_degree), lambda: triangle_quadrature(
+        tri_degree).physical_points(mesh.tri_coords()))
+
+
+def element_bary_gradients(mesh: Mesh) -> np.ndarray:
+    """(T, 3, 2) barycentric gradients of every element."""
+    return mesh_operator(mesh, "bary_gradients",
+                         lambda: bary_gradients(mesh.tri_coords()))
+
+
+def element_p2_laplacians(mesh: Mesh) -> np.ndarray:
+    """(T, 6) Laplacians of the P2 basis of every element."""
+    return mesh_operator(mesh, "p2_laplacians",
+                         lambda: p2_laplacians(element_bary_gradients(mesh)))
+
+
 def _p2_grads_at_vertex(bgrad: np.ndarray, m: int) -> np.ndarray:
     """Gradients of the 6 P2 basis functions at local vertex m; (T, 6, 2)."""
     T = bgrad.shape[0]
@@ -130,8 +172,8 @@ def _p2_grads_at_vertex(bgrad: np.ndarray, m: int) -> np.ndarray:
 
 def tri_p2_dofs(mesh: Mesh) -> np.ndarray:
     """(T, 6) global P2 dof ids per triangle (3 vertices + 3 edge midpoints)."""
-    V = mesh.num_vertices
-    return np.concatenate([mesh.triangles, V + mesh.tri_edges], axis=1)
+    return mesh_operator(mesh, "p2_dofs", lambda: np.concatenate(
+        [mesh.triangles, mesh.num_vertices + mesh.tri_edges], axis=1))
 
 
 def normal_mismatch_maps(mesh: Mesh):
@@ -140,10 +182,13 @@ def normal_mismatch_maps(mesh: Mesh):
 
     Returns a list of three (edge ids, signs, G) with G of shape (T, 2, 6):
     row 0 the constant coefficient, row 1 the centered-linear one, both in
-    the canonical (lower to higher vertex id) arc parameter.
+    the canonical (lower to higher vertex id) arc parameter.  The three G
+    are the slices of one (3, T, 2, 6) array, which ``normal_maps`` keeps
+    for assembly and the error norms, so that it is built once per mesh.
     """
-    bgrad = bary_gradients(mesh.tri_coords())
+    bgrad = element_bary_gradients(mesh)
     gv = [_p2_grads_at_vertex(bgrad, m) for m in range(3)]
+    maps = np.empty((3, mesh.num_triangles, 2, 6))
     out = []
     for l in range(3):
         e = mesh.tri_edges[:, l]
@@ -154,9 +199,18 @@ def normal_mismatch_maps(mesh: Mesh):
         lo_is_a = (s > 0)[:, None]
         g0 = np.where(lo_is_a, ga, gb)
         g1 = np.where(lo_is_a, gb, ga)
-        G = np.stack([0.5 * (g0 + g1), g1 - g0], axis=1)
+        G = maps[l]
+        G[:, 0] = 0.5 * (g0 + g1)
+        G[:, 1] = g1 - g0
         out.append((e, s, G))
     return out
+
+
+def normal_maps(mesh: Mesh) -> np.ndarray:
+    """(3, T, 2, 6): the G of ``normal_mismatch_maps`` per local edge l, whose
+    edges are ``mesh.tri_edges[:, l]``, as the one array they are slices of."""
+    return mesh_operator(mesh, "normal_maps",
+                         lambda: normal_mismatch_maps(mesh)[0][2].base)
 
 
 def assemble_stabilizer(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
@@ -164,12 +218,13 @@ def assemble_stabilizer(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
 
     Per element T and edge e the surviving C0 term is
     h_T^-1 * int_e (grad v0 . n_e - vhat_e)^2 ds with vhat the stored P1
-    flux; the edge mass in the centered basis is diag(h_e, h_e/12).
+    flux; the edge mass in the centered basis is diag(h_e, h_e/12).  S does
+    not depend on the boundary tags: ``dofmap`` gives only its size.
     """
     n_u = dofmap.n_u
     p2 = tri_p2_dofs(mesh).astype(np.int32)
     rows_list, cols_list, data_list = [], [], []
-    for e, _s, G in normal_mismatch_maps(mesh):
+    for e, G in zip(mesh.tri_edges.T, normal_maps(mesh)):
         R = np.zeros((len(e), 2, 8))
         R[:, :, :6] = G
         R[:, 0, 6] = -1.0
@@ -198,7 +253,8 @@ def constraint_matrix(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
 
     Row T reads sum_e s(T,e) * h_e * c0_e = int_T f dx: for the k=2 scheme
     the weak Laplacian tested against P0 reduces to the signed flux
-    integrals over the element boundary.
+    integrals over the element boundary.  B does not depend on the
+    boundary tags: ``dofmap`` gives only its size.
     """
     n_u = dofmap.n_u
     T = mesh.num_triangles
@@ -216,9 +272,8 @@ def constraint_matrix(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
 
 def element_load(mesh: Mesh, f: Callable, tri_degree: int = DEFAULT_TRI_DEGREE) -> np.ndarray:
     """Load (f, 1)_T per triangle."""
-    quad = triangle_quadrature(tri_degree)
-    pts = quad.physical_points(mesh.tri_coords())
-    w = quad.physical_weights(mesh.area)
+    pts = quadrature_points(mesh, tri_degree)
+    w = triangle_quadrature(tri_degree).physical_weights(mesh.area)
     fvals = np.broadcast_to(f(pts[..., 0], pts[..., 1]), w.shape)
     return np.einsum("tq,tq->t", w, fvals)
 
@@ -318,8 +373,8 @@ class SystemMatrix:
     mesh: Mesh
     tags: BoundaryTags
     dofmap: DofMap
-    S: sp.csr_matrix          # stabilizer over all primal dofs
-    B: sp.csr_matrix          # constraint rows over all primal dofs
+    S: sp.csr_matrix          # the mesh's stabilizer over all primal dofs
+    B: sp.csr_matrix          # the mesh's constraint rows over all primal dofs
     S_fc: sp.csr_matrix       # stabilizer rows of free, columns of constrained dofs
     B_c: sp.csr_matrix        # constraint columns of constrained dofs
     M: sp.csr_matrix          # [S_ff B_f^T; B_f 0]
@@ -338,10 +393,14 @@ class SaddleSystem(SystemMatrix):
 
 
 def assemble_matrix(mesh: Mesh, tags: BoundaryTags) -> SystemMatrix:
-    """Assemble the data-independent blocks of the saddle-point system."""
+    """Assemble the data-independent blocks of the saddle-point system.
+
+    S and B are the mesh's (``mesh_operator``), shared with every other
+    case on the mesh; only their free/constrained slices are built here.
+    """
     dofmap = build_dofmap(mesh, tags)
-    S = assemble_stabilizer(mesh, dofmap)
-    B = constraint_matrix(mesh, dofmap)
+    S = mesh_operator(mesh, "S", lambda: assemble_stabilizer(mesh, dofmap))
+    B = mesh_operator(mesh, "B", lambda: constraint_matrix(mesh, dofmap))
     free, con = dofmap.free, dofmap.constrained
     S_f = S[free]
     B_f = B[:, free]

@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from pdwg.harness import (
+    failure_text,
     run_benchmark_tables,
     run_convergence,
     run_noise_study,
@@ -303,12 +304,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except SingularSystem as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 3
-    except MemoryError as exc:
-        detail = f": {exc}" if str(exc) else ""
-        print(f"solver failure: out of memory{detail}", file=sys.stderr)
+    except (SingularSystem, MemoryError) as exc:
+        print(f"solver failure: {failure_text(exc)}", file=sys.stderr)
         return 3
     return 0
 

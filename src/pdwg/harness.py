@@ -3,10 +3,14 @@
 CSV is the canonical output; the markdown rendering of benchmark-style
 tables is a formatting layer on top.  Observed orders use log2 of the
 error ratio under mesh halving; reruns with the same inputs are
-byte-identical.  Within one call, every problem and noise amplitude on a
-(case, n) is solved against one ``Discretization`` and its single factor,
-and every case and noise amplitude of a problem on a mesh shares one
-``Reference``: its load, its sampled Q_h u and its snapshot columns.
+byte-identical.  Within one call, what depends on the mesh alone is built
+once per mesh (``pdwg.assembly.mesh_operator``): the stabilizer S, the
+constraint B, the normal-derivative maps, the element P2 geometry and the
+triangle-rule points.  Every case on a mesh slices its matrix from that one
+S and B, in one ``Discretization`` whose single factor serves every problem
+and noise amplitude on the case; every problem has one ``Reference`` per
+mesh, whose load, sampled Q_h u and snapshot columns serve every case and
+noise amplitude.
 """
 
 from __future__ import annotations
@@ -153,10 +157,15 @@ class Reference:
     builds one Reference per (problem, mesh), so each solve adds only its
     boundary data and the work that depends on u_h.  Every rule follows
     from ``tri_degree``: the load's and the projection's triangle rule, and
-    the edge rule ``edge_points_for`` pairs with it.  The projection and
-    the snapshot columns are built when first used: a study that writes no
-    snapshot builds no snapshot columns, and a single solve measures after
-    its factor is freed.
+    the edge rule ``edge_points_for`` pairs with it.  The load and the
+    projection sample the problem at the mesh's triangle-rule points, and
+    the projection keeps the mesh's P2 geometry and normal-derivative maps;
+    every problem on the mesh shares these.  The load, the projection and
+    the snapshot columns are built when first used: the load by the first
+    solve, after its factor, so that no factor is built beside the
+    triangle-rule points; a study that writes no snapshot builds no
+    snapshot columns; and a single solve measures after its factor is
+    freed.
     """
 
     def __init__(
@@ -168,7 +177,10 @@ class Reference:
         self.problem = problem
         self.mesh = mesh
         self.tri_degree = tri_degree
-        self.load = element_load(mesh, problem.f, tri_degree)
+
+    @cached_property
+    def load(self) -> np.ndarray:
+        return element_load(self.mesh, self.problem.f, self.tri_degree)
 
     @cached_property
     def projection(self) -> ExactProjection:
@@ -191,13 +203,14 @@ class Reference:
 class Discretization:
     """Boundary tags, matrix part and condensed factor of one (case, mesh).
 
-    The saddle matrix depends only on these, so ``solve`` assembles just
-    the right-hand side of a problem (a ``Reference`` on the same mesh,
-    whose quadrature it uses) and noise amplitude and reuses the one
-    factor.  The factor is built by the first ``solve``; setting ``factor``
-    to None frees it, and the next ``solve`` factors again.  A
-    SingularSystem raised while factoring is raised again by every
-    ``solve``.
+    The matrix part slices the mesh's S and B, which every case on the mesh
+    shares, into its free and constrained blocks.  The saddle matrix
+    depends only on these, so ``solve`` assembles just the right-hand side
+    of a problem (a ``Reference`` on the same mesh, whose quadrature it
+    uses) and noise amplitude and reuses the one factor.  The factor is
+    built by the first ``solve``; setting ``factor`` to None frees it, and
+    the next ``solve`` factors again.  A SingularSystem raised while
+    factoring is raised again by every ``solve``.
     """
 
     def __init__(self, case_name: str, mesh: Mesh):
@@ -235,14 +248,32 @@ def solve_single(
 
     With ``pivots`` the solution also carries its factor's pivot report.
     """
-    mesh = build_uniform_unit_square(n)
-    ref = Reference(get_problem(problem_name), mesh, tri_degree)
-    disc = Discretization(case_name, mesh)
+    ref, disc = _single_case(problem_name, case_name, n, tri_degree)
     solution = disc.solve(ref, noise)
     if pivots:
         solution = replace(solution, pivot_report=disc.factor.pivot_report())
     disc.factor = None  # the only solve: free the factor before measuring
     return solution, disc.measure(ref, solution), ref.snapshot(solution)
+
+
+def _single_case(problem_name: str, case_name: str, n: int, tri_degree: int):
+    """The Reference and the Discretization of one problem on one (case, n).
+
+    No other case assembles on the mesh, so its operators are freed before
+    the factor; the projection builds the ones it reads after it.
+    """
+    mesh = build_uniform_unit_square(n)
+    ref = Reference(get_problem(problem_name), mesh, tri_degree)
+    disc = Discretization(case_name, mesh)
+    mesh.operators.clear()
+    return ref, disc
+
+
+def failure_text(exc: SingularSystem | MemoryError) -> str:
+    """A solver failure as the outputs report it."""
+    if isinstance(exc, MemoryError):
+        return "out of memory" + (f": {exc}" if str(exc) else "")
+    return str(exc)
 
 
 def _convergence_tables(
@@ -252,27 +283,30 @@ def _convergence_tables(
 ) -> dict[tuple[str, str], ConvergenceTable]:
     """One table per (problem, case), computed mesh by mesh.
 
-    On each mesh every problem's Reference is built once and shared by
-    every case, and every problem on a case shares the case's one factor;
-    both are dropped before the next mesh.  Solver failures are recorded
-    and the run continues.
+    On each mesh, the stabilizer, the constraint, the normal-derivative
+    maps, the element P2 geometry and the triangle-rule points are built
+    once: every case slices its matrix from that S and B, and every
+    problem's load and projection read that geometry.  Every problem's
+    Reference is built once and shared by every case, and every problem on
+    a case shares the case's one factor.  The mesh's operators are freed
+    once its last case is assembled, and everything of a mesh is dropped
+    before the next.  A singular system fails its rows and the run goes on;
+    running out of memory fails the rows of the mesh that have not
+    finished, and the run goes on with the next mesh.
     """
     tables = {(p, case): ConvergenceTable(problem=p, case=case)
               for case, names in problems_by_case.items() for p in names}
     problems = {p: get_problem(p) for p, _ in tables}
     for n in n_list:
-        mesh = build_uniform_unit_square(n)
-        refs = {p: Reference(problem, mesh, tri_degree)
-                for p, problem in problems.items()}
-        for case, names in problems_by_case.items():
-            disc = Discretization(case, mesh)
-            for p in names:
-                try:
-                    report = disc.measure(refs[p], disc.solve(refs[p]))
-                    tables[(p, case)].rows.append(ConvergenceRow(n=n, report=report))
-                except SingularSystem as exc:
-                    tables[(p, case)].rows.append(
-                        ConvergenceRow(n=n, report=None, error=str(exc)))
+        rows: dict[tuple[str, str], ConvergenceRow] = {}
+        try:
+            _solve_mesh(build_uniform_unit_square(n), problems, problems_by_case,
+                        tri_degree, rows)
+        except MemoryError as exc:
+            for key in tables:
+                rows.setdefault(key, ConvergenceRow(n=n, report=None, error=failure_text(exc)))
+        for key, row in rows.items():
+            tables[key].rows.append(row)
     for table in tables.values():
         for prev, row in zip(table.rows, table.rows[1:]):
             if prev.report is None or row.report is None or row.n != 2 * prev.n:
@@ -280,6 +314,23 @@ def _convergence_tables(
             pd, rd = prev.report.as_dict(), row.report.as_dict()
             row.orders = {k: compute_order(pd[k], rd[k]) for k in NORM_KEYS}
     return tables
+
+
+def _solve_mesh(mesh: Mesh, problems: dict, problems_by_case: dict[str, list[str]],
+                tri_degree: int, rows: dict) -> None:
+    """Put each table's row on ``mesh`` into ``rows`` as it finishes."""
+    refs = {p: Reference(problem, mesh, tri_degree) for p, problem in problems.items()}
+    last_case = list(problems_by_case)[-1]
+    for case, names in problems_by_case.items():
+        disc = Discretization(case, mesh)
+        if case == last_case:  # no case assembles after it: free them before its factor
+            mesh.operators.clear()
+        for p in names:
+            try:
+                report = disc.measure(refs[p], disc.solve(refs[p]))
+                rows[(p, case)] = ConvergenceRow(n=mesh.n, report=report)
+            except SingularSystem as exc:
+                rows[(p, case)] = ConvergenceRow(n=mesh.n, report=None, error=str(exc))
 
 
 def run_convergence(
@@ -333,9 +384,7 @@ def run_noise_study(
     Amplitude 0 reproduces the unperturbed solve bit-exactly.
     """
     study = NoiseStudy(problem=problem_name, case=case_name, n=n, seed=seed)
-    mesh = build_uniform_unit_square(n)
-    ref = Reference(get_problem(problem_name), mesh, tri_degree)
-    disc = Discretization(case_name, mesh)
+    ref, disc = _single_case(problem_name, case_name, n, tri_degree)
     for a in amplitudes:
         try:
             solution = disc.solve(ref, NoiseSpec(amplitude=a, seed=seed))

@@ -233,9 +233,17 @@ def flux_diagonal(M, flux: np.ndarray) -> np.ndarray:
 
 def _equilibration(K) -> tuple[np.ndarray, float, float]:
     """Symmetric scaling s = 1 / sqrt(max_j |K_ij|) of K, and the 1- and
-    inf-norms of diag(s) K diag(s), its column and row sums of |K_ij| s_i s_j."""
+    inf-norms of diag(s) K diag(s), its column and row sums of |K_ij| s_i s_j.
+
+    K is CSR.  The row maxima are reduced over each row's stored entries,
+    which gives the bits of ``abs(K).max(axis=1)``; a row without stored
+    entries is a zero row, checked first because ``reduceat`` would read
+    the next row's entry for it.
+    """
     abs_K = abs(K)
-    row_max = abs_K.max(axis=1).toarray().ravel()
+    if not np.all(np.diff(abs_K.indptr) > 0):
+        raise SingularSystem("the condensed matrix has a zero row")
+    row_max = np.maximum.reduceat(abs_K.data, abs_K.indptr[:-1])
     if not np.all(row_max > 0.0):
         raise SingularSystem("the condensed matrix has a zero row")
     s = 1.0 / np.sqrt(row_max)

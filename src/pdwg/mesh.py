@@ -78,6 +78,10 @@ class Mesh:
     edge_tris, edge_tri_signs : (E, 2) int arrays
         Incident triangles per edge (second entry -1 on the boundary) and
         the matching s(T, e) values (0 padding).
+    operators : dict
+        The operators of the scheme that depend on this mesh alone, kept by
+        ``pdwg.assembly.mesh_operator`` when first built and shared by every
+        boundary case and problem on the mesh.  Clearing it frees them.
     """
 
     n: int
@@ -92,6 +96,7 @@ class Mesh:
     h_t: np.ndarray = field(repr=False)   # (T,) element diameters
     h_e: np.ndarray = field(repr=False)   # (E,) edge lengths
     area: np.ndarray = field(repr=False)  # (T,) triangle areas
+    operators: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def num_vertices(self) -> int:

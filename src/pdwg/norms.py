@@ -28,15 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 import numpy as np
 
-from pdwg.assembly import normal_mismatch_maps, tri_p2_dofs
+from pdwg.assembly import (
+    element_p2_laplacians,
+    normal_maps,
+    quadrature_points,
+    tri_p2_dofs,
+)
 from pdwg.linsolve import Solution
 from pdwg.mesh import BoundaryTags, Mesh
 from pdwg.polyspace import (
     DEFAULT_TRI_DEGREE,
-    bary_gradients,
     edge_gauss,
     edge_points_for,
-    p2_laplacians,
     p2_values,
     triangle_quadrature,
 )
@@ -59,7 +62,8 @@ class ExactProjection:
     normal-derivative maps.  Edge rules have ``edge_points_for(tri_degree)``
     points.  It depends on the problem, the mesh and the degree only, so a
     study builds it once and measures every solution against it; its arrays
-    are read-only.
+    are read-only, and the mesh maps are the mesh's own (``mesh.operators``),
+    shared by every problem on it.
     """
 
     tri_degree: int
@@ -149,12 +153,12 @@ def project_exact(
         )
     edge_points = edge_points_for(tri_degree)
     quad = triangle_quadrature(tri_degree)
-    pts = quad.physical_points(mesh.tri_coords())
+    pts = quadrature_points(mesh, tri_degree)
     phi = p2_values(quad.points)
     phi_w = quad.weights[:, None] * phi
     uvals = np.broadcast_to(problem.u(pts[..., 0], pts[..., 1]), pts.shape[:2])
     q0 = np.linalg.solve(phi.T @ phi_w, (uvals @ phi_w).T).T
-    del pts, uvals  # not held while the samples are built
+    del uvals  # not held while the samples are built
 
     arrays = dict(
         q0=q0,
@@ -162,8 +166,8 @@ def project_exact(
         q0_jump=_trace_jumps(q0, mesh, edge_gauss(edge_points)[0]),
         p2_dofs=tri_p2_dofs(mesh),
         basis_quad=phi,
-        p2_lap=p2_laplacians(bary_gradients(mesh.tri_coords())),
-        normal_maps=np.stack([G for _e, _s, G in normal_mismatch_maps(mesh)]),
+        p2_lap=element_p2_laplacians(mesh),
+        normal_maps=normal_maps(mesh),
     )
     for arr in arrays.values():
         arr.setflags(write=False)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -256,6 +257,28 @@ def test_out_of_memory_is_a_solver_failure(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(harness, "build_uniform_unit_square", oom)
     assert run(["solve", "--n", "20000"], tmp_path) == 3
     assert capsys.readouterr().err == f"solver failure: out of memory: {message}\n"
+
+
+def test_out_of_memory_fails_its_row_and_keeps_the_finished_ones(tmp_path, monkeypatch, capsys):
+    message = "Unable to allocate 1.2 GiB for an array"
+    build = harness.build_uniform_unit_square
+
+    def oom_at_8(n):
+        if n == 8:
+            raise MemoryError(message)
+        return build(n)
+
+    monkeypatch.setattr(harness, "build_uniform_unit_square", oom_at_8)
+    argv = ["converge", "--problem", "sinsin", "--case", "case1", "--n-list", "1,2,4,8"]
+    assert run(argv, tmp_path) == 3
+    rows = [line.split(",") for line in
+            (tmp_path / "sinsin_case1.csv").read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["1", "2", "4", "8"]
+    for r in rows[:3]:
+        assert all(math.isfinite(float(v)) for v in r[2:9])
+    assert rows[3][2:] == [""] * 13
+    err = capsys.readouterr().err
+    assert err == f"solver failure at n=8: out of memory: {message}\n"
 
 
 def test_verify_subcommand_passes(tmp_path):

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from pdwg import cli
+from pdwg import cli, harness
 from pdwg.harness import (
     CSV_HEADER,
     EXACT_NORM,
@@ -338,6 +338,26 @@ def test_factors_are_not_shared_across_cli_calls(tmp_path, splu_calls):
         assert cli.main(argv + ["--out", str(tmp_path / str(k))]) == 0
         counts.append(len(splu_calls) - before)
     assert counts == [1, 1]
+
+
+def test_out_of_memory_keeps_the_rows_finished_on_its_mesh(tmp_path, monkeypatch):
+    # n=2 factors its five cases; at n=4 case1 is factored and case2 is not
+    factor, calls = harness.saddle_factor, []
+
+    def oom_at_seventh(matrix):
+        calls.append(matrix)
+        if len(calls) == 7:
+            raise MemoryError()
+        return factor(matrix)
+
+    monkeypatch.setattr(harness, "saddle_factor", oom_at_seventh)
+    run_benchmark_tables(tmp_path, n_list=[2, 4, 8])
+    for path in tmp_path.glob("*_case*.csv"):
+        rows = [r.split(",") for r in path.read_text().strip().split("\n")[1:]]
+        assert [r[0] for r in rows] == ["2", "4", "8"]
+        finished = {"2", "8"} | ({"4"} if path.name.endswith("_case1.csv") else set())
+        for r in rows:
+            assert (r[2] != "") == (r[0] in finished), (path.name, r[0])
 
 
 def test_factor_failure_recorded_on_every_row(tmp_path, singular_splu):

@@ -4,12 +4,14 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from pdwg.assembly import build_saddle_system
+from pdwg.assembly import assemble_matrix, build_saddle_system
 from pdwg.linsolve import (
     CondensedFactor,
     SingularSystem,
+    _equilibration,
     factor_and_solve,
     flux_diagonal,
+    saddle_factor,
     solve_sparse,
 )
 from pdwg.mesh import build_uniform_unit_square
@@ -182,3 +184,36 @@ def test_condensed_saddle_block_matches_dense_solve(rng):
     b = rng.standard_normal(3)
     out = CondensedFactor(M, np.array([1])).solve(b)
     assert np.abs(out.x - np.linalg.solve(M.toarray(), b)).max() <= 1e-14
+
+
+def equilibration_oracle(K):
+    """The scaling and norms of _equilibration, with the row maxima from scipy."""
+    abs_K = abs(K)
+    s = 1.0 / np.sqrt(abs_K.max(axis=1).toarray().ravel())
+    return s, float((s * (abs_K.T @ s)).max()), float((s * (abs_K @ s)).max())
+
+
+@pytest.mark.parametrize("case", ["case1", "case2", "case5"])
+def test_equilibration_is_bitwise_the_scipy_row_max(case):
+    mesh = build_uniform_unit_square(8)
+    factor = saddle_factor(assemble_matrix(mesh, tags_for(mesh, case)))
+    M, keep, flux = factor.M, factor.keep, factor.flux
+    K = M[keep][:, keep] - M[keep][:, flux] @ sp.diags(factor.inv_d) @ M[flux][:, keep]
+    assert K.format == "csr"
+    s, norm_1, norm_inf = _equilibration(K)
+    want_s, want_1, want_inf = equilibration_oracle(K)
+    assert np.array_equal(s.view(np.int64), want_s.view(np.int64))
+    assert (norm_1, norm_inf) == (want_1, want_inf)
+    assert np.array_equal(s.view(np.int64), factor.s.view(np.int64))
+
+
+@pytest.mark.parametrize("row", [0, 2, 4])
+def test_equilibration_rejects_a_row_without_entries(row):
+    dense = np.diag([2.0, -1.0, 3.0, 0.5, 4.0])
+    dense[row, row] = 0.0
+    with pytest.raises(SingularSystem, match="zero row"):
+        _equilibration(sp.csr_matrix(dense))
+    explicit_zero = sp.csr_matrix(np.diag([2.0, -1.0, 3.0, 0.5, 4.0]))
+    explicit_zero.data[row] = 0.0
+    with pytest.raises(SingularSystem, match="zero row"):
+        _equilibration(explicit_zero)

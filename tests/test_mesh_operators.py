@@ -1,0 +1,175 @@
+"""The operators built once per mesh and shared by every case and problem on it.
+
+S, B, the normal-derivative maps, the element P2 geometry and the
+triangle-rule points depend on the mesh alone.  Sharing them must change no
+bit of any result, each must be built once per mesh, every shared array must
+be read-only, and a one-case solve must hold none of them through its factor.
+"""
+
+import weakref
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+
+import pdwg.assembly as assembly
+import pdwg.harness as harness
+import pdwg.linsolve as linsolve
+import pdwg.verify as verify
+from pdwg.assembly import assemble_matrix
+from pdwg.harness import Discretization, Reference, run_benchmark_tables, solve_single
+from pdwg.mesh import build_uniform_unit_square
+from pdwg.polyspace import DEFAULT_TRI_DEGREE
+from pdwg.problems import get_problem
+
+from conftest import tags_for
+
+BUILDERS = ("assemble_stabilizer", "constraint_matrix", "normal_mismatch_maps")
+
+
+@pytest.fixture
+def builds(monkeypatch):
+    """Calls of the mesh-only builders, counted through their module attribute."""
+    counts = dict.fromkeys(BUILDERS, 0)
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in BUILDERS:
+        monkeypatch.setattr(assembly, name, counted(name, getattr(assembly, name)))
+    return counts
+
+
+def shared_arrays(mesh):
+    for value in mesh.operators.values():
+        if sp.issparse(value):
+            yield from (value.data, value.indices, value.indptr)
+        else:
+            yield value
+
+
+def test_shared_rows_equal_solves_on_fresh_meshes():
+    problems_by_case = {"case1": ["sinsin", "coscos", "quad"],
+                        "case2": ["sinsin", "bubble"],
+                        "case5": ["coscos", "sinsin"]}
+    tables = harness._convergence_tables(problems_by_case, [4, 8], DEFAULT_TRI_DEGREE)
+    assert len(tables) == 7
+    for (problem, case), table in tables.items():
+        assert [row.n for row in table.rows] == [4, 8]
+        for row in table.rows:
+            _, report, _ = solve_single(problem, case, row.n)
+            assert row.report.as_dict() == report.as_dict(), (problem, case, row.n)
+
+
+def test_cases_on_one_mesh_share_s_and_b_and_keep_their_bits():
+    mesh = build_uniform_unit_square(8)
+    matrices = {case: assemble_matrix(mesh, tags_for(mesh, case))
+                for case in ("case1", "case2", "case5")}
+    for case, matrix in matrices.items():
+        assert matrix.S is mesh.operators["S"] and matrix.B is mesh.operators["B"]
+        fresh_mesh = build_uniform_unit_square(8)
+        fresh = assemble_matrix(fresh_mesh, tags_for(fresh_mesh, case))
+        for name in ("S", "B", "S_fc", "B_c", "M"):
+            got, want = getattr(matrix, name), getattr(fresh, name)
+            assert np.array_equal(got.indptr, want.indptr), (case, name)
+            assert np.array_equal(got.indices, want.indices), (case, name)
+            assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64)), (case, name)
+
+
+def test_benchmark_tables_build_each_operator_once_per_mesh(tmp_path, builds):
+    # 12 tables on 5 cases over 5 meshes: S and B were built per (case, n)
+    run_benchmark_tables(tmp_path, n_list=[1, 2, 4, 8, 16])
+    assert builds == dict.fromkeys(BUILDERS, 5)
+
+
+def test_standard_checks_build_each_operator_once_per_mesh(builds):
+    # case1 on n = 2..32 and case2 on n = 8, 16, 32 share five meshes
+    assert verify.run_standard_checks().ok
+    assert builds == dict.fromkeys(BUILDERS, 5)
+
+
+def test_shared_arrays_are_read_only():
+    mesh = build_uniform_unit_square(4)
+    ref = Reference(get_problem("sinsin"), mesh)
+    for case in ("case1", "case2"):
+        disc = Discretization(case, mesh)
+        disc.measure(ref, disc.solve(ref))
+    assert set(mesh.operators) == {"S", "B", "normal_maps", "p2_dofs", "bary_gradients",
+                                   "p2_laplacians", ("points", DEFAULT_TRI_DEGREE)}
+    arrays = list(shared_arrays(mesh))
+    assert len(arrays) == 5 + 2 * 3
+    assert not any(arr.flags.writeable for arr in arrays)
+    projection = ref.projection
+    assert projection.normal_maps is mesh.operators["normal_maps"]
+    assert projection.p2_dofs is mesh.operators["p2_dofs"]
+    assert projection.p2_lap is mesh.operators["p2_laplacians"]
+    with pytest.raises(ValueError, match="read-only"):
+        mesh.operators["S"].data[0] = 0.0
+
+
+def test_cleared_operators_are_built_again_with_the_same_bits():
+    mesh = build_uniform_unit_square(4)
+    assemble_matrix(mesh, tags_for(mesh, "case1"))
+    before = {key: (value.toarray() if sp.issparse(value) else np.array(value))
+              for key, value in mesh.operators.items()}
+    mesh.operators.clear()
+    assemble_matrix(mesh, tags_for(mesh, "case1"))
+    assert set(mesh.operators) == set(before)
+    for key, value in mesh.operators.items():
+        again = value.toarray() if sp.issparse(value) else value
+        assert np.array_equal(again, before[key]), key
+
+
+@pytest.fixture
+def built_meshes(monkeypatch):
+    """Every mesh that the harness and the checks build."""
+    built = []
+
+    def build(n):
+        built.append(build_uniform_unit_square(n))
+        return built[-1]
+
+    monkeypatch.setattr(harness, "build_uniform_unit_square", build)
+    monkeypatch.setattr(verify, "build_uniform_unit_square", build)
+    return built
+
+
+def test_one_case_solves_hold_no_operator_through_the_factor(monkeypatch, built_meshes):
+    held = []
+    factor = spla.splu
+
+    def splu(*args, **kwargs):
+        held.append(len(built_meshes[-1].operators))
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", splu)
+    solve_single("sinsin", "case1", 8)
+    harness.run_noise_study("coscos", "figures", 8, [0.0, 0.01])
+    harness.run_convergence("sinsin", "case2", [2, 4])
+    assert held == [0, 0, 0, 0]
+
+
+def test_case2_pivots_are_read_with_nothing_else_held(monkeypatch, built_meshes):
+    # reading U makes a factor keep copies of L and U, so no factor that
+    # read them outlives its check, and no operator is held while U is read
+    read, held, alive = [], [], []
+    pivot_report, factor = linsolve.CondensedFactor.pivot_report, spla.splu
+
+    def pivots(self):
+        held.append({mesh.n: len(mesh.operators) for mesh in built_meshes if mesh.n >= 8})
+        read.append(weakref.ref(self))
+        return pivot_report(self)
+
+    def splu(*args, **kwargs):
+        alive.append(sum(r() is not None for r in read))
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(linsolve.CondensedFactor, "pivot_report", pivots)
+    monkeypatch.setattr(spla, "splu", splu)
+    assert verify.run_standard_checks().ok
+    assert len(held) == 3 and held[-1] == {8: 0, 16: 0, 32: 0}
+    assert alive == [0] * 7
