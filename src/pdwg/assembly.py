@@ -176,41 +176,34 @@ def tri_p2_dofs(mesh: Mesh) -> np.ndarray:
         [mesh.triangles, mesh.num_vertices + mesh.tri_edges], axis=1))
 
 
-def normal_mismatch_maps(mesh: Mesh):
-    """Per local edge l: the map from element P2 dofs to the P1(e) edge-basis
-    coefficients of grad(v0)|_T . n_e.
+def normal_mismatch_maps(mesh: Mesh) -> np.ndarray:
+    """(3, T, 2, 6): per local edge l, the map G from element P2 dofs to the
+    P1(e) edge-basis coefficients of grad(v0)|_T . n_e on edge
+    ``mesh.tri_edges[:, l]``.
 
-    Returns a list of three (edge ids, signs, G) with G of shape (T, 2, 6):
-    row 0 the constant coefficient, row 1 the centered-linear one, both in
-    the canonical (lower to higher vertex id) arc parameter.  The three G
-    are the slices of one (3, T, 2, 6) array, which ``normal_maps`` keeps
-    for assembly and the error norms, so that it is built once per mesh.
+    Row 0 of G is the constant coefficient, row 1 the centered-linear one,
+    both in the canonical (lower to higher vertex id) arc parameter.
+    ``normal_maps`` keeps the array for assembly and the error norms, so
+    that it is built once per mesh.
     """
     bgrad = element_bary_gradients(mesh)
     gv = [_p2_grads_at_vertex(bgrad, m) for m in range(3)]
     maps = np.empty((3, mesh.num_triangles, 2, 6))
-    out = []
     for l in range(3):
-        e = mesh.tri_edges[:, l]
-        ne = mesh.edge_normals[e]
-        s = mesh.tri_edge_signs[:, l]
+        ne = mesh.edge_normals[mesh.tri_edges[:, l]]
         ga = np.einsum("tid,td->ti", gv[l], ne)
         gb = np.einsum("tid,td->ti", gv[(l + 1) % 3], ne)
-        lo_is_a = (s > 0)[:, None]
+        lo_is_a = (mesh.tri_edge_signs[:, l] > 0)[:, None]
         g0 = np.where(lo_is_a, ga, gb)
         g1 = np.where(lo_is_a, gb, ga)
-        G = maps[l]
-        G[:, 0] = 0.5 * (g0 + g1)
-        G[:, 1] = g1 - g0
-        out.append((e, s, G))
-    return out
+        maps[l, :, 0] = 0.5 * (g0 + g1)
+        maps[l, :, 1] = g1 - g0
+    return maps
 
 
 def normal_maps(mesh: Mesh) -> np.ndarray:
-    """(3, T, 2, 6): the G of ``normal_mismatch_maps`` per local edge l, whose
-    edges are ``mesh.tri_edges[:, l]``, as the one array they are slices of."""
-    return mesh_operator(mesh, "normal_maps",
-                         lambda: normal_mismatch_maps(mesh)[0][2].base)
+    """The mesh's ``normal_mismatch_maps``, built once per mesh."""
+    return mesh_operator(mesh, "normal_maps", lambda: normal_mismatch_maps(mesh))
 
 
 def assemble_stabilizer(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:

@@ -3,14 +3,14 @@
 CSV is the canonical output; the markdown rendering of benchmark-style
 tables is a formatting layer on top.  Observed orders use log2 of the
 error ratio under mesh halving; reruns with the same inputs are
-byte-identical.  Within one call, what depends on the mesh alone is built
-once per mesh (``pdwg.assembly.mesh_operator``): the stabilizer S, the
-constraint B, the normal-derivative maps, the element P2 geometry and the
-triangle-rule points.  Every case on a mesh slices its matrix from that one
-S and B, in one ``Discretization`` whose single factor serves every problem
-and noise amplitude on the case; every problem has one ``Reference`` per
-mesh, whose load, sampled Q_h u and snapshot columns serve every case and
-noise amplitude.
+byte-identical.  A single solve, a noise study and a convergence study
+run through one per-mesh loop (``_study``).  On each mesh, what depends on
+the mesh alone is built once (``pdwg.assembly.mesh_operator``): the
+stabilizer S, the constraint B, the normal-derivative maps, the element P2
+geometry and the triangle-rule points.  Every case slices its matrix from
+that S and B (``case_matrix``) and is factored once for every problem and
+noise amplitude on it; every problem has one ``Reference`` per mesh, whose
+load, sampled Q_h u and snapshot columns serve every case and amplitude.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from pdwg.assembly import assemble_matrix, assemble_rhs, element_load
+from pdwg.assembly import SystemMatrix, assemble_matrix, assemble_rhs, element_load
 from pdwg.linsolve import (
     CondensedFactor,
     Solution,
@@ -31,7 +31,7 @@ from pdwg.linsolve import (
     factor_and_solve,
     saddle_factor,
 )
-from pdwg.mesh import Mesh, build_uniform_unit_square, classify_boundary
+from pdwg.mesh import BoundaryTags, Mesh, build_uniform_unit_square, classify_boundary
 from pdwg.norms import ErrorReport, ExactProjection, error_norms, project_exact
 from pdwg.polyspace import DEFAULT_TRI_DEGREE
 from pdwg.problems import (
@@ -106,8 +106,7 @@ class FieldSnapshot:
     """Nodal and per-element fields of one solve for plotting.
 
     ``node_rows`` and ``element_rows`` are the CSV rows as ``row_template``
-    writes them from ``nodes`` and ``centroids``; a snapshot built without
-    them writes them when asked for its CSV.
+    writes them from ``nodes`` and ``centroids``.
     """
 
     nodes: np.ndarray      # (V+E, 2)
@@ -115,17 +114,14 @@ class FieldSnapshot:
     err: np.ndarray        # (V+E,) u0 - u(x, y)
     centroids: np.ndarray  # (T, 2)
     lam: np.ndarray        # (T,)
-    node_rows: str | None = field(default=None, repr=False)
-    element_rows: str | None = field(default=None, repr=False)
+    node_rows: str = field(repr=False)
+    element_rows: str = field(repr=False)
 
     def nodes_csv(self) -> str:
-        rows = self.node_rows if self.node_rows is not None else row_template(self.nodes, 2)
-        return "x,y,u0,err\n" + _fill_rows(rows, self.u0, self.err)
+        return "x,y,u0,err\n" + _fill_rows(self.node_rows, self.u0, self.err)
 
     def elements_csv(self) -> str:
-        rows = (self.element_rows if self.element_rows is not None
-                else row_template(self.centroids, 1))
-        return "cx,cy,lambda\n" + _fill_rows(rows, self.lam)
+        return "cx,cy,lambda\n" + _fill_rows(self.element_rows, self.lam)
 
 
 def row_template(points: np.ndarray, n_values: int) -> str:
@@ -160,12 +156,11 @@ class Reference:
     the edge rule ``edge_points_for`` pairs with it.  The load and the
     projection sample the problem at the mesh's triangle-rule points, and
     the projection keeps the mesh's P2 geometry and normal-derivative maps;
-    every problem on the mesh shares these.  The load, the projection and
-    the snapshot columns are built when first used: the load by the first
-    solve, after its factor, so that no factor is built beside the
-    triangle-rule points; a study that writes no snapshot builds no
-    snapshot columns; and a single solve measures after its factor is
-    freed.
+    every problem on the mesh shares these.  Each is built when first
+    used: the load by the first solve, after its factor, so that no factor
+    is built beside the triangle-rule points; the projection by the first
+    measurement, in a one-case study after the factor is freed; and the
+    snapshot columns only by a study that writes snapshots.
     """
 
     def __init__(
@@ -193,6 +188,17 @@ class Reference:
         exact = self.problem.u(nodes[:, 0], nodes[:, 1])
         return nodes, exact, centroids, row_template(nodes, 2), row_template(centroids, 1)
 
+    def solve(self, matrix: SystemMatrix, factor: CondensedFactor,
+              noise: NoiseSpec | None = None) -> Solution:
+        """Solve the problem on ``matrix``, a case on this mesh, against its
+        ``saddle_factor``; only the right-hand side is assembled."""
+        system = assemble_rhs(matrix, self.problem, self.tri_degree, noise, load=self.load)
+        return factor_and_solve(system, factor)
+
+    def measure(self, solution: Solution, tags: BoundaryTags) -> ErrorReport:
+        """Error norms of ``solution`` against the problem's projection."""
+        return error_norms(solution, self.projection, self.mesh, tags)
+
     def snapshot(self, solution: Solution) -> FieldSnapshot:
         nodes, exact, centroids, node_rows, element_rows = self._snapshot_columns
         return FieldSnapshot(nodes=nodes, u0=solution.u0, err=solution.u0 - exact,
@@ -200,40 +206,91 @@ class Reference:
                              node_rows=node_rows, element_rows=element_rows)
 
 
-class Discretization:
-    """Boundary tags, matrix part and condensed factor of one (case, mesh).
+def case_matrix(case_name: str, mesh: Mesh) -> SystemMatrix:
+    """The saddle matrix of a boundary case on ``mesh``: its tags and the
+    free/constrained slices of the mesh's S and B, which every case on the
+    mesh shares."""
+    return assemble_matrix(mesh, classify_boundary(mesh, list(get_case(case_name).segments)))
 
-    The matrix part slices the mesh's S and B, which every case on the mesh
-    shares, into its free and constrained blocks.  The saddle matrix
-    depends only on these, so ``solve`` assembles just the right-hand side
-    of a problem (a ``Reference`` on the same mesh, whose quadrature it
-    uses) and noise amplitude and reuses the one factor.  The factor is
-    built by the first ``solve``; setting ``factor`` to None frees it, and
-    the next ``solve`` factors again.  A SingularSystem raised while
-    factoring is raised again by every ``solve``.
+
+def failure_text(exc: SingularSystem | MemoryError | None) -> str:
+    """A solver failure as the outputs report it; "" for none."""
+    if isinstance(exc, MemoryError):
+        return "out of memory" + (f": {exc}" if str(exc) else "")
+    return "" if exc is None else str(exc)
+
+
+@dataclass(frozen=True)
+class Run:
+    """One (problem, noise) run of a study: its solution, error norms and
+    snapshot, or the failure that stopped it.  The failure is a copy of the
+    exception, without the traceback and chained exceptions whose frames
+    would keep the failed solve's arrays alive.
     """
 
-    def __init__(self, case_name: str, mesh: Mesh):
-        self.mesh = mesh
-        self.tags = classify_boundary(mesh, list(get_case(case_name).segments))
-        self.matrix = assemble_matrix(mesh, self.tags)
-        self.factor: CondensedFactor | None = None
-        self.error: SingularSystem | None = None
+    solution: Solution | None = None
+    report: ErrorReport | None = None
+    snapshot: FieldSnapshot | None = None
+    failure: SingularSystem | MemoryError | None = None
 
-    def solve(self, ref: Reference, noise: NoiseSpec | None = None) -> Solution:
-        if self.factor is None and self.error is None:
+
+def _failed(exc: SingularSystem | MemoryError) -> Run:
+    return Run(failure=type(exc)(*exc.args))
+
+
+def _study(
+    n: int,
+    plan: dict[str, list[tuple[str, NoiseSpec | None]]],
+    tri_degree: int,
+    pivots: bool = False,
+    snapshots: bool = False,
+) -> dict[str, list[Run]]:
+    """Solve and measure the runs of ``plan`` on the n x n mesh.
+
+    ``plan`` maps each case to its (problem name, noise) runs; the result
+    maps it to their Runs, in order.  The cases share the mesh's operators,
+    freed before the last case's factor, and one Reference per problem.
+    Each case is factored once, and its factor is deleted after its last
+    solve, before that solve is measured: no factor is held through the
+    next case's assembly.  With ``pivots`` each solution carries its
+    factor's pivot report; with ``snapshots`` each run takes its snapshot
+    when it is measured.  A singular factor fails the runs of its case, a
+    singular solve its own run, and running out of memory every run on the
+    mesh that has not finished.
+    """
+    runs: dict[str, list[Run]] = {case: [] for case in plan}
+    try:
+        mesh = build_uniform_unit_square(n)
+        refs = {p: Reference(get_problem(p), mesh, tri_degree)
+                for todo in plan.values() for p, _ in todo}
+        last_case = list(plan)[-1]
+        for case, todo in plan.items():
+            matrix = case_matrix(case, mesh)
+            if case == last_case:  # no case assembles after it: free them before its factor
+                mesh.operators.clear()
             try:
-                self.factor = saddle_factor(self.matrix)
+                factor = saddle_factor(matrix)
             except SingularSystem as exc:
-                self.error = exc
-        if self.error is not None:
-            raise self.error
-        system = assemble_rhs(self.matrix, ref.problem, ref.tri_degree, noise, load=ref.load)
-        return factor_and_solve(system, self.factor)
-
-    def measure(self, ref: Reference, solution: Solution) -> ErrorReport:
-        """Error norms of ``solution`` against the problem's projection."""
-        return error_norms(solution, ref.projection, self.mesh, self.tags)
+                runs[case] += [_failed(exc) for _ in todo]
+                continue
+            for k, (p, noise) in enumerate(todo, start=1):
+                ref = refs[p]
+                try:
+                    solution = ref.solve(matrix, factor, noise)
+                    if pivots:
+                        solution = replace(solution, pivot_report=factor.pivot_report())
+                except SingularSystem as exc:
+                    runs[case].append(_failed(exc))
+                    continue
+                finally:
+                    if k == len(todo):
+                        del factor  # the case's last solve: freed before it is measured
+                runs[case].append(Run(solution, ref.measure(solution, matrix.tags),
+                                      ref.snapshot(solution) if snapshots else None))
+    except MemoryError as exc:
+        for case, todo in plan.items():
+            runs[case] += [_failed(exc) for _ in todo[len(runs[case]):]]
+    return runs
 
 
 def solve_single(
@@ -247,33 +304,13 @@ def solve_single(
     """One assemble/solve/measure pass; returns (solution, report, snapshot).
 
     With ``pivots`` the solution also carries its factor's pivot report.
+    A solver failure is raised.
     """
-    ref, disc = _single_case(problem_name, case_name, n, tri_degree)
-    solution = disc.solve(ref, noise)
-    if pivots:
-        solution = replace(solution, pivot_report=disc.factor.pivot_report())
-    disc.factor = None  # the only solve: free the factor before measuring
-    return solution, disc.measure(ref, solution), ref.snapshot(solution)
-
-
-def _single_case(problem_name: str, case_name: str, n: int, tri_degree: int):
-    """The Reference and the Discretization of one problem on one (case, n).
-
-    No other case assembles on the mesh, so its operators are freed before
-    the factor; the projection builds the ones it reads after it.
-    """
-    mesh = build_uniform_unit_square(n)
-    ref = Reference(get_problem(problem_name), mesh, tri_degree)
-    disc = Discretization(case_name, mesh)
-    mesh.operators.clear()
-    return ref, disc
-
-
-def failure_text(exc: SingularSystem | MemoryError) -> str:
-    """A solver failure as the outputs report it."""
-    if isinstance(exc, MemoryError):
-        return "out of memory" + (f": {exc}" if str(exc) else "")
-    return str(exc)
+    run, = _study(n, {case_name: [(problem_name, noise)]}, tri_degree, pivots,
+                  snapshots=True)[case_name]
+    if run.failure is not None:
+        raise run.failure
+    return run.solution, run.report, run.snapshot
 
 
 def _convergence_tables(
@@ -281,32 +318,22 @@ def _convergence_tables(
     n_list: list[int],
     tri_degree: int,
 ) -> dict[tuple[str, str], ConvergenceTable]:
-    """One table per (problem, case), computed mesh by mesh.
+    """One table per (problem, case), computed mesh by mesh (``_study``).
 
-    On each mesh, the stabilizer, the constraint, the normal-derivative
-    maps, the element P2 geometry and the triangle-rule points are built
-    once: every case slices its matrix from that S and B, and every
-    problem's load and projection read that geometry.  Every problem's
-    Reference is built once and shared by every case, and every problem on
-    a case shares the case's one factor.  The mesh's operators are freed
-    once its last case is assembled, and everything of a mesh is dropped
-    before the next.  A singular system fails its rows and the run goes on;
-    running out of memory fails the rows of the mesh that have not
-    finished, and the run goes on with the next mesh.
+    On each mesh every case is factored once for all its problems, and
+    every problem's Reference serves every case.  Everything of a mesh is
+    dropped before the next.  A failed run leaves a failed row and the
+    study goes on: a singular system fails its rows, and running out of
+    memory fails the rows of the mesh that have not finished.
     """
     tables = {(p, case): ConvergenceTable(problem=p, case=case)
               for case, names in problems_by_case.items() for p in names}
-    problems = {p: get_problem(p) for p, _ in tables}
+    plan = {case: [(p, None) for p in names] for case, names in problems_by_case.items()}
     for n in n_list:
-        rows: dict[tuple[str, str], ConvergenceRow] = {}
-        try:
-            _solve_mesh(build_uniform_unit_square(n), problems, problems_by_case,
-                        tri_degree, rows)
-        except MemoryError as exc:
-            for key in tables:
-                rows.setdefault(key, ConvergenceRow(n=n, report=None, error=failure_text(exc)))
-        for key, row in rows.items():
-            tables[key].rows.append(row)
+        for case, runs in _study(n, plan, tri_degree).items():
+            for p, run in zip(problems_by_case[case], runs):
+                tables[(p, case)].rows.append(
+                    ConvergenceRow(n=n, report=run.report, error=failure_text(run.failure)))
     for table in tables.values():
         for prev, row in zip(table.rows, table.rows[1:]):
             if prev.report is None or row.report is None or row.n != 2 * prev.n:
@@ -314,23 +341,6 @@ def _convergence_tables(
             pd, rd = prev.report.as_dict(), row.report.as_dict()
             row.orders = {k: compute_order(pd[k], rd[k]) for k in NORM_KEYS}
     return tables
-
-
-def _solve_mesh(mesh: Mesh, problems: dict, problems_by_case: dict[str, list[str]],
-                tri_degree: int, rows: dict) -> None:
-    """Put each table's row on ``mesh`` into ``rows`` as it finishes."""
-    refs = {p: Reference(problem, mesh, tri_degree) for p, problem in problems.items()}
-    last_case = list(problems_by_case)[-1]
-    for case, names in problems_by_case.items():
-        disc = Discretization(case, mesh)
-        if case == last_case:  # no case assembles after it: free them before its factor
-            mesh.operators.clear()
-        for p in names:
-            try:
-                report = disc.measure(refs[p], disc.solve(refs[p]))
-                rows[(p, case)] = ConvergenceRow(n=mesh.n, report=report)
-            except SingularSystem as exc:
-                rows[(p, case)] = ConvergenceRow(n=mesh.n, report=None, error=str(exc))
 
 
 def run_convergence(
@@ -381,19 +391,14 @@ def run_noise_study(
 ) -> NoiseStudy:
     """Solve once per amplitude against one factor, with the same seed.
 
-    Amplitude 0 reproduces the unperturbed solve bit-exactly.
+    Amplitude 0 reproduces the unperturbed solve bit-exactly.  A failed
+    amplitude gets a row without report or snapshot, and the study goes on.
     """
+    plan = {case_name: [(problem_name, NoiseSpec(amplitude=a, seed=seed)) for a in amplitudes]}
     study = NoiseStudy(problem=problem_name, case=case_name, n=n, seed=seed)
-    ref, disc = _single_case(problem_name, case_name, n, tri_degree)
-    for a in amplitudes:
-        try:
-            solution = disc.solve(ref, NoiseSpec(amplitude=a, seed=seed))
-            study.rows.append(NoiseStudyRow(amplitude=a, report=disc.measure(ref, solution),
-                                            snapshot=ref.snapshot(solution)))
-        except SingularSystem as exc:
-            study.rows.append(
-                NoiseStudyRow(amplitude=a, report=None, snapshot=None, error=str(exc))
-            )
+    for a, run in zip(amplitudes, _study(n, plan, tri_degree, snapshots=True)[case_name]):
+        study.rows.append(NoiseStudyRow(amplitude=a, report=run.report, snapshot=run.snapshot,
+                                        error=failure_text(run.failure)))
     return study
 
 
@@ -452,7 +457,7 @@ def render_markdown(table: ConvergenceTable, columns=NORM_KEYS) -> str:
 
 def run_benchmark_tables(
     out_dir: Path,
-    n_list: list[int] | None = None,
+    n_list: list[int],
     tri_degree: int = DEFAULT_TRI_DEGREE,
 ) -> list[Path]:
     """Regenerate every benchmark table layout as CSV plus markdown.
@@ -461,7 +466,6 @@ def run_benchmark_tables(
     problem on a case shares one factor per mesh, and every case on a mesh
     shares one Reference per problem.
     """
-    n_list = n_list or [1, 2, 4, 8, 16, 32]
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     plan = benchmark_table_plan()

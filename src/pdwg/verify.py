@@ -7,10 +7,10 @@ factorization pivots for the well-posed mixed configuration.  Constants
 hidden behind the theory's mesh-independence statements are reported
 empirically, never asserted against fixed values from the analysis.
 The checks build their systems, factors and solutions as the studies do:
-``run_standard_checks`` makes one ``harness.Discretization`` per (case, n)
-and one ``harness.Reference`` per (problem, n), so a factor is built once
-and serves every check on its matrix, and the cases on a mesh share its one
-stabilizer and constraint.
+``run_standard_checks`` makes one ``harness.case_matrix`` and at most one
+factor per (case, n) and one ``harness.Reference`` per (problem, n), so a
+factor serves every check on its matrix, and the cases on a mesh share its
+one stabilizer and constraint.
 """
 
 from __future__ import annotations
@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pdwg.assembly import SystemMatrix, assemble_matrix, assemble_rhs, element_load
-from pdwg.harness import Discretization, Reference
-from pdwg.linsolve import Solution, saddle_factor
+from pdwg.harness import Reference, case_matrix
+from pdwg.linsolve import CondensedFactor, Solution, saddle_factor
 from pdwg.mesh import BoundaryTags, Mesh, build_uniform_unit_square
 from pdwg.norms import (
     ExactProjection,
@@ -177,14 +177,14 @@ def check_error_equations(
     return sehv, sehv2
 
 
-def quadratic_consistency_residual(disc: Discretization, ref: Reference) -> float:
+def quadratic_consistency_residual(matrix: SystemMatrix, ref: Reference) -> float:
     """Residual of the interpolant of a quadratic solution in the system.
 
     For quadratic u (``ref.problem``) the projected field and exact fluxes
-    satisfy the assembled equations with multiplier zero.
+    satisfy the equations assembled on ``matrix`` with multiplier zero.
     """
-    problem, mesh = ref.problem, disc.mesh
-    system = assemble_rhs(disc.matrix, problem, ref.tri_degree, load=ref.load)
+    problem, mesh = ref.problem, matrix.mesh
+    system = assemble_rhs(matrix, problem, ref.tri_degree, load=ref.load)
     coords = mesh.p2_node_coords
     q = np.concatenate([problem.u(coords[:, 0], coords[:, 1]), ref.projection.qn.ravel()])
     x = np.concatenate([q[system.dofmap.free], np.zeros(mesh.num_triangles)])
@@ -207,12 +207,12 @@ def _p2_basis_problems() -> list[ManufacturedSolution]:
     ]
 
 
-def coercivity_ratio(disc: Discretization, ref: Reference) -> float:
+def coercivity_ratio(ref: Reference, matrix: SystemMatrix, factor: CondensedFactor) -> float:
     """Empirical constant in sum_T ||lap e0||^2 <= C s(e_h, e_h) after a solve."""
-    mesh = disc.mesh
-    fieldv = build_error_field(disc.solve(ref), ref.projection, mesh)
+    mesh = ref.mesh
+    fieldv = build_error_field(ref.solve(matrix, factor), ref.projection, mesh)
     lap_sq = float(np.sum(mesh.area * fieldv.lap_e0**2))
-    rep = norms_of_error(fieldv, mesh, disc.tags, ref.tri_degree)
+    rep = norms_of_error(fieldv, mesh, matrix.tags, ref.tri_degree)
     s_ee = rep.h2**2 - lap_sq
     return lap_sq / s_ee if s_ee > 0 else np.inf
 
@@ -224,7 +224,7 @@ def _case2_pivot_scale(mesh: Mesh) -> float:
     Its operators go before the factor is built and its matrix before U is
     read, since reading U makes the factor keep copies of L and U.
     """
-    matrix = Discretization("case2", mesh).matrix
+    matrix = case_matrix("case2", mesh)
     mesh.operators.clear()
     factor = saddle_factor(matrix)
     del matrix
@@ -235,16 +235,16 @@ def _case2_pivot_scale(mesh: Mesh) -> float:
 def run_standard_checks(seed: int = VERIFY_SEED) -> VerificationReport:
     """The full identity suite run by the `verify` CLI subcommand.
 
-    One Discretization per (case, n) and one Reference per (problem, n)
-    serve every check on them: case1 at n=4 gives the quad error
-    equations, symmetry, positive-semidefiniteness, quadratic consistency
-    and a coercivity ratio from one matrix and one factor.  Each mesh's
+    One matrix per (case, n) and one Reference per (problem, n) serve
+    every check on them: case1 at n=4 gives the quad error equations,
+    symmetry, positive-semidefiniteness, quadratic consistency and a
+    coercivity ratio from one matrix and one factor.  Each mesh's
     stabilizer, constraint, normal-derivative maps, P2 geometry and
     triangle-rule points are built once, for case1 and the projections,
-    and case2 on n = 8, 16, 32 reuses its S and B.  Each factor is freed
-    after its last use.  The case2 pivots run last, each once everything
-    else of its mesh is freed: reading U makes a factor keep copies of L
-    and U, and the one at n=32 sets the peak memory of the run.
+    and case2 on n = 8, 16, 32 reuses its S and B.  Each factor is a local,
+    deleted after its last use.  The case2 pivots run last, each once
+    everything else of its mesh is freed: reading U makes a factor keep
+    copies of L and U, and the one at n=32 sets the peak memory of the run.
     """
     meshes = {n: build_uniform_unit_square(n) for n in (1, 2, 4, 8, 16, 32)}
 
@@ -254,33 +254,34 @@ def run_standard_checks(seed: int = VERIFY_SEED) -> VerificationReport:
             worst = max(worst, check_commutative(meshes[n], theta))
     commutative_sinsin = check_commutative(meshes[4], get_problem("sinsin"), tri_degree=8)
 
-    case1 = {n: Discretization("case1", meshes[n]) for n in (2, 4, 8, 16, 32)}
+    case1 = {n: case_matrix("case1", meshes[n]) for n in (2, 4, 8, 16, 32)}
     worst_rel = 0.0
     ratios = []
     for n in (2, 4, 8, 16):
-        disc = case1[n]
-        out = check_infsup(disc.mesh, disc.tags, n_samples=20, seed=seed, system=disc.matrix)
+        matrix = case1[n]
+        out = check_infsup(matrix.mesh, matrix.tags, n_samples=20, seed=seed, system=matrix)
         if n <= 8:
             worst_rel = max(worst_rel, out["max_rel_discrepancy"])
         ratios.extend(out["ratios"])
 
-    disc4, quad = case1[4], Reference(get_problem("quad"), meshes[4])
-    sehv, sehv2 = check_error_equations(disc4.solve(quad), quad.projection, disc4.matrix)
+    system, quad = case1[4], Reference(get_problem("quad"), meshes[4])
+    factor4 = saddle_factor(system)
+    sehv, sehv2 = check_error_equations(quad.solve(system, factor4), quad.projection, system)
     sinsin = {n: Reference(get_problem("sinsin"), meshes[n]) for n in (4, 8, 16, 32)}
-    _, sehv2_s = check_error_equations(case1[8].solve(sinsin[8]), sinsin[8].projection,
-                                       case1[8].matrix)
-    system = disc4.matrix
+    factor8 = saddle_factor(case1[8])
+    _, sehv2_s = check_error_equations(sinsin[8].solve(case1[8], factor8),
+                                       sinsin[8].projection, case1[8])
     asym = float(np.abs(system.M - system.M.T).max())
     rng = np.random.Generator(np.random.PCG64(seed))
     vs = rng.standard_normal((100, system.S.shape[0]))
     psd_min = float(min(v @ (system.S @ v) for v in vs))
-    consistency = quadratic_consistency_residual(disc4, quad)
+    consistency = quadratic_consistency_residual(system, quad)
 
-    cs = []
-    for n in (4, 8, 16, 32):
-        cs.append(coercivity_ratio(case1[n], sinsin[n]))
-        case1[n].factor = None  # its last use
-    del case1, disc, disc4, quad, sinsin, system  # not held through the pivots
+    cs = [coercivity_ratio(sinsin[4], system, factor4),
+          coercivity_ratio(sinsin[8], case1[8], factor8)]
+    del factor4, factor8  # their last use
+    cs += [coercivity_ratio(sinsin[n], case1[n], saddle_factor(case1[n])) for n in (16, 32)]
+    del case1, matrix, quad, sinsin, system  # not held through the pivots
     worst_pivot = max(_case2_pivot_scale(meshes[n]) for n in (8, 16, 32))
 
     report = VerificationReport()

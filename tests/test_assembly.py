@@ -11,7 +11,7 @@ from pdwg.assembly import (
     element_load,
     neumann_flux_coefficients,
 )
-from pdwg.harness import Discretization, Reference
+from pdwg.harness import Reference, case_matrix
 from pdwg.mesh import BoundarySegmentSpec, build_uniform_unit_square, classify_boundary
 from pdwg.norms import project_exact
 from pdwg.polyspace import edge_gauss
@@ -250,6 +250,6 @@ def test_system_symmetric_and_blocks(mesh4):
 
 
 def test_quadratic_interpolant_satisfies_system(mesh4):
-    residual = quadratic_consistency_residual(Discretization("case1", mesh4),
+    residual = quadratic_consistency_residual(case_matrix("case1", mesh4),
                                               Reference(get_problem("quad"), mesh4))
     assert residual <= 1e-10

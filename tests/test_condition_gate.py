@@ -13,7 +13,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from pdwg.assembly import assemble_matrix, assemble_rhs
-from pdwg.harness import Discretization, Reference, run_noise_study, solve_single
+from pdwg.harness import Reference, case_matrix, run_noise_study, solve_single
 from pdwg.linsolve import (
     COND_MAX,
     SingularSystem,
@@ -53,8 +53,8 @@ def splu_without_lu(monkeypatch):
 
 def test_solves_never_read_l_or_u(splu_without_lu):
     mesh = build_uniform_unit_square(8)
-    disc = Discretization("case1", mesh)
-    solution = disc.solve(Reference(get_problem("sinsin"), mesh))
+    matrix = case_matrix("case1", mesh)
+    solution = Reference(get_problem("sinsin"), mesh).solve(matrix, saddle_factor(matrix))
     assert solution.pivot_report is None
     assert 0.0 < solution.condition <= COND_MAX
 

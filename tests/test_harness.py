@@ -23,6 +23,7 @@ from pdwg.harness import (
     run_noise_study,
     solve_single,
 )
+from pdwg.polyspace import DEFAULT_TRI_DEGREE
 from pdwg.problems import DEFAULT_NOISE_SEED, NoiseSpec, case_configs, catalog
 
 
@@ -122,8 +123,10 @@ def _row_by_row_csvs(snapshot):
 def _extreme_snapshot():
     values = np.array([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0 / 3.0])
     nodes = np.column_stack([values, values[::-1]])
-    return FieldSnapshot(nodes=nodes, u0=values, err=-values,
-                         centroids=np.array([[-0.0, 1e-300]]), lam=np.array([1e300]))
+    centroids = np.array([[-0.0, 1e-300]])
+    return FieldSnapshot(nodes=nodes, u0=values, err=-values, centroids=centroids,
+                         lam=np.array([1e300]), node_rows=row_template(nodes, 2),
+                         element_rows=row_template(centroids, 1))
 
 
 @pytest.mark.parametrize(
@@ -358,6 +361,49 @@ def test_out_of_memory_keeps_the_rows_finished_on_its_mesh(tmp_path, monkeypatch
         finished = {"2", "8"} | ({"4"} if path.name.endswith("_case1.csv") else set())
         for r in rows:
             assert (r[2] != "") == (r[0] in finished), (path.name, r[0])
+
+
+@pytest.mark.parametrize("owner, name", [(harness, "factor_and_solve"),
+                                         (harness.Reference, "snapshot")],
+                         ids=["solve", "snapshot"])
+def test_out_of_memory_keeps_the_amplitudes_finished(owner, name, tmp_path, monkeypatch,
+                                                     capsys):
+    # the third amplitude runs out of memory, in its solve or its snapshot,
+    # and the fourth is not solved
+    original, calls = getattr(owner, name), []
+
+    def oom_at_third(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 3:
+            raise MemoryError()
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, oom_at_third)
+    argv = ["noise", "--problem", "coscos", "--case", "figures", "--n", "4",
+            "--amplitudes", "0,0.01,0.1,0.2", "--out", str(tmp_path)]
+    assert cli.main(argv) == 3
+    assert len(calls) == 3
+    assert sorted(p.name for p in tmp_path.glob("noise_a*.csv")) == [
+        "noise_a0_elements.csv", "noise_a0_nodes.csv",
+        "noise_a0p01_elements.csv", "noise_a0p01_nodes.csv"]
+    rows = [r.split(",") for r in (tmp_path / "noise_summary.csv").read_text().splitlines()[1:]]
+    assert [r[0] for r in rows] == ["0.0", "0.01", "0.1", "0.2"]
+    assert [r[1:] == ["", ""] for r in rows] == [False, False, True, True]
+    assert "solver failure at amplitude 0.1: out of memory" in capsys.readouterr().err
+
+
+def test_a_failed_run_keeps_no_frame_of_its_solve(singular_splu):
+    # the exception raised holds the factor's frames in its traceback and
+    # in the exceptions chained to it; the run keeps a copy without them
+    plan = {"case1": [("sinsin", None), ("quad", None)]}
+    runs = harness._study(2, plan, DEFAULT_TRI_DEGREE)["case1"]
+    assert len(runs) == 2
+    for run in runs:
+        assert run.solution is None and run.report is None
+        assert isinstance(run.failure, harness.SingularSystem)
+        assert "exactly singular" in str(run.failure)
+        assert run.failure.__traceback__ is None
+        assert run.failure.__cause__ is None and run.failure.__context__ is None
 
 
 def test_factor_failure_recorded_on_every_row(tmp_path, singular_splu):

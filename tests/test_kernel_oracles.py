@@ -42,7 +42,7 @@ def stabilizer_einsum(mesh, dofmap):
     n_u = dofmap.n_u
     p2 = tri_p2_dofs(mesh)
     rows, cols, data = [], [], []
-    for e, _s, G in normal_mismatch_maps(mesh):
+    for e, G in zip(mesh.tri_edges.T, normal_mismatch_maps(mesh)):
         T = len(e)
         R = np.zeros((T, 2, 8))
         R[:, :, :6] = G

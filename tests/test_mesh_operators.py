@@ -6,6 +6,7 @@ bit of any result, each must be built once per mesh, every shared array must
 be read-only, and a one-case solve must hold none of them through its factor.
 """
 
+import gc
 import weakref
 
 import numpy as np
@@ -18,7 +19,7 @@ import pdwg.harness as harness
 import pdwg.linsolve as linsolve
 import pdwg.verify as verify
 from pdwg.assembly import assemble_matrix
-from pdwg.harness import Discretization, Reference, run_benchmark_tables, solve_single
+from pdwg.harness import Reference, case_matrix, run_benchmark_tables, solve_single
 from pdwg.mesh import build_uniform_unit_square
 from pdwg.polyspace import DEFAULT_TRI_DEGREE
 from pdwg.problems import get_problem
@@ -96,8 +97,8 @@ def test_shared_arrays_are_read_only():
     mesh = build_uniform_unit_square(4)
     ref = Reference(get_problem("sinsin"), mesh)
     for case in ("case1", "case2"):
-        disc = Discretization(case, mesh)
-        disc.measure(ref, disc.solve(ref))
+        matrix = case_matrix(case, mesh)
+        ref.measure(ref.solve(matrix, linsolve.saddle_factor(matrix)), matrix.tags)
     assert set(mesh.operators) == {"S", "B", "normal_maps", "p2_dofs", "bary_gradients",
                                    "p2_laplacians", ("points", DEFAULT_TRI_DEGREE)}
     arrays = list(shared_arrays(mesh))
@@ -151,6 +152,28 @@ def test_one_case_solves_hold_no_operator_through_the_factor(monkeypatch, built_
     harness.run_noise_study("coscos", "figures", 8, [0.0, 0.01])
     harness.run_convergence("sinsin", "case2", [2, 4])
     assert held == [0, 0, 0, 0]
+
+
+def test_no_factor_is_held_through_the_next_case_assembly(tmp_path, monkeypatch):
+    factors, alive = [], []
+    factor, assemble = harness.saddle_factor, harness.assemble_matrix
+
+    def tracked(matrix):
+        made = factor(matrix)
+        factors.append(weakref.ref(made))
+        return made
+
+    def checked(*args, **kwargs):
+        gc.collect()
+        alive.append(sum(ref() is not None for ref in factors))
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "saddle_factor", tracked)
+    monkeypatch.setattr(harness, "assemble_matrix", checked)
+    run_benchmark_tables(tmp_path, n_list=[2, 4])
+    # five cases on each of two meshes
+    assert len(factors) == 10
+    assert alive == [0] * 10
 
 
 def test_case2_pivots_are_read_with_nothing_else_held(monkeypatch, built_meshes):

@@ -133,7 +133,8 @@ def build_error_field_from_scratch(solution, problem, qn, mesh, tri_degree=6, ed
     en = solution.un - qn
 
     mismatch = np.empty((mesh.num_triangles, 3, 2))
-    for l, (e, s, G) in enumerate(normal_mismatch_maps(mesh)):
+    for l, G in enumerate(normal_mismatch_maps(mesh)):
+        e, s = mesh.tri_edges[:, l], mesh.tri_edge_signs[:, l]
         grad_u0_coeffs = np.einsum("tci,ti->tc", G, u_loc)
         va = mesh.triangles[:, l]
         vb = mesh.triangles[:, (l + 1) % 3]
