@@ -12,11 +12,16 @@ over the free unknowns, with constrained values g eliminated by lifting.
 The matrix depends only on the mesh and the boundary tags
 (``assemble_matrix``); the problem and the data noise enter only F and g
 (``assemble_rhs``).  S and B themselves depend on the mesh alone: the tags
-pick only which of their rows and columns are free.  They are built once
-per mesh and kept, read-only, in ``mesh.operators`` (``mesh_operator``),
-with the other mesh-only pieces that assembly and the error norms both
-read: the normal-derivative maps, the element P2 dofs, barycentric
-gradients and P2 Laplacians, and the points of each triangle rule.
+pick only which of their rows and columns are free.  So each mesh has one
+saddle matrix W = [S B^T; B 0] over every primal dof and multiplier
+(``saddle_operator``), and a case is cut from it in one pass: one selection
+of W's rows, the free primal dofs and then the multipliers, split by
+column into the case's M and the constrained columns C that lift the data.
+W is built once per mesh and kept, read-only, in ``mesh.operators``
+(``mesh_operator``), with the other mesh-only pieces that assembly and the
+error norms both read: the normal-derivative maps, the element P2 dofs,
+barycentric gradients and P2 Laplacians, and the points of each triangle
+rule.
 The stabilizer has an h^-3 trace-mismatch term and an h^-1
 normal-derivative-mismatch term; for C0 elements the trace mismatch
 v0 - vb is structurally zero (there is no independent vb unknown), so only
@@ -25,11 +30,12 @@ the norms module, where the error field has a genuine trace mismatch.
 Assembly runs in a fixed element/edge traversal order.  The stabilizer
 sums each of its upper-triangle entries once, from the local block entries
 (a, b) whose global dofs satisfy i <= j, and mirrors the strict upper
-triangle, so S and the saddle matrix are exactly symmetric.  (Summing the
-lower triangle from its own copies of the block entries would sum the
+triangle, so S, W and the saddle matrices are exactly symmetric.  (Summing
+the lower triangle from its own copies of the block entries would sum the
 duplicates of one position in another order, since the conversion to CSR
-sorts each row; its bits would then differ from the mirror's.)  The saddle
-matrix is built in CSR, the format in which ``pdwg.linsolve`` slices it.
+sorts each row; its bits would then differ from the mirror's.)  W and the
+saddle matrices are CSR with sorted indices, the format from whose arrays
+``pdwg.linsolve`` cuts its blocks.
 """
 
 from __future__ import annotations
@@ -212,32 +218,25 @@ def assemble_stabilizer(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     Per element T and edge e the surviving C0 term is
     h_T^-1 * int_e (grad v0 . n_e - vhat_e)^2 ds with vhat the stored P1
     flux; the edge mass in the centered basis is diag(h_e, h_e/12).  S does
-    not depend on the boundary tags: ``dofmap`` gives only its size.
+    not depend on the boundary tags: ``dofmap`` gives only its size.  The
+    (3, T, 8, 8) local blocks of the three local edges are built in one
+    pass, and their entries are listed local edge by local edge.
     """
-    n_u = dofmap.n_u
-    p2 = tri_p2_dofs(mesh).astype(np.int32)
-    rows_list, cols_list, data_list = [], [], []
-    for e, G in zip(mesh.tri_edges.T, normal_maps(mesh)):
-        R = np.zeros((len(e), 2, 8))
-        R[:, :, :6] = G
-        R[:, 0, 6] = -1.0
-        R[:, 1, 7] = -1.0
-        w = (mesh.h_e[e] / mesh.h_t)[:, None] * np.array([1.0, 1.0 / 12.0])
-        K = np.einsum("tia,ti,tib->tab", R, w, R)
-        flux = (n_u + 2 * e).astype(np.int32)[:, None]
-        dofs = np.concatenate([p2, flux, flux + 1], axis=1)
-        # entries (t, a, b) of the blocks with dofs[t, a] <= dofs[t, b], in
-        # block order; flat entry t*64 + a*8 + b sits at row dofs.flat[t*8 + a]
-        # and column dofs.flat[t*8 + b]
-        kept = np.flatnonzero(dofs[:, :, None] <= dofs[:, None, :])
-        rows_list.append(dofs.ravel()[kept // 8])
-        cols_list.append(dofs.ravel()[kept // 64 * 8 + kept % 8])
-        data_list.append(K.ravel()[kept])
+    edges = mesh.tri_edges.T                        # (3, T)
+    R = np.zeros(edges.shape + (2, 8))
+    R[..., :6] = normal_maps(mesh)
+    R[..., 0, 6] = -1.0
+    R[..., 1, 7] = -1.0
+    w = (mesh.h_e[edges] / mesh.h_t)[..., None] * np.array([1.0, 1.0 / 12.0])
+    K = np.einsum("ltia,lti,ltib->ltab", R, w, R)
+    flux = (dofmap.n_u + 2 * edges).astype(np.int32)[..., None]
+    p2 = np.broadcast_to(tri_p2_dofs(mesh).astype(np.int32), edges.shape + (6,))
+    dofs = np.concatenate([p2, flux, flux + 1], axis=-1)   # (3, T, 8)
+    rows = np.broadcast_to(dofs[..., :, None], K.shape)
+    cols = np.broadcast_to(dofs[..., None, :], K.shape)
+    upper = rows <= cols
     n = dofmap.n_primal
-    upper = sp.coo_matrix(
-        (np.concatenate(data_list), (np.concatenate(rows_list), np.concatenate(cols_list))),
-        shape=(n, n),
-    ).tocsr()
+    upper = sp.coo_matrix((K[upper], (rows[upper], cols[upper])), shape=(n, n)).tocsr()
     return upper + sp.triu(upper, k=1).T.tocsr()
 
 
@@ -355,26 +354,73 @@ def apply_boundary_conditions(
     return g
 
 
+def saddle_operator(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
+    """The mesh's W = [S B^T; B 0] over every primal dof and multiplier.
+
+    Built once per mesh (``mesh_operator``) from the stabilizer and the
+    constraint, which are not kept beside it; ``dofmap``, of any case on
+    the mesh, gives only the sizes.  Every case's matrix is cut from W.
+    """
+    def build():
+        S = assemble_stabilizer(mesh, dofmap)
+        B = constraint_matrix(mesh, dofmap)
+        top = sp.hstack([S, B.T.tocsr()], format="csr")
+        bottom = sp.csr_matrix((B.data, B.indices, B.indptr), shape=(B.shape[0], top.shape[1]))
+        return sp.vstack([top, bottom], format="csr")
+    return mesh_operator(mesh, "W", build)
+
+
+def split_columns(data, indices, indptr, col: np.ndarray, widths: tuple[int, int]):
+    """Split the CSR rows (data, indices, indptr) in two by column.
+
+    An entry in column j goes to column col[j] of the first part when
+    col[j] >= 0, and to column -1 - col[j] of the second part otherwise;
+    ``widths`` are the column counts of the two parts.  Each row keeps the
+    order of its entries, so canonical rows give canonical parts when col
+    increases on each of the two column sets.
+    """
+    j = col.take(indices)
+    in_second = j < 0
+    first, second = np.flatnonzero(~in_second), np.flatnonzero(in_second)
+    indptr_second = np.searchsorted(second, indptr).astype(indptr.dtype)
+    n = len(indptr) - 1
+    return (sp.csr_matrix((data.take(first), j.take(first), indptr - indptr_second),
+                          shape=(n, widths[0])),
+            sp.csr_matrix((data.take(second), -1 - j.take(second), indptr_second),
+                          shape=(n, widths[1])))
+
+
 @dataclass
 class SystemMatrix:
     """The part of the PD-WG system fixed by the mesh and the boundary tags.
 
     The problem and the data noise change only the right-hand side, so one
     SystemMatrix (and one factor of M) serves every load and boundary datum.
+    It holds no operator of the mesh: ``S`` and ``B`` read the mesh's W,
+    built again if ``mesh.operators`` was cleared.
     """
 
     mesh: Mesh
     tags: BoundaryTags
     dofmap: DofMap
-    S: sp.csr_matrix          # the mesh's stabilizer over all primal dofs
-    B: sp.csr_matrix          # the mesh's constraint rows over all primal dofs
-    S_fc: sp.csr_matrix       # stabilizer rows of free, columns of constrained dofs
-    B_c: sp.csr_matrix        # constraint columns of constrained dofs
     M: sp.csr_matrix          # [S_ff B_f^T; B_f 0]
+    C: sp.csr_matrix          # [-S_fc; B_c]: the rows of M, the columns of constrained dofs
 
     @property
     def n_free(self) -> int:
         return len(self.dofmap.free)
+
+    @property
+    def S(self) -> sp.csr_matrix:
+        """The mesh's stabilizer over all primal dofs."""
+        n = self.dofmap.n_primal
+        return saddle_operator(self.mesh, self.dofmap)[:n, :n]
+
+    @property
+    def B(self) -> sp.csr_matrix:
+        """The mesh's constraint rows over all primal dofs."""
+        n = self.dofmap.n_primal
+        return saddle_operator(self.mesh, self.dofmap)[n:, :n]
 
 
 @dataclass
@@ -388,18 +434,25 @@ class SaddleSystem(SystemMatrix):
 def assemble_matrix(mesh: Mesh, tags: BoundaryTags) -> SystemMatrix:
     """Assemble the data-independent blocks of the saddle-point system.
 
-    S and B are the mesh's (``mesh_operator``), shared with every other
-    case on the mesh; only their free/constrained slices are built here.
+    One row selection of the mesh's W (``saddle_operator``), shared with
+    every other case on the mesh, takes the free primal rows and then the
+    multiplier rows; splitting its columns the same way gives M, and the
+    constrained columns give C.  C's stabilizer rows are negated, as the
+    right-hand side takes them, so that C @ g_c gives the bits of -S_fc @ g_c
+    and B_c @ g_c, zero signs included.
     """
     dofmap = build_dofmap(mesh, tags)
-    S = mesh_operator(mesh, "S", lambda: assemble_stabilizer(mesh, dofmap))
-    B = mesh_operator(mesh, "B", lambda: constraint_matrix(mesh, dofmap))
-    free, con = dofmap.free, dofmap.constrained
-    S_f = S[free]
-    B_f = B[:, free]
-    M = sp.bmat([[S_f[:, free], B_f.T], [B_f, None]], format="csr")
-    return SystemMatrix(mesh=mesh, tags=tags, dofmap=dofmap, S=S, B=B,
-                        S_fc=S_f[:, con], B_c=B[:, con], M=M)
+    W = saddle_operator(mesh, dofmap)
+    kept = np.concatenate([dofmap.free, np.arange(dofmap.n_primal, W.shape[0])])
+    con = dofmap.constrained
+    col = np.empty(W.shape[0], dtype=W.indices.dtype)
+    col[kept] = np.arange(len(kept))
+    col[con] = -1 - np.arange(len(con))
+    rows = W[kept]
+    M, C = split_columns(rows.data, rows.indices, rows.indptr, col, (len(kept), len(con)))
+    stabilizer_rows = C.data[:C.indptr[len(dofmap.free)]]
+    np.negative(stabilizer_rows, out=stabilizer_rows)
+    return SystemMatrix(mesh=mesh, tags=tags, dofmap=dofmap, M=M, C=C)
 
 
 def assemble_rhs(
@@ -427,8 +480,9 @@ def assemble_rhs(
     F = element_load(mesh, problem.f, tri_degree) if load is None else load
     g = apply_boundary_conditions(problem.u, g2, mesh, matrix.tags, dofmap,
                                   edge_points_for(tri_degree), noise)
-    g_c = g[dofmap.constrained]
-    rhs = np.concatenate([-matrix.S_fc @ g_c, F - matrix.B_c @ g_c])
+    lift = matrix.C @ g[dofmap.constrained]
+    nf = matrix.n_free
+    rhs = np.concatenate([lift[:nf], F - lift[nf:]])
     return SaddleSystem(**vars(matrix), g=g, rhs=rhs)
 
 

@@ -186,6 +186,8 @@ def _validate_values(cfg: dict, command: str) -> None:
                 f"{QUADRATURE_DEGREES.stop - 1}, got {deg}"
             )
         n_values = cfg["n_list"] if command == "converge" else [cfg["n"]]
+        if not n_values:
+            raise ValueError("the mesh parameter list is empty")
         segments = () if cfg["plan"] == "benchmark" else get_case(cfg["case"]).segments
         for n in n_values:
             if n < 1:

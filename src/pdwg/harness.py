@@ -5,12 +5,13 @@ tables is a formatting layer on top.  Observed orders use log2 of the
 error ratio under mesh halving; reruns with the same inputs are
 byte-identical.  A single solve, a noise study and a convergence study
 run through one per-mesh loop (``_study``).  On each mesh, what depends on
-the mesh alone is built once (``pdwg.assembly.mesh_operator``): the
-stabilizer S, the constraint B, the normal-derivative maps, the element P2
-geometry and the triangle-rule points.  Every case slices its matrix from
-that S and B (``case_matrix``) and is factored once for every problem and
-noise amplitude on it; every problem has one ``Reference`` per mesh, whose
-load, sampled Q_h u and snapshot columns serve every case and amplitude.
+the mesh alone is built once (``pdwg.assembly.mesh_operator``): the saddle
+matrix W = [S B^T; B 0] over every primal dof and multiplier, the
+normal-derivative maps, the element P2 geometry and the triangle-rule
+points.  Every case cuts its matrix from that W (``case_matrix``) and is
+factored once for every problem and noise amplitude on it; every problem
+has one ``Reference`` per mesh, whose load, sampled Q_h u and snapshot
+columns serve every case and amplitude.
 """
 
 from __future__ import annotations
@@ -208,8 +209,7 @@ class Reference:
 
 def case_matrix(case_name: str, mesh: Mesh) -> SystemMatrix:
     """The saddle matrix of a boundary case on ``mesh``: its tags and the
-    free/constrained slices of the mesh's S and B, which every case on the
-    mesh shares."""
+    matrix cut from the mesh's W, which every case on the mesh shares."""
     return assemble_matrix(mesh, classify_boundary(mesh, list(get_case(case_name).segments)))
 
 
@@ -256,9 +256,13 @@ def _study(
     factor's pivot report; with ``snapshots`` each run takes its snapshot
     when it is measured.  A singular factor fails the runs of its case, a
     singular solve its own run, and running out of memory every run on the
-    mesh that has not finished.
+    mesh that has not finished.  A case without runs is not assembled, and
+    a plan without runs builds no mesh.
     """
     runs: dict[str, list[Run]] = {case: [] for case in plan}
+    plan = {case: todo for case, todo in plan.items() if todo}
+    if not plan:
+        return runs
     try:
         mesh = build_uniform_unit_square(n)
         refs = {p: Reference(get_problem(p), mesh, tri_degree)

@@ -113,23 +113,24 @@ def check_infsup(
     Random multipliers are uniform in [-1, 1] per element.  Returns the max
     relative identity discrepancy and the ratios ||v*||_2h^2 / ||lam||_0h^2
     (the empirical inf-sup constant; bounded, never pinned to a number).
-    ``system`` holds the S and B of (mesh, tags); assembled here when not
+    ``system`` reads the S and B of (mesh, tags); assembled here when not
     given.
     """
     if system is None:
         system = assemble_matrix(mesh, tags)
     rng = np.random.Generator(np.random.PCG64(seed))
+    S, B = system.S, system.B
     max_rel = 0.0
     ratios = []
     for _ in range(n_samples):
         lam = rng.uniform(-1.0, 1.0, mesh.num_triangles)
         v = build_vstar(lam, mesh, tags)
-        lhs = float(lam @ (system.B @ v))
+        lhs = float(lam @ (B @ v))
         norm_sq = lambda_norm(lam, mesh, tags) ** 2
         if norm_sq == 0.0:
             continue
         max_rel = max(max_rel, abs(lhs - norm_sq) / norm_sq)
-        ratios.append(float(v @ (system.S @ v)) / norm_sq)
+        ratios.append(float(v @ (S @ v)) / norm_sq)
     return {"max_rel_discrepancy": max_rel, "ratios": ratios}
 
 
@@ -166,14 +167,15 @@ def check_error_equations(
     mesh, dofmap = system.mesh, system.dofmap
     z = solution.primal
     g = projection_stabilizer_load(qhu, mesh)
+    B = system.B
     term_e = system.S @ z - g
-    term_lam = system.B.T @ solution.lam
+    term_lam = B.T @ solution.lam
     res = term_e + term_lam + g
     sehv = float(np.abs(res[dofmap.free]).max())
 
     e_vec = np.zeros(dofmap.n_primal)
     e_vec[dofmap.n_u :] = (solution.un - qhu.qn).ravel()
-    sehv2 = float(np.abs(system.B @ e_vec).max())
+    sehv2 = float(np.abs(B @ e_vec).max())
     return sehv, sehv2
 
 
@@ -238,10 +240,10 @@ def run_standard_checks(seed: int = VERIFY_SEED) -> VerificationReport:
     One matrix per (case, n) and one Reference per (problem, n) serve
     every check on them: case1 at n=4 gives the quad error equations,
     symmetry, positive-semidefiniteness, quadratic consistency and a
-    coercivity ratio from one matrix and one factor.  Each mesh's
-    stabilizer, constraint, normal-derivative maps, P2 geometry and
-    triangle-rule points are built once, for case1 and the projections,
-    and case2 on n = 8, 16, 32 reuses its S and B.  Each factor is a local,
+    coercivity ratio from one matrix and one factor.  Each mesh's saddle
+    matrix W, normal-derivative maps, P2 geometry and triangle-rule points
+    are built once, for case1 and the projections, and case2 on n = 8, 16,
+    32 is cut from the same W.  Each factor is a local,
     deleted after its last use.  The case2 pivots run last, each once
     everything else of its mesh is freed: reading U makes a factor keep
     copies of L and U, and the one at n=32 sets the peak memory of the run.
@@ -273,8 +275,9 @@ def run_standard_checks(seed: int = VERIFY_SEED) -> VerificationReport:
                                        sinsin[8].projection, case1[8])
     asym = float(np.abs(system.M - system.M.T).max())
     rng = np.random.Generator(np.random.PCG64(seed))
-    vs = rng.standard_normal((100, system.S.shape[0]))
-    psd_min = float(min(v @ (system.S @ v) for v in vs))
+    S = system.S
+    vs = rng.standard_normal((100, S.shape[0]))
+    psd_min = float(min(v @ (S @ v) for v in vs))
     consistency = quadratic_consistency_residual(system, quad)
 
     cs = [coercivity_ratio(sinsin[4], system, factor4),

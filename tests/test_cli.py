@@ -88,6 +88,14 @@ def test_out_of_range_values_are_usage_errors(args, tmp_path, capsys):
     assert not (tmp_path / "config.json").exists()
 
 
+@pytest.mark.parametrize("args", [["converge"], ["converge", "--plan", "benchmark"]],
+                         ids=["one_table", "benchmark_plan"])
+def test_empty_mesh_list_is_a_usage_error(args, tmp_path, capsys):
+    assert run([*args, "--n-list", ""], tmp_path) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize("degree", ["4", "20"])
 def test_quadrature_degree_range_ends_solve(degree, tmp_path):
     assert run(["solve", "--n", "1", "--quadrature-degree", degree], tmp_path) == 0

@@ -324,6 +324,15 @@ def test_noise_study_factors_once_and_matches_fresh_solves(splu_calls):
         assert row.report.as_dict() == report.as_dict()
 
 
+def test_a_case_without_runs_is_not_factored(splu_calls):
+    study = run_noise_study("coscos", "figures", 8, [])
+    assert study.rows == []
+    assert splu_calls == []
+    assert harness._study(4, {"case1": [], "case2": [("quad", None)]},
+                          DEFAULT_TRI_DEGREE)["case1"] == []
+    assert len(splu_calls) == 1
+
+
 def test_benchmark_tables_factor_once_per_case_and_mesh(tmp_path, splu_calls):
     # 12 (problem, case) tables on 5 cases: case1 carries 4 problems and
     # case2 and case5 carry 3 each, yet each (case, n) is factored once.

@@ -9,8 +9,8 @@ from pdwg.linsolve import (
     CondensedFactor,
     SingularSystem,
     _equilibration,
+    _flux_rows,
     factor_and_solve,
-    flux_diagonal,
     saddle_factor,
     solve_sparse,
 )
@@ -159,15 +159,24 @@ def test_free_flux_block_is_positive_diagonal(case):
     d = np.diag(block)
     assert np.array_equal(block, np.diag(d))
     assert np.all(d > 0.0)
-    assert np.array_equal(flux_diagonal(system.M, flux), d)
+    M_qk, got, _ = _flux_rows(system.M, flux)
+    assert np.array_equal(got, d)
+    keep = np.setdiff1d(np.arange(system.M.shape[0]), flux)
+    assert (M_qk != system.M[flux][:, keep]).nnz == 0
 
 
 def test_flux_diagonal_rejects_coupled_block():
-    M = sp.csc_matrix(np.array([[2.0, 1.0, 1.0], [1.0, 3.0, 0.5], [1.0, 0.5, 4.0]]))
-    with pytest.raises(ValueError):
-        flux_diagonal(M, np.array([1, 2]))
-    with pytest.raises(ValueError):
-        flux_diagonal(sp.csc_matrix(np.diag([1.0, -1.0])), np.array([0, 1]))
+    M = sp.csr_matrix(np.array([[2.0, 1.0, 1.0], [1.0, 3.0, 0.5], [1.0, 0.5, 4.0]]))
+    with pytest.raises(ValueError, match="not diagonal"):
+        _flux_rows(M, np.array([1, 2]))
+    with pytest.raises(ValueError, match="<= 0"):
+        _flux_rows(sp.csr_matrix(np.diag([1.0, -1.0])), np.array([0, 1]))
+
+
+def test_flux_unknowns_must_be_consecutive():
+    M = sp.csr_matrix(np.diag([1.0, 2.0, 3.0]))
+    with pytest.raises(ValueError, match="consecutive"):
+        CondensedFactor(M, np.array([0, 2]))
 
 
 def test_condensation_without_flux_unknowns_solves_full_matrix(rng):
@@ -200,7 +209,7 @@ def test_equilibration_is_bitwise_the_scipy_row_max(case):
     M, keep, flux = factor.M, factor.keep, factor.flux
     K = M[keep][:, keep] - M[keep][:, flux] @ sp.diags(factor.inv_d) @ M[flux][:, keep]
     assert K.format == "csr"
-    s, norm_1, norm_inf = _equilibration(K)
+    _, s, norm_1, norm_inf = _equilibration(K)
     want_s, want_1, want_inf = equilibration_oracle(K)
     assert np.array_equal(s.view(np.int64), want_s.view(np.int64))
     assert (norm_1, norm_inf) == (want_1, want_inf)

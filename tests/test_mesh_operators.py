@@ -1,9 +1,10 @@
 """The operators built once per mesh and shared by every case and problem on it.
 
-S, B, the normal-derivative maps, the element P2 geometry and the
-triangle-rule points depend on the mesh alone.  Sharing them must change no
-bit of any result, each must be built once per mesh, every shared array must
-be read-only, and a one-case solve must hold none of them through its factor.
+The saddle matrix W = [S B^T; B 0], the normal-derivative maps, the element
+P2 geometry and the triangle-rule points depend on the mesh alone.  Sharing
+them must change no bit of any result, each must be built once per mesh,
+every shared array must be read-only, and a one-case solve must hold none of
+them through its factor.
 """
 
 import gc
@@ -66,23 +67,31 @@ def test_shared_rows_equal_solves_on_fresh_meshes():
             assert row.report.as_dict() == report.as_dict(), (problem, case, row.n)
 
 
+def assert_same_bits(got, want):
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64))
+
+
 def test_cases_on_one_mesh_share_s_and_b_and_keep_their_bits():
+    # every case is cut from the mesh's one W, which holds S and B
     mesh = build_uniform_unit_square(8)
     matrices = {case: assemble_matrix(mesh, tags_for(mesh, case))
                 for case in ("case1", "case2", "case5")}
+    W = mesh.operators["W"]
+    n = matrices["case1"].dofmap.n_primal
+    assert_same_bits(W[:n, :n], assembly.assemble_stabilizer(mesh, matrices["case1"].dofmap))
+    assert_same_bits(W[n:, :n], assembly.constraint_matrix(mesh, matrices["case1"].dofmap))
     for case, matrix in matrices.items():
-        assert matrix.S is mesh.operators["S"] and matrix.B is mesh.operators["B"]
+        assert assembly.saddle_operator(mesh, matrix.dofmap) is W
         fresh_mesh = build_uniform_unit_square(8)
         fresh = assemble_matrix(fresh_mesh, tags_for(fresh_mesh, case))
-        for name in ("S", "B", "S_fc", "B_c", "M"):
-            got, want = getattr(matrix, name), getattr(fresh, name)
-            assert np.array_equal(got.indptr, want.indptr), (case, name)
-            assert np.array_equal(got.indices, want.indices), (case, name)
-            assert np.array_equal(got.data.view(np.int64), want.data.view(np.int64)), (case, name)
+        for name in ("S", "B", "C", "M"):
+            assert_same_bits(getattr(matrix, name), getattr(fresh, name))
 
 
 def test_benchmark_tables_build_each_operator_once_per_mesh(tmp_path, builds):
-    # 12 tables on 5 cases over 5 meshes: S and B were built per (case, n)
+    # 12 tables on 5 cases over 5 meshes: one W, from one S and one B, per mesh
     run_benchmark_tables(tmp_path, n_list=[1, 2, 4, 8, 16])
     assert builds == dict.fromkeys(BUILDERS, 5)
 
@@ -99,17 +108,17 @@ def test_shared_arrays_are_read_only():
     for case in ("case1", "case2"):
         matrix = case_matrix(case, mesh)
         ref.measure(ref.solve(matrix, linsolve.saddle_factor(matrix)), matrix.tags)
-    assert set(mesh.operators) == {"S", "B", "normal_maps", "p2_dofs", "bary_gradients",
+    assert set(mesh.operators) == {"W", "normal_maps", "p2_dofs", "bary_gradients",
                                    "p2_laplacians", ("points", DEFAULT_TRI_DEGREE)}
     arrays = list(shared_arrays(mesh))
-    assert len(arrays) == 5 + 2 * 3
+    assert len(arrays) == 5 + 3
     assert not any(arr.flags.writeable for arr in arrays)
     projection = ref.projection
     assert projection.normal_maps is mesh.operators["normal_maps"]
     assert projection.p2_dofs is mesh.operators["p2_dofs"]
     assert projection.p2_lap is mesh.operators["p2_laplacians"]
     with pytest.raises(ValueError, match="read-only"):
-        mesh.operators["S"].data[0] = 0.0
+        mesh.operators["W"].data[0] = 0.0
 
 
 def test_cleared_operators_are_built_again_with_the_same_bits():
@@ -152,6 +161,55 @@ def test_one_case_solves_hold_no_operator_through_the_factor(monkeypatch, built_
     harness.run_noise_study("coscos", "figures", 8, [0.0, 0.01])
     harness.run_convergence("sinsin", "case2", [2, 4])
     assert held == [0, 0, 0, 0]
+
+
+@pytest.fixture
+def mesh_matrices(monkeypatch):
+    """Weak references to every S, B and W that assembly builds."""
+    made = {name: [] for name in ("assemble_stabilizer", "constraint_matrix", "saddle_operator")}
+
+    def tracked(name, fn):
+        def build(*args, **kwargs):
+            matrix = fn(*args, **kwargs)
+            made[name].append(weakref.ref(matrix))
+            return matrix
+        return build
+
+    for name in made:
+        monkeypatch.setattr(assembly, name, tracked(name, getattr(assembly, name)))
+    return made
+
+
+def alive_at_each_factor(monkeypatch, made):
+    """Per splu call, how many distinct matrices of each kind of ``made`` are alive."""
+    alive = []
+    factor = spla.splu
+
+    def splu(*args, **kwargs):
+        gc.collect()
+        alive.append({name: len({id(ref()) for ref in refs if ref() is not None})
+                      for name, refs in made.items()})
+        return factor(*args, **kwargs)
+
+    monkeypatch.setattr(spla, "splu", splu)
+    return alive
+
+
+def test_one_case_solves_hold_no_mesh_matrix_through_the_factor(monkeypatch, mesh_matrices):
+    alive = alive_at_each_factor(monkeypatch, mesh_matrices)
+    solve_single("sinsin", "case1", 8)
+    harness.run_noise_study("coscos", "figures", 8, [0.0, 0.01])
+    assert len(alive) == 2
+    assert all(counts == dict.fromkeys(mesh_matrices, 0) for counts in alive)
+
+
+def test_cases_on_a_mesh_hold_only_w_through_their_factors(monkeypatch, mesh_matrices):
+    # W replaces S and B: it is the one mesh matrix alive until the last case
+    alive = alive_at_each_factor(monkeypatch, mesh_matrices)
+    harness._convergence_tables({"case1": ["sinsin"], "case2": ["sinsin"],
+                                 "case5": ["coscos"]}, [4], DEFAULT_TRI_DEGREE)
+    none = dict.fromkeys(mesh_matrices, 0)
+    assert alive == [{**none, "saddle_operator": 1}] * 2 + [none]
 
 
 def test_no_factor_is_held_through_the_next_case_assembly(tmp_path, monkeypatch):
