@@ -22,6 +22,9 @@ W is built once per mesh and kept, read-only, in ``mesh.operators``
 error norms both read: the normal-derivative maps, the element P2 dofs,
 barycentric gradients and P2 Laplacians, and the points of each triangle
 rule.
+The Neumann data are sampled by the sampler that gives Qn of Q_h u,
+``pdwg.weak_laplacian.normal_derivative_samples``, on the case's Neumann
+edges; only their sign, s(T, e) = +-1, turns n_e into the outward normal.
 The stabilizer has an h^-3 trace-mismatch term and an h^-1
 normal-derivative-mismatch term; for C0 elements the trace mismatch
 v0 - vb is structurally zero (there is no independent vb unknown), so only
@@ -51,7 +54,6 @@ from pdwg.polyspace import (
     DEFAULT_EDGE_POINTS,
     DEFAULT_TRI_DEGREE,
     bary_gradients,
-    edge_gauss,
     edge_points_for,
     interpolate_nodes,
     p2_laplacians,
@@ -59,6 +61,7 @@ from pdwg.polyspace import (
     triangle_quadrature,
 )
 from pdwg.problems import ManufacturedSolution, NoiseSpec, perturb
+from pdwg.weak_laplacian import normal_derivative_samples
 
 _MID_PAIRS = ((0, 1), (1, 2), (2, 0))
 
@@ -284,73 +287,41 @@ def assemble_constraint(
     return constraint_matrix(mesh, dofmap), element_load(mesh, f, tri_degree)
 
 
-def neumann_flux_coefficients(
-    g2: Callable,
-    mesh: Mesh,
-    tags: BoundaryTags,
-    edges: np.ndarray,
-    edge_points: int = DEFAULT_EDGE_POINTS,
-    noise: NoiseSpec | None = None,
-    rng=None,
-) -> np.ndarray:
-    """Stored P1 flux coefficients of Qn g2 on the given Neumann edges.
-
-    ``g2(x, y, n_out)`` is the outward-normal derivative datum, called once
-    on (len(edges), q) sample points with n_out[0], n_out[1] of shape
-    (len(edges), 1); the result is expressed with respect to the global edge
-    normal, i.e. multiplied by s(T, e) of the single incident element.
-    Optional noise perturbs the samples of g2 before projecting, edge by
-    edge in the given order and within an edge in rule order.
-    """
-    edges = np.asarray(edges, dtype=np.int64)
-    untagged = edges[~tags.neumann[edges]]
-    if len(untagged):
-        raise ValueError(f"edge {int(untagged[0])} carries no Neumann flag")
-    t, _ = edge_gauss(edge_points)
-    pa = mesh.vertices[mesh.edges[edges, 0]]
-    pb = mesh.vertices[mesh.edges[edges, 1]]
-    pts = pa[:, None, :] + t[None, :, None] * (pb - pa)[:, None, :]
-    s = mesh.edge_tri_signs[edges, 0].astype(float)
-    n_out = (s[:, None] * mesh.edge_normals[edges]).T[:, :, None]
-    samples = np.broadcast_to(
-        np.asarray(g2(pts[..., 0], pts[..., 1], n_out), dtype=float), pts.shape[:-1]
-    )
-    if noise is not None:
-        samples = perturb(samples, noise, rng)
-    return s[:, None] * project_edge_samples(samples, edge_points)
-
-
 def apply_boundary_conditions(
-    g1: Callable,
-    g2: Callable,
+    problem: ManufacturedSolution,
     mesh: Mesh,
-    tags: BoundaryTags,
     dofmap: DofMap,
     edge_points: int = DEFAULT_EDGE_POINTS,
     noise: NoiseSpec | None = None,
 ) -> np.ndarray:
     """Full-length primal vector of prescribed values (zero on free dofs).
 
-    Dirichlet u-dofs get g1 interpolated at the P2 nodes on closure(Gamma_d);
-    Neumann flux dofs get the sign-converted Qn projection of g2.  With a
-    NoiseSpec, one PCG64 stream perturbs all data samples in a fixed order:
-    Dirichlet node values by ascending node id first, then Neumann edges by
-    ascending edge id with each edge's quadrature samples in rule order.
+    Dirichlet u-dofs get u at the P2 nodes on closure(Gamma_d).  Neumann
+    flux dofs get s P1(s samples): the samples of grad u . n_e on the
+    Neumann edges (``normal_derivative_samples``), turned outward by
+    s = s(T, e) of the edge's one element, projected, and stored against
+    n_e again.  The flips by s = +-1 are exact, so without noise these are
+    the Qn(grad u . n_e) of Q_h u bit for bit.  With a NoiseSpec, one PCG64
+    stream perturbs the outward data samples in a fixed order: Dirichlet
+    node values by ascending node id first, then Neumann edges by ascending
+    edge id with each edge's quadrature samples in rule order.
     """
     g = np.zeros(dofmap.n_primal)
     rng = None
     if noise is not None and noise.amplitude > 0.0:
         rng = noise.generator()
     if len(dofmap.dirichlet_nodes):
-        values = interpolate_nodes(g1, mesh, dofmap.dirichlet_nodes)
+        values = interpolate_nodes(problem.u, mesh, dofmap.dirichlet_nodes)
         if noise is not None:
             values = perturb(values, noise, rng)
         g[dofmap.dirichlet_nodes] = values
-    if len(dofmap.neumann_edges):
-        coeffs = neumann_flux_coefficients(
-            g2, mesh, tags, dofmap.neumann_edges, edge_points, noise, rng
-        )
-        g[dofmap.flux_dofs(dofmap.neumann_edges)] = coeffs
+    edges = dofmap.neumann_edges
+    if len(edges):
+        s = mesh.edge_tri_signs[edges, 0][:, None]
+        samples = s * normal_derivative_samples(problem.grad_u, mesh, edges, edge_points)
+        if noise is not None:
+            samples = perturb(samples, noise, rng)
+        g[dofmap.flux_dofs(edges)] = s * project_edge_samples(samples, edge_points)
     return g
 
 
@@ -464,22 +435,16 @@ def assemble_rhs(
 ) -> SaddleSystem:
     """Add the load and boundary-data right-hand side of a problem.
 
-    Boundary data is taken from the exact solution: g1 = u on Gamma_d and
-    g2 = grad u . n on Gamma_n (optionally noise-perturbed), projected with
-    the edge rule ``edge_points_for(tri_degree)``.  ``load`` is the
-    problem's ``element_load`` on this mesh at ``tri_degree``, computed
-    here when not given; it does not depend on the noise, so the solves of
-    one problem on one mesh can share it.
+    Boundary data is taken from the exact solution: u on Gamma_d and
+    grad u . n on Gamma_n (optionally noise-perturbed), sampled and
+    projected with the edge rule ``edge_points_for(tri_degree)``.  ``load``
+    is the problem's ``element_load`` on this mesh at ``tri_degree``,
+    computed here when not given; it does not depend on the noise, so the
+    solves of one problem on one mesh can share it.
     """
     mesh, dofmap = matrix.mesh, matrix.dofmap
-
-    def g2(x, y, n_out):
-        gx, gy = problem.grad_u(x, y)
-        return gx * n_out[0] + gy * n_out[1]
-
     F = element_load(mesh, problem.f, tri_degree) if load is None else load
-    g = apply_boundary_conditions(problem.u, g2, mesh, matrix.tags, dofmap,
-                                  edge_points_for(tri_degree), noise)
+    g = apply_boundary_conditions(problem, mesh, dofmap, edge_points_for(tri_degree), noise)
     lift = matrix.C @ g[dofmap.constrained]
     nf = matrix.n_free
     rhs = np.concatenate([lift[:nf], F - lift[nf:]])

@@ -171,6 +171,11 @@ def _validate_values(cfg: dict, command: str) -> None:
     for key, (kind, ok) in _VALUE_TYPES.items():
         if not ok(cfg[key]):
             raise UsageError(f"{key} must be {kind}, got {cfg[key]!r}")
+    # a config file's integer amplitudes are the floats their flag gives
+    try:
+        cfg["amplitudes"] = [float(a) for a in cfg["amplitudes"]]
+    except OverflowError as exc:
+        raise UsageError("an amplitude is too large for a float") from exc
     if command in ("solve", "converge", "noise"):
         _validate_names(cfg)
     try:
@@ -222,10 +227,13 @@ def _prepare_out(cfg: dict, args: argparse.Namespace) -> Path:
     are defaults or config-file values that the subcommand never reads.
     """
     out = Path(cfg["out"])
-    out.mkdir(parents=True, exist_ok=True)
     echo = {"command": args.command, **{k: cfg[k] for k in vars(args) if k in cfg}}
-    (out / "config.json").write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n",
-                                     encoding="utf-8")
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        (out / "config.json").write_text(json.dumps(echo, indent=2, sort_keys=True) + "\n",
+                                         encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot create output directory {str(out)!r}: {exc.strerror}") from exc
     return out
 
 

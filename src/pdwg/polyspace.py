@@ -4,7 +4,8 @@ The P2 nodal basis is the one element basis: u_h and the projection Q0 u
 in ``pdwg.norms`` are both stored as values at the six local nodes.  Edge
 fluxes live in P1 with the centered basis 1, (t - 1/2) on the canonical
 arc parameter t in [0, 1]; ``project_edge_samples`` is the one edge P1
-projection, used for the Neumann data and for Qn of an exact flux.
+projection, used for the Neumann data and for Qn of an exact flux, both
+sampled by ``pdwg.weak_laplacian.normal_derivative_samples``.
 Triangle rules are conical products of Gauss-Legendre and Gauss-Jacobi
 lines (positive weights, interior points, exact to the requested total
 degree).  The Gauss-Jacobi line for the weight (1 - x) is computed here by

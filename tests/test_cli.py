@@ -152,6 +152,25 @@ def test_config_file_and_flags_equivalent(tmp_path):
     assert (out_a / "errors.csv").read_bytes() == (out_b / "errors.csv").read_bytes()
 
 
+def test_noise_config_file_and_flags_write_identical_outputs(tmp_path):
+    # JSON integer amplitudes are written as the floats the flag parses
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({"problem": "coscos", "case": "figures", "n": 4,
+                               "amplitudes": [0, 0.01]}))
+    out_a = tmp_path / "a"
+    out_b = tmp_path / "b"
+    assert cli.main(["noise", "--config", str(cfg), "--out", str(out_a)]) == 0
+    assert cli.main(["noise", "--problem", "coscos", "--case", "figures", "--n", "4",
+                     "--amplitudes", "0,0.01", "--out", str(out_b)]) == 0
+    names = sorted(p.name for p in out_a.iterdir())
+    assert names == sorted(p.name for p in out_b.iterdir())
+    for name in names:
+        if name != "config.json":
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
+    echo_a = (out_a / "config.json").read_text().replace(str(out_a), str(out_b))
+    assert echo_a == (out_b / "config.json").read_text()
+
+
 def test_flag_overrides_config(tmp_path):
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({"problem": "coscos", "case": "case2", "n": 2}))
@@ -198,8 +217,11 @@ def test_unreadable_config_is_a_usage_error(text, message, tmp_path, capsys):
         (["converge"], {"n_list": 4}),
         (["converge"], {"n_list": "x"}),
         (["noise", "--n", "2"], {"amplitudes": [0, "0.01"]}),
+        (["noise", "--n", "2"], {"amplitudes": [True]}),
+        (["noise", "--n", "2"], {"amplitudes": [0, 10**400]}),
     ],
-    ids=["string_n", "word_n", "scalar_n_list", "unparsable_n_list", "string_amplitude"],
+    ids=["string_n", "word_n", "scalar_n_list", "unparsable_n_list", "string_amplitude",
+         "bool_amplitude", "huge_amplitude"],
 )
 def test_config_values_of_wrong_type_are_usage_errors(command, values, tmp_path, capsys):
     cfg = tmp_path / "run.json"
@@ -229,6 +251,22 @@ def test_config_values_the_subcommand_does_not_read_are_ignored(command, values,
     assert cli.main([*command, "--config", str(cfg), "--out", str(out)]) == 0
     echo = json.loads((out / "config.json").read_text())
     assert not set(values) & set(echo)
+
+
+@pytest.mark.parametrize(
+    "args, out",
+    [
+        (["solve", "--n", "2"], "taken"),
+        (["verify"], "taken/sub"),
+    ],
+    ids=["out_is_a_file", "out_under_a_file"],
+)
+def test_uncreatable_out_is_a_usage_error(args, out, tmp_path, capsys):
+    (tmp_path / "taken").write_text("a file\n")
+    assert cli.main([*args, "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot create output directory")
+    assert (tmp_path / "taken").read_text() == "a file\n"
 
 
 def test_diagnostics_print_residual_pivots_and_condition(tmp_path, capsys):
