@@ -25,11 +25,11 @@ rule.
 The Neumann data are sampled by the sampler that gives Qn of Q_h u,
 ``pdwg.weak_laplacian.normal_derivative_samples``, on the case's Neumann
 edges; only their sign, s(T, e) = +-1, turns n_e into the outward normal.
-The stabilizer has an h^-3 trace-mismatch term and an h^-1
-normal-derivative-mismatch term; for C0 elements the trace mismatch
-v0 - vb is structurally zero (there is no independent vb unknown), so only
-the h^-1 term reaches the assembled matrix.  The h^-3 machinery lives in
-the norms module, where the error field has a genuine trace mismatch.
+The stabilizer s(., .) has an h^-3 trace-mismatch term, which C0 elements
+lack (no independent vb unknown) and the norms module measures on the error
+field, and an h^-1 normal-derivative-mismatch term, written once here
+(``stabilizer_weights``, ``stabilizer_blocks``): S scatters its blocks, and
+the h2 norm and the error equation of ``pdwg.verify`` read them.
 Assembly runs in a fixed element/edge traversal order.  The stabilizer
 sums each of its upper-triangle entries once, from the local block entries
 (a, b) whose global dofs satisfy i <= j, and mirrors the strict upper
@@ -72,7 +72,6 @@ class DofMap:
 
     n_vertices: int
     n_edges: int
-    n_triangles: int
     dirichlet_nodes: np.ndarray  # sorted P2 node ids on closure(Gamma_d)
     neumann_edges: np.ndarray    # sorted edge ids carrying Neumann data
     constrained: np.ndarray      # sorted primal dof indices
@@ -102,7 +101,7 @@ def build_dofmap(mesh: Mesh, tags: BoundaryTags) -> DofMap:
     incident" rule), so corner nodes shared with an untagged segment still
     receive data.
     """
-    V, E, T = mesh.num_vertices, mesh.num_edges, mesh.num_triangles
+    V, E = mesh.num_vertices, mesh.num_edges
     dirichlet_nodes = mesh.closure_p2_nodes(tags.dirichlet_edges)
     neumann_edges = np.asarray(sorted(tags.neumann_edges), dtype=np.int64)
 
@@ -121,7 +120,6 @@ def build_dofmap(mesh: Mesh, tags: BoundaryTags) -> DofMap:
     return DofMap(
         n_vertices=V,
         n_edges=E,
-        n_triangles=T,
         dirichlet_nodes=dirichlet_nodes,
         neumann_edges=neumann_edges,
         constrained=constrained,
@@ -215,26 +213,44 @@ def normal_maps(mesh: Mesh) -> np.ndarray:
     return mesh_operator(mesh, "normal_maps", lambda: normal_mismatch_maps(mesh))
 
 
-def assemble_stabilizer(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
-    """Stabilizer Gram matrix S over all primal dofs (exactly symmetric PSD).
+def stabilizer_weights(mesh: Mesh) -> np.ndarray:
+    """(3, T, 2) weights h_e/h_T * (1, 1/12) of s(., .), e = ``mesh.tri_edges[:, l]``.
 
-    Per element T and edge e the surviving C0 term is
-    h_T^-1 * int_e (grad v0 . n_e - vhat_e)^2 ds with vhat the stored P1
-    flux; the edge mass in the centered basis is diag(h_e, h_e/12).  S does
-    not depend on the boundary tags: ``dofmap`` gives only its size.  The
-    (3, T, 8, 8) local blocks of the three local edges are built in one
-    pass, and their entries are listed local edge by local edge.
+    The surviving C0 term of s is h_T^-1 * int_e (grad v0 . n_e - vhat_e)^2
+    ds, vhat the stored P1 flux; the edge mass of the centered basis is
+    diag(h_e, h_e/12).  s(v, v) sums the weights times v's squared mismatch.
+    """
+    edges = mesh.tri_edges.T
+    return (mesh.h_e[edges] / mesh.h_t)[..., None] * np.array([1.0, 1.0 / 12.0])
+
+
+def stabilizer_blocks(mesh: Mesh, maps: np.ndarray, p2_dofs: np.ndarray):
+    """The (3, T, 8, 8) local blocks R^T w R of s(., .) and their (3, T, 8) dofs.
+
+    R maps an element's six P2 dofs and an edge's two flux dofs to the
+    mismatch grad v0 . n_e - vhat_e (``maps``, the ``normal_maps``, then -1
+    per flux coefficient); w is ``stabilizer_weights``.  ``p2_dofs`` is
+    ``tri_p2_dofs(mesh)``; the dofs are int32 primal indices.
     """
     edges = mesh.tri_edges.T                        # (3, T)
     R = np.zeros(edges.shape + (2, 8))
-    R[..., :6] = normal_maps(mesh)
+    R[..., :6] = maps
     R[..., 0, 6] = -1.0
     R[..., 1, 7] = -1.0
-    w = (mesh.h_e[edges] / mesh.h_t)[..., None] * np.array([1.0, 1.0 / 12.0])
-    K = np.einsum("ltia,lti,ltib->ltab", R, w, R)
-    flux = (dofmap.n_u + 2 * edges).astype(np.int32)[..., None]
-    p2 = np.broadcast_to(tri_p2_dofs(mesh).astype(np.int32), edges.shape + (6,))
-    dofs = np.concatenate([p2, flux, flux + 1], axis=-1)   # (3, T, 8)
+    K = np.einsum("ltia,lti,ltib->ltab", R, stabilizer_weights(mesh), R)
+    flux = (mesh.num_vertices + mesh.num_edges + 2 * edges).astype(np.int32)[..., None]
+    p2 = np.broadcast_to(p2_dofs.astype(np.int32), edges.shape + (6,))
+    return K, np.concatenate([p2, flux, flux + 1], axis=-1)
+
+
+def assemble_stabilizer(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
+    """Stabilizer Gram matrix S over all primal dofs (exactly symmetric PSD).
+
+    The upper entries of the ``stabilizer_blocks``, scattered local edge by
+    local edge.  S does not depend on the boundary tags: ``dofmap`` gives
+    only its size.
+    """
+    K, dofs = stabilizer_blocks(mesh, normal_maps(mesh), tri_p2_dofs(mesh))
     rows = np.broadcast_to(dofs[..., :, None], K.shape)
     cols = np.broadcast_to(dofs[..., None, :], K.shape)
     upper = rows <= cols
@@ -321,7 +337,7 @@ def apply_boundary_conditions(
         samples = s * normal_derivative_samples(problem.grad_u, mesh, edges, edge_points)
         if noise is not None:
             samples = perturb(samples, noise, rng)
-        g[dofmap.flux_dofs(edges)] = s * project_edge_samples(samples, edge_points)
+        g[dofmap.flux_dofs(edges)] = s * project_edge_samples(samples)
     return g
 
 

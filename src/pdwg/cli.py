@@ -3,8 +3,8 @@
 Subcommands: solve, converge, noise, verify.  Flag values override config
 file values; a subcommand reads, checks and echoes into the output
 directory only the options its parser registers.  Exit codes: 0 success,
-1 check failure, 2 usage error, 3 solver failure (a singular system, or a
-run out of memory).
+1 check failure, 2 usage error (or an output file that cannot be written),
+3 solver failure (a singular system, or a run out of memory).
 """
 
 from __future__ import annotations
@@ -313,6 +313,10 @@ def main(argv=None) -> int:
 
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # a result file: reading the config and --out raise UsageError
+        where = cfg["out"] if exc.filename is None else exc.filename  # a failed write() names none
+        print(f"error: cannot write {where!r}: {exc.strerror}", file=sys.stderr)
         return 2
     except (SingularSystem, MemoryError) as exc:
         print(f"solver failure: {failure_text(exc)}", file=sys.stderr)

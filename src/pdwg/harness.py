@@ -410,7 +410,8 @@ def run_noise_study(
 # benchmark table plan and markdown rendering
 
 def benchmark_table_plan() -> list[dict]:
-    """The 17 reference convergence tables: id, problem, case, norm columns.
+    """The 17 reference convergence tables: id, problems (a tuple), case,
+    norm columns.
 
     The first entry reports all six field norms of the quadratic exactness
     check; the paired entries split the six norms into two column triplets
@@ -418,28 +419,27 @@ def benchmark_table_plan() -> list[dict]:
     column across the three smooth solutions for the one-sided Cauchy
     configuration.
     """
-    plan = [{"table": 1, "problem": "quad", "case": "case1", "columns": NORM_KEYS}]
+    plan = [{"table": 1, "problems": ("quad",), "case": "case1", "columns": NORM_KEYS}]
     tid = 2
     for case in ("case1", "case2"):
-        problems = ("sinsin", "coscos", "bubble")
-        for p in problems:
-            plan.append({"table": tid, "problem": p, "case": case,
+        for p in ("sinsin", "coscos", "bubble"):
+            plan.append({"table": tid, "problems": (p,), "case": case,
                          "columns": ("h2", "l1", "l2")})
-            plan.append({"table": tid + 1, "problem": p, "case": case,
+            plan.append({"table": tid + 1, "problems": (p,), "case": case,
                          "columns": ("h1", "linf", "w11")})
             tid += 2
-    plan.append({"table": 14, "problem": "sinsin", "case": "case3",
+    plan.append({"table": 14, "problems": ("sinsin",), "case": "case3",
                  "columns": ("h2", "l1", "l2")})
-    plan.append({"table": 15, "problem": "bubble", "case": "case4",
+    plan.append({"table": 15, "problems": ("bubble",), "case": "case4",
                  "columns": ("h2", "l1", "l2")})
-    plan.append({"table": 16, "problem": "bubble", "case": "case4",
+    plan.append({"table": 16, "problems": ("bubble",), "case": "case4",
                  "columns": ("h1", "linf", "w11")})
-    plan.append({"table": 17, "problem": ("sinsin", "coscos", "bubble"),
+    plan.append({"table": 17, "problems": ("sinsin", "coscos", "bubble"),
                  "case": "case5", "columns": ("h2",)})
     return plan
 
 
-def render_markdown(table: ConvergenceTable, columns=NORM_KEYS) -> str:
+def render_markdown(table: ConvergenceTable, columns: tuple[str, ...]) -> str:
     """Benchmark-style markdown: norm and order column per requested norm."""
     head = ["1/h"]
     for k in columns:
@@ -476,7 +476,7 @@ def run_benchmark_tables(
     problems_by_case: dict[str, list[str]] = {}
     for entry in plan:
         problems = problems_by_case.setdefault(entry["case"], [])
-        for p in _entry_problems(entry):
+        for p in entry["problems"]:
             if p not in problems:
                 problems.append(p)
     tables = _convergence_tables(problems_by_case, n_list, tri_degree)
@@ -484,7 +484,7 @@ def run_benchmark_tables(
     written = []
     for entry in plan:
         md_parts = []
-        for p in _entry_problems(entry):
+        for p in entry["problems"]:
             t = tables[(p, entry["case"])]
             csv_path = out_dir / f"{p}_{entry['case']}.csv"
             if csv_path not in written:
@@ -497,7 +497,3 @@ def run_benchmark_tables(
         written.append(md_path)
     return written
 
-
-def _entry_problems(entry: dict) -> tuple[str, ...]:
-    problems = entry["problem"]
-    return (problems,) if isinstance(problems, str) else problems

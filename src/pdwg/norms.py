@@ -10,7 +10,8 @@ the edge rule that ``edge_points_for`` pairs with it; the error field and
 its norms are measured on those rules.  Norm conventions:
 
 * ||e||_2h^2 = sum_T ||Lap e0||_T^2 + s(e, e), where the h^-1 stabilizer
-  part uses (grad e0 . n_e - e_n) per element edge and the h^-3 part uses
+  part is one sum of ``pdwg.assembly.stabilizer_weights`` times the squared
+  mismatch grad e0 . n_e - e_n per element edge, and the h^-3 part uses
   the inter-element mismatch of the Q0 u traces (the continuous u0 cancels;
   the single-valued edge value is the trace average, so each element side
   sees half the jump and boundary edges contribute nothing).
@@ -32,6 +33,7 @@ from pdwg.assembly import (
     element_p2_laplacians,
     normal_maps,
     quadrature_points,
+    stabilizer_weights,
     tri_p2_dofs,
 )
 from pdwg.linsolve import Solution
@@ -108,7 +110,7 @@ class ErrorField:
     e0_nodes: np.ndarray     # (T, 6) values at the P2 nodes
     lap_e0: np.ndarray       # (T,) elementwise constant Laplacian
     en: np.ndarray           # (E, 2) stored flux error coefficients
-    mismatch: np.ndarray     # (T, 3, 2) coefficients of grad e0 . n_e - e_n
+    mismatch: np.ndarray     # (3, T, 2) coefficients of grad e0 . n_e - e_n per local edge
     q0_jump: np.ndarray      # (Ei, q) Q0 u trace jumps at edge Gauss points
     lam: np.ndarray          # (T,)
 
@@ -208,10 +210,8 @@ def build_error_field(solution: Solution, qhu: ExactProjection, mesh: Mesh) -> E
 
     e_loc = solution.u0[qhu.p2_dofs] - qhu.q0  # (T, 6)
     en = solution.un - qhu.qn
-    mismatch = np.empty((mesh.num_triangles, 3, 2))
-    for l in range(3):
-        mismatch[:, l, :] = (np.einsum("tci,ti->tc", qhu.normal_maps[l], e_loc)
-                             - en[mesh.tri_edges[:, l]])
+    mismatch = (np.stack([np.einsum("tci,ti->tc", G, e_loc) for G in qhu.normal_maps])
+                - en[mesh.tri_edges.T])
 
     return ErrorField(
         e0_quad=e_loc @ qhu.basis_quad.T,
@@ -243,6 +243,7 @@ def norms_of_error(
     )
 
     h2_sq = float(np.sum(mesh.area * field.lap_e0**2))
+    h2_sq += float(np.sum(stabilizer_weights(mesh) * field.mismatch**2))
     h1_sq = 0.0
     w11 = 0.0
     t, wq = edge_gauss(edge_points_for(tri_degree))
@@ -250,8 +251,6 @@ def norms_of_error(
     for l in range(3):
         e = mesh.tri_edges[:, l]
         h_e = mesh.h_e[e]
-        d = field.mismatch[:, l, :]
-        h2_sq += float(np.sum((h_e / mesh.h_t) * (d[:, 0] ** 2 + d[:, 1] ** 2 / 12.0)))
         en = field.en[e]
         h1_sq += float(np.sum(mesh.h_t * h_e * (en[:, 0] ** 2 + en[:, 1] ** 2 / 12.0)))
         en_vals = en[:, 0][:, None] + en[:, 1][:, None] * tau[None, :]

@@ -121,18 +121,16 @@ def edge_gauss(n_points: int = DEFAULT_EDGE_POINTS) -> tuple[np.ndarray, np.ndar
     return 0.5 * (x + 1.0), 0.5 * w
 
 
-def project_edge_samples(samples, n_points: int = DEFAULT_EDGE_POINTS) -> np.ndarray:
-    """P1 L2 projection from samples at the edge_gauss(n_points) nodes.
+def project_edge_samples(samples) -> np.ndarray:
+    """P1 L2 projection from samples at the nodes of an edge_gauss rule.
 
-    ``samples`` is (..., n_points); returns (..., 2), the coefficients of the
-    centered basis 1, (t - 1/2).  The Gram matrix of that basis is
-    diag(1, 1/12), and the load uses the Gauss rule, so the constant
-    coefficient is the rule's mean of the samples.
+    ``samples`` is (..., q), sampled at the edge_gauss(q) nodes; returns
+    (..., 2), the coefficients of the centered basis 1, (t - 1/2).  The
+    Gram matrix of that basis is diag(1, 1/12), and the load uses the Gauss
+    rule, so the constant coefficient is the rule's mean of the samples.
     """
-    t, w = edge_gauss(n_points)
     samples = np.asarray(samples, dtype=float)
-    if samples.shape[-1:] != t.shape:
-        raise ValueError("sample count does not match the edge rule")
+    t, w = edge_gauss(samples.shape[-1])
     c0 = samples @ w
     c1 = 12.0 * (samples * (t - 0.5)) @ w
     return np.stack([c0, c1], axis=-1)

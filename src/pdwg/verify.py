@@ -6,11 +6,11 @@ system symmetry/positive-semidefiniteness, exactness on quadratics, and
 factorization pivots for the well-posed mixed configuration.  Constants
 hidden behind the theory's mesh-independence statements are reported
 empirically, never asserted against fixed values from the analysis.
-The checks build their systems, factors and solutions as the studies do:
-``run_standard_checks`` makes one ``harness.case_matrix`` and at most one
-factor per (case, n) and one ``harness.Reference`` per (problem, n), so a
-factor serves every check on its matrix, and the cases on a mesh share its
-one stabilizer and constraint.
+The error equation takes both s terms from the blocks S is scattered from
+(``pdwg.assembly.stabilizer_blocks``); s is bilinear, so a wrong Q_h u
+shows in the constraint identity, and a matrix without s in the first.
+As the studies do, ``run_standard_checks`` makes one matrix and at most one
+factor per (case, n) and one ``harness.Reference`` per (problem, n).
 """
 
 from __future__ import annotations
@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from pdwg.assembly import SystemMatrix, assemble_matrix, assemble_rhs, element_load
+from pdwg.assembly import (SystemMatrix, assemble_matrix, assemble_rhs, element_load,
+                           stabilizer_blocks)
 from pdwg.harness import Reference, case_matrix
 from pdwg.linsolve import CondensedFactor, Solution, saddle_factor
 from pdwg.mesh import BoundaryTags, Mesh, build_uniform_unit_square
@@ -134,48 +135,32 @@ def check_infsup(
     return {"max_rel_discrepancy": max_rel, "ratios": ratios}
 
 
-def projection_stabilizer_load(qhu: ExactProjection, mesh: Mesh) -> np.ndarray:
-    """Vector g with g_i = s(Q_h u, phi_i) against the C0 primal basis.
-
-    Only the h^-1 normal-derivative mismatch of Q_h u survives against C0
-    test functions.
-    """
-    n_u = mesh.num_vertices + mesh.num_edges
-    g = np.zeros(n_u + 2 * mesh.num_edges)
-    for l in range(3):
-        e = mesh.tri_edges[:, l]
-        G = qhu.normal_maps[l]
-        mu = np.einsum("tci,ti->tc", G, qhu.q0) - qhu.qn[e]
-        h_e = mesh.h_e[e]
-        w0 = h_e / mesh.h_t * mu[:, 0]
-        w1 = h_e / (12.0 * mesh.h_t) * mu[:, 1]
-        np.add.at(g, qhu.p2_dofs, G[:, 0, :] * w0[:, None] + G[:, 1, :] * w1[:, None])
-        np.add.at(g, n_u + 2 * e, -w0)
-        np.add.at(g, n_u + 2 * e + 1, -w1)
-    return g
-
-
 def check_error_equations(
     solution: Solution, qhu: ExactProjection, system: SystemMatrix
 ) -> tuple[float, float]:
     """Residuals of the two post-solve error identities.
 
-    First: max over free test directions of s(e_h, v) + (weak_lap v, lam)
-    + s(Q_h u, v); second: ||B e_h||_inf, the statement that the error has
-    vanishing discrete weak Laplacian.
+    First: max over free test directions v of s(e_h, v) + (weak_lap v, lam)
+    + s(Q_h u, v), the s terms from the ``stabilizer_blocks`` applied to
+    (u_h - Q0 u, u_n - Qn) and (Q0 u, Qn), so it fails where the solved
+    matrix does not carry s; second: ||B e_h||_inf, the statement that the
+    error has vanishing discrete weak Laplacian.
     """
     mesh, dofmap = system.mesh, system.dofmap
-    z = solution.primal
-    g = projection_stabilizer_load(qhu, mesh)
-    B = system.B
-    term_e = system.S @ z - g
-    term_lam = B.T @ solution.lam
-    res = term_e + term_lam + g
+    K, dofs = stabilizer_blocks(mesh, qhu.normal_maps, qhu.p2_dofs)
+    edges = mesh.tri_edges.T
+
+    def s_against_basis(v0, vn):  # v: (T, 6) element P2 values, (E, 2) edge fluxes
+        x = np.concatenate([np.broadcast_to(v0, edges.shape + (6,)), vn[edges]], axis=-1)
+        return np.bincount(dofs.ravel(), np.einsum("ltab,ltb->lta", K, x).ravel(),
+                           minlength=dofmap.n_primal)
+
+    en = solution.un - qhu.qn
+    res = (s_against_basis(solution.u0[qhu.p2_dofs] - qhu.q0, en)
+           + system.B.T @ solution.lam + s_against_basis(qhu.q0, qhu.qn))
     sehv = float(np.abs(res[dofmap.free]).max())
 
-    e_vec = np.zeros(dofmap.n_primal)
-    e_vec[dofmap.n_u :] = (solution.un - qhu.qn).ravel()
-    sehv2 = float(np.abs(B @ e_vec).max())
+    sehv2 = float(np.abs(system.B[:, dofmap.n_u :] @ en.ravel()).max())
     return sehv, sehv2
 
 

@@ -49,7 +49,7 @@ def projected_weak_function(
 ) -> np.ndarray:
     """Flux part Qn(grad theta . n_e) of Q_h theta: (E, 2) stored coefficients."""
     samples = normal_derivative_samples(grad_theta, mesh, slice(None), edge_points)
-    return project_edge_samples(samples, edge_points)
+    return project_edge_samples(samples)
 
 
 def discrete_weak_laplacian(mesh: Mesh, flux: np.ndarray) -> np.ndarray:

@@ -42,10 +42,9 @@ def exact_primal_vector(problem, mesh):
 def test_dof_counts_and_partition(mesh4):
     tags = tags_for(mesh4, "case1")
     dm = build_dofmap(mesh4, tags)
-    V, E, T = mesh4.num_vertices, mesh4.num_edges, mesh4.num_triangles
+    V, E = mesh4.num_vertices, mesh4.num_edges
     assert dm.n_u == V + E
     assert dm.n_flux == 2 * E
-    assert dm.n_triangles == T
     assert len(dm.free) + len(dm.constrained) == dm.n_primal
     assert not np.intersect1d(dm.free, dm.constrained).size
 

@@ -269,6 +269,32 @@ def test_uncreatable_out_is_a_usage_error(args, out, tmp_path, capsys):
     assert (tmp_path / "taken").read_text() == "a file\n"
 
 
+@pytest.mark.parametrize(
+    "args, taken",
+    [
+        (["solve", "--n", "2"], "errors.csv"),
+        (["noise", "--n", "2", "--amplitudes", "0"], "noise_summary.csv"),
+        (["converge", "--n-list", "1"], "sinsin_case1.csv"),
+        (["converge", "--plan", "benchmark", "--n-list", "1"], "table01.md"),
+    ],
+    ids=["solve", "noise", "converge", "benchmark_tables"],
+)
+def test_unwritable_result_file_is_a_usage_error(args, taken, tmp_path, capsys):
+    (tmp_path / taken).mkdir()
+    assert run(args, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {str(tmp_path / taken)!r}: Is a directory\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+def test_failed_result_write_names_the_output_directory(tmp_path, capsys):
+    # the open succeeds and the write fails, so the error carries no file name
+    (tmp_path / "errors.csv").symlink_to("/dev/full")
+    assert run(["solve", "--n", "2"], tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {str(tmp_path)!r}: No space left on device\n"
+
+
 def test_diagnostics_print_residual_pivots_and_condition(tmp_path, capsys):
     assert run(["solve", "--case", "case5", "--n", "2", "--diagnostics"], tmp_path) == 0
     lines = capsys.readouterr().out.splitlines()

@@ -206,7 +206,8 @@ def test_benchmark_plan_covers_reference_tables():
     problems = set()
     cases = set()
     for e in plan:
-        ps = e["problem"] if isinstance(e["problem"], tuple) else (e["problem"],)
+        ps = e["problems"]
+        assert isinstance(ps, tuple)
         problems.update(ps)
         cases.add(e["case"])
         for p in ps:

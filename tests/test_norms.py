@@ -132,7 +132,7 @@ def build_error_field_from_scratch(solution, problem, qn, mesh, tri_degree=6, ed
 
     en = solution.un - qn
 
-    mismatch = np.empty((mesh.num_triangles, 3, 2))
+    mismatch = np.empty((3, mesh.num_triangles, 2))
     for l, G in enumerate(normal_mismatch_maps(mesh)):
         e, s = mesh.tri_edges[:, l], mesh.tri_edge_signs[:, l]
         grad_u0_coeffs = np.einsum("tci,ti->tc", G, u_loc)
@@ -144,7 +144,7 @@ def build_error_field_from_scratch(solution, problem, qn, mesh, tri_degree=6, ed
         gq = np.array([[np.dot(q0[t].grad(*p[t]), normal[t]) for p in (lo, hi)]
                        for t in range(len(q0))])
         grad_q0_coeffs = np.stack([0.5 * (gq[:, 0] + gq[:, 1]), gq[:, 1] - gq[:, 0]], axis=1)
-        mismatch[:, l, :] = grad_u0_coeffs - grad_q0_coeffs - en[e]
+        mismatch[l] = grad_u0_coeffs - grad_q0_coeffs - en[e]
 
     interior = np.flatnonzero(~mesh.boundary_edge_mask)
     t, _ = edge_gauss(edge_points)

@@ -120,11 +120,13 @@ def test_edge_projection_is_batched(rng):
     assert np.abs(got[1, 2] - project_edge_samples(samples[1, 2])).max() <= 1e-14
 
 
-def test_edge_sample_count_validated():
-    with pytest.raises(ValueError):
-        project_edge_samples(np.zeros(3), n_points=4)
-    with pytest.raises(ValueError):
-        project_edge_samples(np.zeros((4, 3)), n_points=4)
+def test_edge_projection_takes_its_rule_from_the_sample_count():
+    # a linear flux sampled at the 3-point rule's nodes is reproduced by
+    # that rule's weights; the 4-point rule's would not fit its nodes
+    t, _ = edge_gauss(3)
+    got = project_edge_samples(np.stack([2.0 + 5.0 * (t - 0.5)] * 4))
+    assert got.shape == (4, 2)
+    assert np.abs(got - [2.0, 5.0]).max() <= 1e-14
 
 
 def bottom_nodes(mesh):

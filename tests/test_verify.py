@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
@@ -198,14 +200,35 @@ def test_error_equations_zero_data(mesh4):
     assert sehv <= 1e-12 and sehv2 <= 1e-12
 
 
-def test_error_equation_constraint_smooth_source():
+def sinsin_case1_n8():
     problem = get_problem("sinsin")
     mesh = build_uniform_unit_square(8)
-    tags = tags_for(mesh, "case1")
-    system = build_saddle_system(mesh, tags, problem)
-    solution = factor_and_solve(system)
-    _, sehv2 = check_error_equations(solution, project_exact(problem, mesh), system)
+    system = build_saddle_system(mesh, tags_for(mesh, "case1"), problem)
+    return factor_and_solve(system), project_exact(problem, mesh), system
+
+
+def test_error_equation_constraint_smooth_source():
+    _, sehv2 = check_error_equations(*sinsin_case1_n8())
     assert sehv2 <= 1e-8
+
+
+def test_error_equations_flag_a_matrix_without_the_stabilizer(monkeypatch):
+    # solved with 2 s(., .) in place of s, B^T lam balances the matrix's S
+    # but not s(e_h, .) + s(Q_h u, .) from the stabilizer blocks
+    stabilizer = assembly.assemble_stabilizer
+    monkeypatch.setattr(assembly, "assemble_stabilizer", lambda m, d: 2.0 * stabilizer(m, d))
+    sehv, sehv2 = check_error_equations(*sinsin_case1_n8())
+    assert sehv > 1e-9
+    assert sehv2 <= 1e-8
+
+
+def test_error_equations_flag_a_wrong_projection():
+    # s is bilinear, so s(u_h - Q_h u, v) + s(Q_h u, v) = s(u_h, v) for any
+    # Q_h u: a wrong Qn shows in the constraint identity, not the first one
+    solution, qhu, system = sinsin_case1_n8()
+    sehv, sehv2 = check_error_equations(solution, replace(qhu, qn=1.01 * qhu.qn), system)
+    assert sehv <= 1e-9
+    assert sehv2 > 1e-9
 
 
 def test_quadratic_consistency(mesh4):
