@@ -274,9 +274,9 @@ def main(argv=None) -> int:
                 print(f"wrote {len(written)} files to {out}")
                 return 0
             table = run_convergence(cfg["problem"], cfg["case"], cfg["n_list"], deg)
-            path = out / f"{cfg['problem']}_{cfg['case']}.csv"
-            path.write_text(table.to_csv(), encoding="utf-8")
-            print(table.to_csv(), end="")
+            csv = table.to_csv()
+            (out / f"{cfg['problem']}_{cfg['case']}.csv").write_text(csv, encoding="utf-8")
+            print(csv, end="")
             failures = [r for r in table.rows if r.report is None]
             if failures:
                 for r in failures:
@@ -297,8 +297,9 @@ def main(argv=None) -> int:
                     row.snapshot.nodes_csv(), encoding="utf-8")
                 (out / f"noise_{tag}_elements.csv").write_text(
                     row.snapshot.elements_csv(), encoding="utf-8")
-            (out / "noise_summary.csv").write_text(study.summary_csv(), encoding="utf-8")
-            print(study.summary_csv(), end="")
+            summary = study.summary_csv()
+            (out / "noise_summary.csv").write_text(summary, encoding="utf-8")
+            print(summary, end="")
             if any(r.report is None for r in study.rows):
                 return 3
             return 0

@@ -11,7 +11,10 @@ normal-derivative maps, the element P2 geometry and the triangle-rule
 points.  Every case cuts its matrix from that W (``case_matrix``) and is
 factored once for every problem and noise amplitude on it; every problem
 has one ``Reference`` per mesh, whose load, sampled Q_h u and snapshot
-columns serve every case and amplitude.
+columns serve every case and amplitude.  A snapshot CSV is one byte
+buffer: the coordinate text of its rows, built once per ``Reference``
+(``coordinate_rows``), beside the ``%.12e`` text of its value columns,
+which one numpy kernel writes (``e12_text``).
 """
 
 from __future__ import annotations
@@ -106,8 +109,9 @@ class ConvergenceTable:
 class FieldSnapshot:
     """Nodal and per-element fields of one solve for plotting.
 
-    ``node_rows`` and ``element_rows`` are the CSV rows as ``row_template``
-    writes them from ``nodes`` and ``centroids``.
+    ``node_rows`` and ``element_rows`` are the coordinate text ``x,y,`` of
+    each CSV row, as ``coordinate_rows`` writes it from ``nodes`` and
+    ``centroids``; the value fields are written by ``e12_text``.
     """
 
     nodes: np.ndarray      # (V+E, 2)
@@ -115,34 +119,104 @@ class FieldSnapshot:
     err: np.ndarray        # (V+E,) u0 - u(x, y)
     centroids: np.ndarray  # (T, 2)
     lam: np.ndarray        # (T,)
-    node_rows: str = field(repr=False)
-    element_rows: str = field(repr=False)
+    node_rows: np.ndarray = field(repr=False)
+    element_rows: np.ndarray = field(repr=False)
 
     def nodes_csv(self) -> str:
-        return "x,y,u0,err\n" + _fill_rows(self.node_rows, self.u0, self.err)
+        return _csv_text("x,y,u0,err\n", self.node_rows, self.u0, self.err)
 
     def elements_csv(self) -> str:
-        return "cx,cy,lambda\n" + _fill_rows(self.element_rows, self.lam)
+        return _csv_text("cx,cy,lambda\n", self.element_rows, self.lam)
 
 
-def row_template(points: np.ndarray, n_values: int) -> str:
-    """CSV rows ``x,y`` followed by ``n_values`` ``%.12e`` fields, per point.
+# The '%.12e' text of a value has at most 20 characters ("-4.940656458412e-324");
+# e12_text pads it to three 8-byte words.
+E12_WIDTH = 24
+# The four ASCII digits of 0000..9999, first digit in the lowest byte.
+_DIGITS4 = np.ascontiguousarray(np.indices((10,) * 4, dtype=np.uint8).reshape(4, -1).T
+                                + ord("0")).view("<u4").ravel().astype(np.int64)
+_POW10 = 10.0 ** np.arange(300)
+# "e+dd", or "e+ddd" from |E| = 100 on, NUL-padded, for E = -300..299.
+_EXPONENT = np.arange(-300, 300)
+_EXPONENT_TEXT = (ord("e") | np.where(_EXPONENT < 0, ord("-"), ord("+")) << 8
+                  | _DIGITS4[abs(_EXPONENT)] >> np.where(abs(_EXPONENT) < 100, 16, 8) << 16)
+
+
+def e12_text(values: np.ndarray) -> np.ndarray:
+    """The ``'%.12e' % v`` text of every value, as (size, E12_WIDTH) uint8
+    rows padded with NUL bytes, which may sit anywhere in a row.
+
+    Exactness rule.  For finite x with 1e-280 <= |x| <= 1e280, take
+    E = floor(log10|x|) and s = |x| * 10^(12-E), or |x| / 10^(E-12) when
+    E > 12, with the powers from ``_POW10`` (exact up to 10^22, within
+    1 ulp above).  So s is within 3.2e-3 of the exact scaled value (1 ulp
+    of the power plus half an ulp of s < 1e13).  N = rint(s) is accepted
+    only when s >= 1e12, N < 1e13 and |frac(s) - 0.5| > 1e-2; then E is
+    the decimal exponent and N the correctly rounded 13-digit significand
+    that CPython's dtoa prints.  (With N >= 1e12 in place of s >= 1e12, a
+    log10 rounded up to E for |x| a few 1e-14 below 10^E, such as
+    9.999999999999475e+259, would print 1.000000000000e+260.)  Every other
+    value is written by ``'%.12e' % v`` itself: zeros, nan, infinities,
+    subnormals and |x| outside the range, ties within the window (such as
+    2**-20), carries to 10^13 (9.99999999999996 gives 1.000000000000e+01,
+    9.99999999999995e99 gives e+100) and a log10 off by one.  The exponent
+    has two digits, or three when |E| >= 100.  An accepted row is NUL,
+    "-" or NUL, the leading digit, ".", 12 digits and the exponent text.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    a = abs(x)
+    in_range = (a >= 1e-280) & (a <= 1e280)
+    a[~in_range] = 1.0
+    e = np.floor(np.log10(a)).astype(np.int64)
+    s = a * _POW10[np.maximum(12 - e, 0)]
+    big = e > 12
+    s[big] = a[big] / _POW10[e[big] - 12]
+    n = np.rint(s)
+    exact = in_range & (s >= 1e12) & (n < 1e13) & (abs(s - np.floor(s) - 0.5) > 1e-2)
+    lead, rest = np.divmod(n.astype(np.int64), 10**12)
+    words = np.empty((x.size, 3), "<i8")
+    words[:, 0] = (np.signbit(x) * (ord("-") << 8) | (lead + ord("0")) << 16
+                   | ord(".") << 24 | _DIGITS4[rest // 10**8] << 32)
+    words[:, 1] = _DIGITS4[rest // 10**4 % 10**4] | _DIGITS4[rest % 10**4] << 32
+    words[:, 2] = _EXPONENT_TEXT[e + 300]
+    text = words.view(np.uint8)
+    other = np.flatnonzero(~exact)
+    if other.size:
+        text[other] = np.array(["%.12e" % v for v in x[other].tolist()],
+                               dtype=f"S{E12_WIDTH}").view(np.uint8).reshape(-1, E12_WIDTH)
+    return text
+
+
+def coordinate_rows(points: np.ndarray) -> np.ndarray:
+    """The text ``x,y,`` of each point, as (points, width) uint8 rows padded
+    with NUL bytes.
 
     A coordinate is written as the repr of a Python float, as ``tolist``
-    gives it, so ``numpy.loadtxt`` reads it back exactly; the value fields
-    stay ``%.12e`` conversions for ``_fill_rows``.  No repr of a float holds
-    a ``%``.  Mesh coordinates repeat, so the repr is taken once per
-    distinct bit pattern (which keeps -0.0 apart from 0.0).
+    gives it, so ``numpy.loadtxt`` reads it back exactly.  Mesh coordinates
+    repeat, so the repr is taken once per distinct bit pattern (which keeps
+    -0.0 apart from 0.0).
     """
     coords = np.ascontiguousarray(points, dtype=float).reshape(-1, 2)
     bits, inverse = np.unique(coords.view(np.int64), return_inverse=True)
-    text = np.array([repr(x) for x in bits.view(float).tolist()], dtype=object)
-    row = "%s,%s" + ",%%.12e" * n_values + "\n"
-    return (row * len(coords)) % tuple(text[inverse.ravel()].tolist())
+    text = np.array([repr(x) + "," for x in bits.view(float).tolist()], dtype=bytes)
+    width = text.itemsize
+    text = text.view(np.uint8).reshape(len(bits), width)
+    return text[inverse.reshape(-1, 2)].reshape(len(coords), 2 * width)
 
 
-def _fill_rows(template: str, *columns: np.ndarray) -> str:
-    return template % tuple(np.column_stack(columns).ravel().tolist())
+def _csv_text(header: str, coordinates: np.ndarray, *columns: np.ndarray) -> str:
+    """``header``, then per row its ``coordinate_rows`` text and the
+    ``%.12e`` text of each column, comma-separated: one (rows, width)
+    buffer with its NUL bytes dropped."""
+    rows, start = coordinates.shape
+    buf = np.empty((rows, start + len(columns) * (E12_WIDTH + 1)), np.uint8)
+    buf[:, :start] = coordinates
+    for column in columns:
+        buf[:, start:start + E12_WIDTH] = e12_text(column)
+        buf[:, start + E12_WIDTH] = ord(",")
+        start += E12_WIDTH + 1
+    buf[:, -1] = ord("\n")
+    return header + buf.tobytes().translate(None, b"\0").decode("ascii")
 
 
 class Reference:
@@ -187,7 +261,7 @@ class Reference:
         nodes = self.mesh.p2_node_coords
         centroids = self.mesh.centroids
         exact = self.problem.u(nodes[:, 0], nodes[:, 1])
-        return nodes, exact, centroids, row_template(nodes, 2), row_template(centroids, 1)
+        return nodes, exact, centroids, coordinate_rows(nodes), coordinate_rows(centroids)
 
     def solve(self, matrix: SystemMatrix, factor: CondensedFactor,
               noise: NoiseSpec | None = None) -> Solution:

@@ -1,10 +1,18 @@
 import math
+import os
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from pdwg.mesh import build_uniform_unit_square, classify_boundary
 from pdwg.problems import get_case
+
+# A larger budget for the property tests that take theirs from the profile,
+# such as test_harness.py::test_e12_text_matches_percent_format; select it
+# with HYPOTHESIS_PROFILE=large.
+settings.register_profile("large", max_examples=5000)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
 

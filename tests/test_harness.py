@@ -16,8 +16,9 @@ from pdwg.harness import (
     FieldSnapshot,
     benchmark_table_plan,
     compute_order,
+    coordinate_rows,
+    e12_text,
     render_markdown,
-    row_template,
     run_benchmark_tables,
     run_convergence,
     run_noise_study,
@@ -125,8 +126,8 @@ def _extreme_snapshot():
     nodes = np.column_stack([values, values[::-1]])
     centroids = np.array([[-0.0, 1e-300]])
     return FieldSnapshot(nodes=nodes, u0=values, err=-values, centroids=centroids,
-                         lam=np.array([1e300]), node_rows=row_template(nodes, 2),
-                         element_rows=row_template(centroids, 1))
+                         lam=np.array([1e300]), node_rows=coordinate_rows(nodes),
+                         element_rows=coordinate_rows(centroids))
 
 
 @pytest.mark.parametrize(
@@ -135,8 +136,10 @@ def _extreme_snapshot():
         lambda: solve_single("sinsin", "case1", 3)[2],
         lambda: solve_single("coscos", "case2", 1)[2],
         _extreme_snapshot,
+        # an ill-posed noisy solve: its err column spans six decades
+        lambda: run_noise_study("coscos", "figures", 16, [0.1]).rows[0].snapshot,
     ],
-    ids=["n3", "n1", "signed_zero_and_extremes"],
+    ids=["n3", "n1", "signed_zero_and_extremes", "noise_figures_n16"],
 )
 def test_snapshot_csv_bytes_match_row_by_row_writer(make):
     snapshot = make()
@@ -156,14 +159,56 @@ SPECIAL_FLOATS = (0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -
         st.tuples(st.integers(0, 30), st.just(2)),
         elements=st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_subnormal=True)),
     ),
-    n_values=st.integers(0, 3),
     transposed=st.booleans(),
 )
-def test_row_template_matches_row_by_row_writer(points, n_values, transposed):
+def test_coordinate_rows_match_row_by_row_writer(points, transposed):
     if transposed:
         points = np.asfortranarray(points)
-    want = "".join("%r,%r" % (x, y) + ",%.12e" * n_values + "\n" for x, y in points.tolist())
-    assert row_template(points, n_values) == want
+    rows = coordinate_rows(points)
+    assert rows.dtype == np.uint8 and rows.shape[0] == len(points)
+    assert _texts(rows) == ["%r,%r," % (x, y) for x, y in points.tolist()]
+
+
+def _texts(rows):
+    """Each row of NUL-padded text as a str."""
+    return [bytes(row).replace(b"\0", b"").decode("ascii") for row in rows]
+
+
+# 14-digit decimals m * 10^k: one in ten is a near-tie of the 13-digit
+# rounding, and m >= 99999999999995 carries into the next decade.
+DECIMALS = st.builds(lambda m, k: float(f"{m}e{k}"),
+                     st.integers(10**13, 10**14 - 1), st.integers(-340, 300))
+
+
+@settings(deadline=None, derandomize=True, database=None)  # budget from the profile
+@given(st.lists(st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats(allow_subnormal=True),
+                          DECIMALS), max_size=40))
+def test_e12_text_matches_percent_format(values):
+    assert _texts(e12_text(np.array(values, dtype=float))) == ["%.12e" % v for v in values]
+
+
+ADVERSARIAL_FLOATS = (
+    2.0**-20, 1.25, 9.9999999999995, 9.99999999999996, 9.99999999999995e99,
+    9.9999999999995e-100, 1e22, 1e23, 5e-324, sys.float_info.max,
+    # log10 rounds to 260, but 13 digits round it to 9.999999999999e+259
+    9.999999999999475e+259,
+    # near-ties whose scaled value lands on the other side of the half
+    1.8741927643405e-203, 8.4937328183895e-260, 3.9570899213885e+221, 7.6269542035725e+68,
+)
+
+
+def test_e12_text_matches_percent_format_at_edges():
+    # the powers the exactness rule rests on: exact to 10^22, within 1 ulp above
+    exact = np.array([float(10**k) for k in range(len(harness._POW10))])
+    assert np.array_equal(harness._POW10[:23], exact[:23])
+    assert np.all(abs(harness._POW10 - exact) <= np.spacing(exact))
+    powers = np.array([1e-280, 1e280] + [float(f"1e{k}") for k in range(-20, 21)])
+    values = np.concatenate([ADVERSARIAL_FLOATS, np.nextafter(powers, 0.0), powers,
+                             np.nextafter(powers, np.inf)])
+    values = np.concatenate([values, -values])
+    text = e12_text(values)
+    assert text.dtype == np.uint8 and text.shape == (len(values), harness.E12_WIDTH)
+    assert _texts(text) == ["%.12e" % v for v in values.tolist()]
 
 
 def test_snapshot_error_column_is_pointwise():
