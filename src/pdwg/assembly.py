@@ -15,8 +15,8 @@ The matrix depends only on the mesh and the boundary tags
 pick only which of their rows and columns are free.  So each mesh has one
 saddle matrix W = [S B^T; B 0] over every primal dof and multiplier
 (``saddle_operator``), and a case is cut from it in one pass: one selection
-of W's rows, the free primal dofs and then the multipliers, split by
-column into the case's M and the constrained columns C that lift the data.
+of W's rows, the free primal dofs and then the multipliers, whose columns
+give the case's M and the constrained columns C that lift the data.
 W is built once per mesh and kept, read-only, in ``mesh.operators``
 (``mesh_operator``), with the other mesh-only pieces that assembly and the
 error norms both read: the normal-derivative maps, the element P2 dofs,
@@ -37,8 +37,7 @@ triangle, so S, W and the saddle matrices are exactly symmetric.  (Summing
 the lower triangle from its own copies of the block entries would sum the
 duplicates of one position in another order, since the conversion to CSR
 sorts each row; its bits would then differ from the mirror's.)  W and the
-saddle matrices are CSR with sorted indices, the format from whose arrays
-``pdwg.linsolve`` cuts its blocks.
+saddle matrices are CSR with sorted indices.
 """
 
 from __future__ import annotations
@@ -357,26 +356,6 @@ def saddle_operator(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
     return mesh_operator(mesh, "W", build)
 
 
-def split_columns(data, indices, indptr, col: np.ndarray, widths: tuple[int, int]):
-    """Split the CSR rows (data, indices, indptr) in two by column.
-
-    An entry in column j goes to column col[j] of the first part when
-    col[j] >= 0, and to column -1 - col[j] of the second part otherwise;
-    ``widths`` are the column counts of the two parts.  Each row keeps the
-    order of its entries, so canonical rows give canonical parts when col
-    increases on each of the two column sets.
-    """
-    j = col.take(indices)
-    in_second = j < 0
-    first, second = np.flatnonzero(~in_second), np.flatnonzero(in_second)
-    indptr_second = np.searchsorted(second, indptr).astype(indptr.dtype)
-    n = len(indptr) - 1
-    return (sp.csr_matrix((data.take(first), j.take(first), indptr - indptr_second),
-                          shape=(n, widths[0])),
-            sp.csr_matrix((data.take(second), -1 - j.take(second), indptr_second),
-                          shape=(n, widths[1])))
-
-
 @dataclass
 class SystemMatrix:
     """The part of the PD-WG system fixed by the mesh and the boundary tags.
@@ -423,7 +402,7 @@ def assemble_matrix(mesh: Mesh, tags: BoundaryTags) -> SystemMatrix:
 
     One row selection of the mesh's W (``saddle_operator``), shared with
     every other case on the mesh, takes the free primal rows and then the
-    multiplier rows; splitting its columns the same way gives M, and the
+    multiplier rows; selecting its columns the same way gives M, and the
     constrained columns give C.  C's stabilizer rows are negated, as the
     right-hand side takes them, so that C @ g_c gives the bits of -S_fc @ g_c
     and B_c @ g_c, zero signs included.
@@ -431,12 +410,8 @@ def assemble_matrix(mesh: Mesh, tags: BoundaryTags) -> SystemMatrix:
     dofmap = build_dofmap(mesh, tags)
     W = saddle_operator(mesh, dofmap)
     kept = np.concatenate([dofmap.free, np.arange(dofmap.n_primal, W.shape[0])])
-    con = dofmap.constrained
-    col = np.empty(W.shape[0], dtype=W.indices.dtype)
-    col[kept] = np.arange(len(kept))
-    col[con] = -1 - np.arange(len(con))
     rows = W[kept]
-    M, C = split_columns(rows.data, rows.indices, rows.indptr, col, (len(kept), len(con)))
+    M, C = rows[:, kept], rows[:, dofmap.constrained]
     stabilizer_rows = C.data[:C.indptr[len(dofmap.free)]]
     np.negative(stabilizer_rows, out=stabilizer_rows)
     return SystemMatrix(mesh=mesh, tags=tags, dofmap=dofmap, M=M, C=C)

@@ -9,19 +9,16 @@ Schur complement
     K = M_kk - M_kq D^-1 M_qk,
 
 which keeps the free P2 values and the multipliers, about half of the
-unknowns (24448 of 48896 for case1 at n = 64).  M comes in CSR, and the
-flux unknowns are one run of consecutive rows, so every block is cut from
-M's arrays without slicing M: the flux rows split by column into M_qk and
+unknowns (24448 of 48896 for case1 at n = 64).  The flux unknowns are one
+run of consecutive rows of M, and the blocks are scipy selections of M:
 the flux block, which is checked to be a positive diagonal D on every
-factor, and the rows around them into M_kk and M_kq.  M is exactly
-symmetric, so M_qk is M_kq transposed.  M_kq D^-1 is M_kq's data scaled,
-each row listed in reverse, as scipy's product with a diagonal matrix
-lists it; the product with M_qk sums in that order, which keeps the bits of
-``M_kq @ diags(1 / d) @ M_qk``.  K is converted to CSC once, equilibrated
-symmetrically, its entries scaled in place by s of their row and then by s
-of their column (the products diag(s) K diag(s) forms, in the same order),
-and factored by SuperLU in a symmetric minimum-degree order without
-pivoting.  The factor is gated by solves alone: three solves of a
+factor, and the other rows, which give M_kk and M_kq.  M is exactly
+symmetric, so M_qk is M_kq transposed, and K is formed as
+``M_kk - (M_kq @ diags(1 / d)) @ M_qk``.  K is converted to CSC once,
+equilibrated symmetrically, its entries scaled in place by s of their row
+and then by s of their column (the products diag(s) K diag(s) forms, in
+the same order), and factored by SuperLU in a symmetric minimum-degree
+order without pivoting.  The factor is gated by solves alone: three solves of a
 Hager 1-norm estimate of ||K^-1||_1 give the condition estimate kappa_1(K),
 and the backward error of each of them shows a factor that broke down.  If
 the factor without pivoting fails the gate, the same K is factored once
@@ -50,7 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from pdwg.assembly import SaddleSystem, SystemMatrix, split_columns
+from pdwg.assembly import SaddleSystem, SystemMatrix
 
 # solve_sparse gates the pivots of an unscaled matrix.
 PIVOT_RTOL = 1e-14
@@ -221,55 +218,6 @@ def solve_sparse(M, b: np.ndarray) -> SparseSolve:
     return SparseSolve(x=x, residual_inf=residual, pivot_report=pivot)
 
 
-def _flux_rows(M, flux: np.ndarray):
-    """The rows ``flux`` of CSR M, read from its arrays: their block M_qk of
-    the other columns, the diagonal d of their block M[flux, flux], and
-    ``col``, which numbers the other columns of M 0, 1, ... in order and
-    gives a flux column the value -1 - its position in ``flux``.
-
-    ``flux`` is a run of consecutive indices.  Raises ValueError when it is
-    not, when an off-diagonal entry of the flux block is nonzero, or when a
-    diagonal entry is not positive: the condensation in CondensedFactor is
-    exact only for such a block.
-    """
-    f0, nq = (int(flux[0]) if len(flux) else 0), len(flux)
-    if not np.array_equal(flux, np.arange(f0, f0 + nq)):
-        raise ValueError("the flux unknowns must be consecutive")
-    n = M.shape[1]
-    col = np.arange(n, dtype=M.indices.dtype)
-    col[f0 + nq:] -= nq
-    col[f0:f0 + nq] = -1 - np.arange(nq)
-    start, stop = M.indptr[f0], M.indptr[f0 + nq]
-    M_qk, block = split_columns(M.data[start:stop], M.indices[start:stop],
-                                M.indptr[f0:f0 + nq + 1] - start, col, (n - nq, nq))
-    rows = np.repeat(np.arange(nq), np.diff(block.indptr))
-    diagonal = block.indices == rows
-    if np.any(block.data[~diagonal] != 0.0):
-        raise ValueError("the free-flux block is not diagonal")
-    d = np.zeros(nq)
-    d[rows[diagonal]] = block.data[diagonal]
-    if not np.all(d > 0.0):
-        raise ValueError("the free-flux block has a diagonal entry <= 0")
-    return M_qk, d, col
-
-
-def _scaled_reversed(A, scale: np.ndarray):
-    """``A @ sp.diags(scale)`` for CSR A, in the order scipy's product gives.
-
-    That product lists each row's entries in the reverse of A's order and
-    drops the zero ones.  K's product with M_qk sums each entry in the
-    order of its left factor's entries, so this order keeps K's bits.
-    """
-    counts = np.diff(A.indptr)
-    order = np.repeat(A.indptr[:-1] + A.indptr[1:] - 1, counts) - np.arange(A.nnz)
-    indices = A.indices.take(order)
-    data = A.data.take(order) * scale.take(indices)
-    zero = np.flatnonzero(data == 0.0)
-    indptr = A.indptr - np.searchsorted(zero, A.indptr).astype(A.indptr.dtype)
-    return sp.csr_matrix((np.delete(data, zero), np.delete(indices, zero), indptr),
-                         shape=A.shape)
-
-
 def _equilibration(K) -> tuple[sp.csc_matrix, np.ndarray, float, float]:
     """K in CSC, its symmetric scaling s = 1 / sqrt(max_j |K_ij|), and the 1-
     and inf-norms of diag(s) K diag(s), its column and row sums of
@@ -298,32 +246,37 @@ def _equilibration(K) -> tuple[sp.csc_matrix, np.ndarray, float, float]:
 class CondensedFactor:
     """Gated factor of M with the unknowns ``flux`` eliminated (see module doc).
 
-    M must be exactly symmetric, as the saddle matrices are; a CSR M is
-    used as it is.  ``flux`` is a run of consecutive indices, as the free
-    flux unknowns of a saddle matrix are.  Built once per matrix; ``solve`` then takes any number
-    of right-hand sides.  ``condition`` is the 1-norm condition estimate of
-    the equilibrated condensed matrix.  Raises SingularSystem when SuperLU
-    fails or the factor breaks down both without and with pivoting, or when
-    the condition estimate is above COND_MAX or not finite.
+    M must be exactly symmetric, as the saddle matrices are.  ``flux`` is a
+    run of consecutive indices, as the free flux unknowns of a saddle matrix
+    are, and their block of M is diagonal (stored zeros off the diagonal
+    are allowed) and positive; otherwise ValueError, since the condensation
+    is exact only for such a block.  Built once per matrix; ``solve`` then
+    takes any number of right-hand sides.  ``condition`` is the 1-norm
+    condition estimate of the equilibrated condensed matrix.  Raises
+    SingularSystem when SuperLU fails or the factor breaks down both
+    without and with pivoting, or when the condition estimate is above
+    COND_MAX or not finite.
     """
 
     def __init__(self, M, flux: np.ndarray):
         self.M = M = M.tocsr()
         self.flux = flux = np.asarray(flux)
-        M_qk, d, col = _flux_rows(M, flux)
-        self.inv_d = 1.0 / d
         f0, f1 = (int(flux[0]), int(flux[-1]) + 1) if len(flux) else (0, 0)
+        if not np.array_equal(flux, np.arange(f0, f0 + len(flux))):
+            raise ValueError("the flux unknowns must be consecutive")
+        block = M[f0:f1, f0:f1]
+        d = block.diagonal()
+        if block.count_nonzero() > np.count_nonzero(d):
+            raise ValueError("the free-flux block is not diagonal")
+        if not np.all(d > 0.0):
+            raise ValueError("the free-flux block has a diagonal entry <= 0")
+        self.inv_d = 1.0 / d
         self.keep = np.concatenate([np.arange(f0), np.arange(f1, M.shape[0])])
-        # the rows keep of M, cut from its arrays around the rows flux
-        start, stop = M.indptr[f0], M.indptr[f1]
-        M_kk, self.M_kq = split_columns(
-            np.concatenate([M.data[:start], M.data[stop:]]),
-            np.concatenate([M.indices[:start], M.indices[stop:]]),
-            np.concatenate([M.indptr[:f0], M.indptr[f1:] - (stop - start)]),
-            col, (len(self.keep), len(flux)))
-        K = M_kk - _scaled_reversed(self.M_kq, self.inv_d) @ M_qk
-        del M_kk, M_qk  # not held through the factorization
+        rows = M[self.keep]
+        self.M_kq = rows[:, f0:f1]
         self.M_qk = self.M_kq.T  # M is exactly symmetric
+        K = rows[:, self.keep] - (self.M_kq @ sp.diags(self.inv_d)) @ self.M_qk
+        del rows  # not held through the factorization
 
         K, self.s, norm_1, norm_inf = _equilibration(K)
         # diag(s) K diag(s) entry by entry: first s of the row, then s of the column

@@ -9,7 +9,6 @@ from pdwg.linsolve import (
     CondensedFactor,
     SingularSystem,
     _equilibration,
-    _flux_rows,
     factor_and_solve,
     saddle_factor,
     solve_sparse,
@@ -159,18 +158,30 @@ def test_free_flux_block_is_positive_diagonal(case):
     d = np.diag(block)
     assert np.array_equal(block, np.diag(d))
     assert np.all(d > 0.0)
-    M_qk, got, _ = _flux_rows(system.M, flux)
-    assert np.array_equal(got, d)
-    keep = np.setdiff1d(np.arange(system.M.shape[0]), flux)
-    assert (M_qk != system.M[flux][:, keep]).nnz == 0
+    factor = saddle_factor(system)
+    assert np.array_equal(factor.flux, flux)
+    assert np.array_equal(factor.inv_d, 1.0 / d)
 
 
 def test_flux_diagonal_rejects_coupled_block():
     M = sp.csr_matrix(np.array([[2.0, 1.0, 1.0], [1.0, 3.0, 0.5], [1.0, 0.5, 4.0]]))
     with pytest.raises(ValueError, match="not diagonal"):
-        _flux_rows(M, np.array([1, 2]))
+        CondensedFactor(M, np.array([1, 2]))
     with pytest.raises(ValueError, match="<= 0"):
-        _flux_rows(sp.csr_matrix(np.diag([1.0, -1.0])), np.array([0, 1]))
+        CondensedFactor(sp.csr_matrix(np.diag([1.0, -1.0])), np.array([0, 1]))
+
+
+def test_flux_block_accepts_stored_zeros_off_the_diagonal(rng):
+    # the flux block [[2, 0], [0, 4]] stores both of its zeros
+    dense = np.array([[1.0, 0.0, 0.0, 1.0], [0.0, 2.0, 0.0, 1.0],
+                      [0.0, 0.0, 4.0, 1.0], [1.0, 1.0, 1.0, 0.0]])
+    rows, cols = np.nonzero(dense)
+    rows, cols = np.append(rows, [1, 2]), np.append(cols, [2, 1])
+    M = sp.csr_matrix((dense[rows, cols], (rows, cols)), shape=dense.shape)
+    assert M[1:3, 1:3].nnz == 4
+    b = rng.standard_normal(4)
+    out = CondensedFactor(M, np.array([1, 2])).solve(b)
+    assert np.abs(out.x - np.linalg.solve(dense, b)).max() <= 1e-14
 
 
 def test_flux_unknowns_must_be_consecutive():

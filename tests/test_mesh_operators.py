@@ -23,7 +23,7 @@ from pdwg.assembly import assemble_matrix
 from pdwg.harness import Reference, case_matrix, run_benchmark_tables, solve_single
 from pdwg.mesh import build_uniform_unit_square
 from pdwg.polyspace import DEFAULT_TRI_DEGREE
-from pdwg.problems import get_problem
+from pdwg.problems import case_configs, get_problem
 
 from conftest import tags_for
 
@@ -88,6 +88,19 @@ def test_cases_on_one_mesh_share_s_and_b_and_keep_their_bits():
         fresh = assemble_matrix(fresh_mesh, tags_for(fresh_mesh, case))
         for name in ("S", "B", "C", "M"):
             assert_same_bits(getattr(matrix, name), getattr(fresh, name))
+
+
+@pytest.mark.parametrize("case, n", [(case, n) for n in (1, 4, 8) for case in sorted(case_configs())
+                                     if (case, n) != ("figures", 1)])  # figures needs n even
+def test_case_cut_matches_blocks_of_s_and_b(case, n):
+    # M and C built independently, from the free and constrained blocks of S and B
+    mesh = build_uniform_unit_square(n)
+    system = assemble_matrix(mesh, tags_for(mesh, case))
+    S, B = system.S, system.B
+    free, con = system.dofmap.free, system.dofmap.constrained
+    M = sp.bmat([[S[free][:, free], B[:, free].T], [B[:, free], None]])
+    assert_same_bits(system.M, M.tocsr())
+    assert_same_bits(system.C, sp.vstack([-S[free][:, con], B[:, con]]).tocsr())
 
 
 def test_benchmark_tables_build_each_operator_once_per_mesh(tmp_path, builds):
