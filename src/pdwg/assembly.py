@@ -2,8 +2,12 @@
 
 Primal unknowns are the C0 piecewise-P2 nodal values (one per vertex and
 edge midpoint) followed by two P1 flux coefficients per edge, stored with
-respect to the global edge normal.  One P0 multiplier per triangle closes
-the saddle-point system
+respect to the global edge normal.  This module alone numbers them
+(``flux_dofs``, ``num_primal``), splits a primal vector into its P2 values
+and (E, 2) flux coefficients and joins it again (``split_primal``,
+``join_primal``), and finds a case's free fluxes (``DofMap.free_flux``);
+every other module asks it.  One P0 multiplier per triangle closes the
+saddle-point system
 
     [ S  B^T ] [z]   [ -S_fc g ]
     [ B   0  ] [l] = [ F - B_fc g ]
@@ -65,6 +69,33 @@ from pdwg.weak_laplacian import normal_derivative_samples
 _MID_PAIRS = ((0, 1), (1, 2), (2, 0))
 
 
+def flux_dofs(mesh: Mesh, e) -> np.ndarray:
+    """(..., 2) primal ids of the constant and linear flux coefficients of edges e.
+
+    The primal layout: the n_u = V + E P2 values, then edge e's two flux
+    coefficients at n_u + 2e and n_u + 2e + 1, so that the fluxes of a
+    primal vector read as an (E, 2) array (``split_primal``).
+    """
+    base = mesh.num_vertices + mesh.num_edges + 2 * np.asarray(e)
+    return np.stack([base, base + 1], axis=-1)
+
+
+def num_primal(mesh: Mesh) -> int:
+    """Number of primal dofs: V + E P2 values and two fluxes per edge."""
+    return mesh.num_vertices + 3 * mesh.num_edges
+
+
+def split_primal(mesh: Mesh, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Views of a primal vector's V + E P2 values and (E, 2) flux coefficients."""
+    n_u = mesh.num_vertices + mesh.num_edges
+    return x[:n_u], x[n_u:].reshape(mesh.num_edges, 2)
+
+
+def join_primal(u0: np.ndarray, un: np.ndarray) -> np.ndarray:
+    """The primal vector of P2 values u0 and (E, 2) flux coefficients un."""
+    return np.concatenate([u0, un.ravel()])
+
+
 @dataclass(frozen=True)
 class DofMap:
     """Free/constrained partition of the primal (u, flux) unknowns."""
@@ -81,16 +112,9 @@ class DofMap:
         return self.n_vertices + self.n_edges
 
     @property
-    def n_flux(self) -> int:
-        return 2 * self.n_edges
-
-    @property
-    def n_primal(self) -> int:
-        return self.n_u + self.n_flux
-
-    def flux_dofs(self, e) -> np.ndarray:
-        base = self.n_u + 2 * np.asarray(e)
-        return np.stack([base, base + 1], axis=-1)
+    def free_flux(self) -> np.ndarray:
+        """Positions in ``free`` of the free fluxes: one run after the free P2 values."""
+        return np.arange(np.searchsorted(self.free, self.n_u), len(self.free))
 
 
 def build_dofmap(mesh: Mesh, tags: BoundaryTags) -> DofMap:
@@ -100,29 +124,19 @@ def build_dofmap(mesh: Mesh, tags: BoundaryTags) -> DofMap:
     incident" rule), so corner nodes shared with an untagged segment still
     receive data.
     """
-    V, E = mesh.num_vertices, mesh.num_edges
     dirichlet_nodes = mesh.closure_p2_nodes(tags.dirichlet_edges)
-    neumann_edges = np.asarray(sorted(tags.neumann_edges), dtype=np.int64)
-
-    n_u = V + E
-    constrained = np.concatenate(
-        [
-            dirichlet_nodes,
-            (n_u + 2 * neumann_edges),
-            (n_u + 2 * neumann_edges + 1),
-        ]
-    ).astype(np.int64)
-    constrained = np.sort(constrained)
-    mask = np.zeros(n_u + 2 * E, dtype=bool)
-    mask[constrained] = True
-    free = np.flatnonzero(~mask)
+    neumann_edges = tags.neumann_edges
+    constrained = np.sort(
+        np.concatenate([dirichlet_nodes, flux_dofs(mesh, neumann_edges).ravel()]))
+    mask = np.ones(num_primal(mesh), dtype=bool)
+    mask[constrained] = False
     return DofMap(
-        n_vertices=V,
-        n_edges=E,
+        n_vertices=mesh.num_vertices,
+        n_edges=mesh.num_edges,
         dirichlet_nodes=dirichlet_nodes,
         neumann_edges=neumann_edges,
         constrained=constrained,
-        free=free,
+        free=np.flatnonzero(mask),
     )
 
 
@@ -237,46 +251,38 @@ def stabilizer_blocks(mesh: Mesh, maps: np.ndarray, p2_dofs: np.ndarray):
     R[..., 0, 6] = -1.0
     R[..., 1, 7] = -1.0
     K = np.einsum("ltia,lti,ltib->ltab", R, stabilizer_weights(mesh), R)
-    flux = (mesh.num_vertices + mesh.num_edges + 2 * edges).astype(np.int32)[..., None]
     p2 = np.broadcast_to(p2_dofs.astype(np.int32), edges.shape + (6,))
-    return K, np.concatenate([p2, flux, flux + 1], axis=-1)
+    return K, np.concatenate([p2, flux_dofs(mesh, edges).astype(np.int32)], axis=-1)
 
 
-def assemble_stabilizer(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
+def assemble_stabilizer(mesh: Mesh) -> sp.csr_matrix:
     """Stabilizer Gram matrix S over all primal dofs (exactly symmetric PSD).
 
     The upper entries of the ``stabilizer_blocks``, scattered local edge by
-    local edge.  S does not depend on the boundary tags: ``dofmap`` gives
-    only its size.
+    local edge.
     """
     K, dofs = stabilizer_blocks(mesh, normal_maps(mesh), tri_p2_dofs(mesh))
     rows = np.broadcast_to(dofs[..., :, None], K.shape)
     cols = np.broadcast_to(dofs[..., None, :], K.shape)
     upper = rows <= cols
-    n = dofmap.n_primal
+    n = num_primal(mesh)
     upper = sp.coo_matrix((K[upper], (rows[upper], cols[upper])), shape=(n, n)).tocsr()
     return upper + sp.triu(upper, k=1).T.tocsr()
 
 
-def constraint_matrix(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
+def constraint_matrix(mesh: Mesh) -> sp.csr_matrix:
     """Constraint matrix B, one row per triangle.
 
     Row T reads sum_e s(T,e) * h_e * c0_e = int_T f dx: for the k=2 scheme
     the weak Laplacian tested against P0 reduces to the signed flux
-    integrals over the element boundary.  B does not depend on the
-    boundary tags: ``dofmap`` gives only its size.
+    integrals over the element boundary.
     """
-    n_u = dofmap.n_u
+    edges = mesh.tri_edges.T                        # (3, T)
     T = mesh.num_triangles
-    rows, cols, data = [], [], []
-    for l in range(3):
-        e = mesh.tri_edges[:, l]
-        rows.append(np.arange(T))
-        cols.append(n_u + 2 * e)
-        data.append(mesh.tri_edge_signs[:, l] * mesh.h_e[e])
     return sp.coo_matrix(
-        (np.concatenate(data), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(T, dofmap.n_primal),
+        ((mesh.tri_edge_signs.T * mesh.h_e[edges]).ravel(),
+         (np.tile(np.arange(T), 3), flux_dofs(mesh, edges)[..., 0].ravel())),
+        shape=(T, num_primal(mesh)),
     ).tocsr()
 
 
@@ -290,7 +296,6 @@ def element_load(mesh: Mesh, f: Callable, tri_degree: int = DEFAULT_TRI_DEGREE) 
 
 def assemble_constraint(
     mesh: Mesh,
-    dofmap: DofMap,
     f: Callable,
     tri_degree: int = DEFAULT_TRI_DEGREE,
 ) -> tuple[sp.csr_matrix, np.ndarray]:
@@ -299,7 +304,7 @@ def assemble_constraint(
     No pdwg code calls this; it stays only because perfbench/tracing.py
     hooks it by name, and a traced name that no longer exists fails there.
     """
-    return constraint_matrix(mesh, dofmap), element_load(mesh, f, tri_degree)
+    return constraint_matrix(mesh), element_load(mesh, f, tri_degree)
 
 
 def apply_boundary_conditions(
@@ -321,7 +326,7 @@ def apply_boundary_conditions(
     node values by ascending node id first, then Neumann edges by ascending
     edge id with each edge's quadrature samples in rule order.
     """
-    g = np.zeros(dofmap.n_primal)
+    g = np.zeros(num_primal(mesh))
     rng = None
     if noise is not None and noise.amplitude > 0.0:
         rng = noise.generator()
@@ -336,20 +341,20 @@ def apply_boundary_conditions(
         samples = s * normal_derivative_samples(problem.grad_u, mesh, edges, edge_points)
         if noise is not None:
             samples = perturb(samples, noise, rng)
-        g[dofmap.flux_dofs(edges)] = s * project_edge_samples(samples)
+        g[flux_dofs(mesh, edges)] = s * project_edge_samples(samples)
     return g
 
 
-def saddle_operator(mesh: Mesh, dofmap: DofMap) -> sp.csr_matrix:
+def saddle_operator(mesh: Mesh) -> sp.csr_matrix:
     """The mesh's W = [S B^T; B 0] over every primal dof and multiplier.
 
     Built once per mesh (``mesh_operator``) from the stabilizer and the
-    constraint, which are not kept beside it; ``dofmap``, of any case on
-    the mesh, gives only the sizes.  Every case's matrix is cut from W.
+    constraint, which are not kept beside it.  Every case's matrix is cut
+    from W.
     """
     def build():
-        S = assemble_stabilizer(mesh, dofmap)
-        B = constraint_matrix(mesh, dofmap)
+        S = assemble_stabilizer(mesh)
+        B = constraint_matrix(mesh)
         top = sp.hstack([S, B.T.tocsr()], format="csr")
         bottom = sp.csr_matrix((B.data, B.indices, B.indptr), shape=(B.shape[0], top.shape[1]))
         return sp.vstack([top, bottom], format="csr")
@@ -379,14 +384,14 @@ class SystemMatrix:
     @property
     def S(self) -> sp.csr_matrix:
         """The mesh's stabilizer over all primal dofs."""
-        n = self.dofmap.n_primal
-        return saddle_operator(self.mesh, self.dofmap)[:n, :n]
+        n = num_primal(self.mesh)
+        return saddle_operator(self.mesh)[:n, :n]
 
     @property
     def B(self) -> sp.csr_matrix:
         """The mesh's constraint rows over all primal dofs."""
-        n = self.dofmap.n_primal
-        return saddle_operator(self.mesh, self.dofmap)[n:, :n]
+        n = num_primal(self.mesh)
+        return saddle_operator(self.mesh)[n:, :n]
 
 
 @dataclass
@@ -408,8 +413,8 @@ def assemble_matrix(mesh: Mesh, tags: BoundaryTags) -> SystemMatrix:
     and B_c @ g_c, zero signs included.
     """
     dofmap = build_dofmap(mesh, tags)
-    W = saddle_operator(mesh, dofmap)
-    kept = np.concatenate([dofmap.free, np.arange(dofmap.n_primal, W.shape[0])])
+    W = saddle_operator(mesh)
+    kept = np.concatenate([dofmap.free, np.arange(num_primal(mesh), W.shape[0])])
     rows = W[kept]
     M, C = rows[:, kept], rows[:, dofmap.constrained]
     stabilizer_rows = C.data[:C.indptr[len(dofmap.free)]]

@@ -47,7 +47,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from pdwg.assembly import SaddleSystem, SystemMatrix
+from pdwg.assembly import SaddleSystem, SystemMatrix, join_primal, split_primal
 
 # solve_sparse gates the pivots of an unscaled matrix.
 PIVOT_RTOL = 1e-14
@@ -116,7 +116,7 @@ class Solution:
 
     @property
     def primal(self) -> np.ndarray:
-        return np.concatenate([self.u0, self.un.ravel()])
+        return join_primal(self.u0, self.un)
 
 
 @dataclass(frozen=True)
@@ -321,13 +321,9 @@ class CondensedFactor:
 
 
 def saddle_factor(system: SystemMatrix) -> CondensedFactor:
-    """Condensed factor of a saddle matrix, its free flux unknowns eliminated.
-
-    The free flux unknowns follow the free u unknowns in the ordering of M.
-    """
-    dofmap = system.dofmap
-    first_flux = int(np.searchsorted(dofmap.free, dofmap.n_u))
-    return CondensedFactor(system.M, np.arange(first_flux, system.n_free))
+    """Condensed factor of a saddle matrix, its free flux unknowns
+    (``DofMap.free_flux``) eliminated."""
+    return CondensedFactor(system.M, system.dofmap.free_flux)
 
 
 def factor_and_solve(system: SaddleSystem, factor: CondensedFactor | None = None) -> Solution:
@@ -339,14 +335,12 @@ def factor_and_solve(system: SaddleSystem, factor: CondensedFactor | None = None
     """
     if factor is None:
         factor = saddle_factor(system)
-    dofmap = system.dofmap
     nf = system.n_free
     solved = factor.solve(system.rhs)
     z = system.g.copy()
-    z[dofmap.free] = solved.x[:nf]
+    z[system.dofmap.free] = solved.x[:nf]
     lam = solved.x[nf:]
-    u0 = z[: dofmap.n_u]
-    un = z[dofmap.n_u :].reshape(dofmap.n_edges, 2)
+    u0, un = split_primal(system.mesh, z)
     return Solution(
         u0=u0,
         un=un,

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pdwg.assembly import (SystemMatrix, assemble_matrix, assemble_rhs, element_load,
-                           stabilizer_blocks)
+                           join_primal, num_primal, stabilizer_blocks)
 from pdwg.harness import Reference, case_matrix
 from pdwg.linsolve import CondensedFactor, Solution, saddle_factor
 from pdwg.mesh import BoundaryTags, Mesh, build_uniform_unit_square
@@ -94,12 +94,9 @@ def build_vstar(lam: np.ndarray, mesh: Mesh, tags: BoundaryTags) -> np.ndarray:
     the constant h_e * [lam] on every edge off Gamma_n (zero there), stored
     with respect to the global edge normal.
     """
-    n_u = mesh.num_vertices + mesh.num_edges
-    v = np.zeros(n_u + 2 * mesh.num_edges)
-    J = lambda_jump(lam, mesh)
-    include = ~tags.neumann
-    v[n_u : n_u + 2 * mesh.num_edges : 2] = np.where(include, mesh.h_e * J, 0.0)
-    return v
+    un = np.zeros((mesh.num_edges, 2))
+    un[:, 0] = np.where(~tags.neumann, mesh.h_e * lambda_jump(lam, mesh), 0.0)
+    return join_primal(np.zeros(mesh.num_vertices + mesh.num_edges), un)
 
 
 def check_infsup(
@@ -146,21 +143,21 @@ def check_error_equations(
     matrix does not carry s; second: ||B e_h||_inf, the statement that the
     error has vanishing discrete weak Laplacian.
     """
-    mesh, dofmap = system.mesh, system.dofmap
+    mesh = system.mesh
     K, dofs = stabilizer_blocks(mesh, qhu.normal_maps, qhu.p2_dofs)
     edges = mesh.tri_edges.T
 
     def s_against_basis(v0, vn):  # v: (T, 6) element P2 values, (E, 2) edge fluxes
         x = np.concatenate([np.broadcast_to(v0, edges.shape + (6,)), vn[edges]], axis=-1)
         return np.bincount(dofs.ravel(), np.einsum("ltab,ltb->lta", K, x).ravel(),
-                           minlength=dofmap.n_primal)
+                           minlength=num_primal(mesh))
 
     en = solution.un - qhu.qn
     res = (s_against_basis(solution.u0[qhu.p2_dofs] - qhu.q0, en)
            + system.B.T @ solution.lam + s_against_basis(qhu.q0, qhu.qn))
-    sehv = float(np.abs(res[dofmap.free]).max())
+    sehv = float(np.abs(res[system.dofmap.free]).max())
 
-    sehv2 = float(np.abs(system.B[:, dofmap.n_u :] @ en.ravel()).max())
+    sehv2 = float(np.abs(system.B @ join_primal(np.zeros_like(solution.u0), en)).max())
     return sehv, sehv2
 
 
@@ -173,7 +170,7 @@ def quadratic_consistency_residual(matrix: SystemMatrix, ref: Reference) -> floa
     problem, mesh = ref.problem, matrix.mesh
     system = assemble_rhs(matrix, problem, ref.tri_degree, load=ref.load)
     coords = mesh.p2_node_coords
-    q = np.concatenate([problem.u(coords[:, 0], coords[:, 1]), ref.projection.qn.ravel()])
+    q = join_primal(problem.u(coords[:, 0], coords[:, 1]), ref.projection.qn)
     x = np.concatenate([q[system.dofmap.free], np.zeros(mesh.num_triangles)])
     return float(np.abs(system.M @ x - system.rhs).max())
 

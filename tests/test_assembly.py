@@ -9,12 +9,20 @@ from pdwg.assembly import (
     build_dofmap,
     build_saddle_system,
     element_load,
+    flux_dofs,
+    join_primal,
+    normal_maps,
+    num_primal,
+    split_primal,
+    stabilizer_blocks,
+    tri_p2_dofs,
 )
 from pdwg.harness import Reference, case_matrix
+from pdwg.linsolve import saddle_factor
 from pdwg.mesh import BoundarySegmentSpec, build_uniform_unit_square, classify_boundary
 from pdwg.norms import project_exact
 from pdwg.polyspace import edge_gauss
-from pdwg.problems import ManufacturedSolution, NoiseSpec, get_problem
+from pdwg.problems import ManufacturedSolution, NoiseSpec, case_configs, get_problem
 from pdwg.verify import quadratic_consistency_residual
 
 from conftest import tags_for
@@ -44,9 +52,38 @@ def test_dof_counts_and_partition(mesh4):
     dm = build_dofmap(mesh4, tags)
     V, E = mesh4.num_vertices, mesh4.num_edges
     assert dm.n_u == V + E
-    assert dm.n_flux == 2 * E
-    assert len(dm.free) + len(dm.constrained) == dm.n_primal
+    assert num_primal(mesh4) - dm.n_u == 2 * E
+    assert len(dm.free) + len(dm.constrained) == num_primal(mesh4)
     assert not np.intersect1d(dm.free, dm.constrained).size
+
+
+@pytest.mark.parametrize("case, n", [(case, n) for n in (1, 2, 4) for case in sorted(case_configs())
+                                     if (case, n) != ("figures", 1)])  # figures needs n even
+def test_every_operator_reads_one_dof_layout(case, n):
+    # B, the stabilizer blocks, the free-flux range of the factor and the
+    # split of a primal vector all put edge e's fluxes where flux_dofs does
+    mesh = build_uniform_unit_square(n)
+    matrix = case_matrix(case, mesh)
+    flux = flux_dofs(mesh, np.arange(mesh.num_edges))
+    u0, un = split_primal(mesh, np.arange(num_primal(mesh)))
+    assert np.array_equal(u0, np.arange(mesh.num_vertices + mesh.num_edges))
+    assert np.array_equal(un, flux)
+
+    B = matrix.B
+    assert np.array_equal(np.diff(B.indptr), np.full(mesh.num_triangles, 3))
+    assert np.array_equal(B.indices.reshape(-1, 3),
+                          np.sort(flux_dofs(mesh, mesh.tri_edges)[..., 0], axis=1))
+    assert np.array_equal(np.unique(B.indices), flux[:, 0])
+    _, dofs = stabilizer_blocks(mesh, normal_maps(mesh), tri_p2_dofs(mesh))
+    assert np.array_equal(dofs[..., 6:], flux_dofs(mesh, mesh.tri_edges.T))
+
+    dm = matrix.dofmap
+    assert np.array_equal(saddle_factor(matrix).flux, dm.free_flux)
+    assert np.array_equal(dm.free[dm.free_flux], np.setdiff1d(flux, dm.constrained))
+    assert np.all(dm.free[:len(dm.free) - len(dm.free_flux)] < len(u0))
+
+    x = np.random.default_rng(n).standard_normal(num_primal(mesh))
+    assert join_primal(*split_primal(mesh, x)).tobytes() == x.tobytes()
 
 
 def test_any_incident_rule_constrains_shared_corners(mesh2):
@@ -73,9 +110,7 @@ def test_all_cauchy_system_dimension_n1():
 
 
 def test_stabilizer_vanishes_on_global_quadratic(mesh4):
-    tags = tags_for(mesh4, "case1")
-    dm = build_dofmap(mesh4, tags)
-    S = assemble_stabilizer(mesh4, dm)
+    S = assemble_stabilizer(mesh4)
     v = exact_primal_vector(get_problem("quad"), mesh4)
     value = float(v @ (S @ v))
     # zero up to cancellation against the form's accumulated magnitude
@@ -84,35 +119,33 @@ def test_stabilizer_vanishes_on_global_quadratic(mesh4):
 
 
 def test_stabilizer_zero_vector(mesh2):
-    dm = build_dofmap(mesh2, tags_for(mesh2, "case1"))
-    S = assemble_stabilizer(mesh2, dm)
-    assert float(np.zeros(dm.n_primal) @ (S @ np.zeros(dm.n_primal))) == 0.0
+    S = assemble_stabilizer(mesh2)
+    n = num_primal(mesh2)
+    assert float(np.zeros(n) @ (S @ np.zeros(n))) == 0.0
 
 
 def test_stabilizer_unit_flux_on_diagonal_edge():
     # hand oracle over the two incident triangles of the n=1 diagonal
     mesh = build_uniform_unit_square(1)
     dm = build_dofmap(mesh, tags_for(mesh, "case1"))
-    S = assemble_stabilizer(mesh, dm)
+    S = assemble_stabilizer(mesh)
     diag = [e for e in range(mesh.num_edges) if not mesh.boundary_edge_mask[e]]
     assert len(diag) == 1
-    v = np.zeros(dm.n_primal)
+    v = np.zeros(num_primal(mesh))
     v[dm.n_u + 2 * diag[0]] = 1.0
     assert float(v @ (S @ v)) == pytest.approx(2.0, abs=1e-13)
 
 
 def test_stabilizer_psd_random(mesh4, rng):
-    dm = build_dofmap(mesh4, tags_for(mesh4, "case1"))
-    S = assemble_stabilizer(mesh4, dm)
+    S = assemble_stabilizer(mesh4)
     for _ in range(100):
-        v = rng.standard_normal(dm.n_primal)
+        v = rng.standard_normal(num_primal(mesh4))
         assert float(v @ (S @ v)) >= -1e-12
 
 
 def test_constraint_rows_integrate_source_exactly(mesh4):
     problem = get_problem("quad")
-    dm = build_dofmap(mesh4, tags_for(mesh4, "case1"))
-    B, F = assemble_constraint(mesh4, dm, problem.f)
+    B, F = assemble_constraint(mesh4, problem.f)
     v = exact_primal_vector(problem, mesh4)
     # divergence theorem with integral-preserving flux projection
     assert np.abs(B @ v - 4.0 * mesh4.area).max() <= 1e-13
@@ -120,17 +153,16 @@ def test_constraint_rows_integrate_source_exactly(mesh4):
 
 
 def test_constraint_zero_flux_zero_source(mesh2):
-    dm = build_dofmap(mesh2, tags_for(mesh2, "case1"))
-    B, F = assemble_constraint(mesh2, dm, lambda x, y: 0.0 * x)
-    assert np.abs(B @ np.zeros(dm.n_primal)).max() == 0.0
+    B, F = assemble_constraint(mesh2, lambda x, y: 0.0 * x)
+    assert np.abs(B @ np.zeros(num_primal(mesh2))).max() == 0.0
     assert np.abs(F).max() == 0.0
 
 
 def test_constraint_unit_outward_flux_gives_perimeter():
     mesh = build_uniform_unit_square(1)
     dm = build_dofmap(mesh, tags_for(mesh, "case1"))
-    B, _ = assemble_constraint(mesh, dm, lambda x, y: 0.0 * x)
-    v = np.zeros(dm.n_primal)
+    B, _ = assemble_constraint(mesh, lambda x, y: 0.0 * x)
+    v = np.zeros(num_primal(mesh))
     for l in range(3):
         e = mesh.tri_edges[0, l]
         v[dm.n_u + 2 * e] = mesh.tri_edge_signs[0, l]
@@ -150,7 +182,7 @@ def test_neumann_projection_against_dense_oracle():
     tags = classify_boundary(mesh, [BoundarySegmentSpec(side="top", has_neumann=True)])
     dm = build_dofmap(mesh, tags)
     g = apply_boundary_conditions(get_problem("sinsin"), mesh, dm)
-    coeffs = g[dm.flux_dofs(dm.neumann_edges)]
+    coeffs = g[flux_dofs(mesh, dm.neumann_edges)]
     for k, e in enumerate(dm.neumann_edges):
         a, b = mesh.edges[e]
         pa, pb = mesh.vertices[a], mesh.vertices[b]
@@ -193,7 +225,7 @@ def test_noise_draw_order_is_one_stream():
         samples = g2(pts[:, 0], pts[:, 1], s * mesh.edge_normals[e])
         samples = samples + a * (0.5 - rng.random(len(t)))
         want = s * np.array([w @ samples, 12.0 * (w * (t - 0.5)) @ samples])
-        assert np.abs(got[dm.flux_dofs(e)] - want).max() <= 1e-13
+        assert np.abs(got[flux_dofs(mesh, e)] - want).max() <= 1e-13
 
 
 def test_constrained_flux_matches_exact_projection(mesh4):
@@ -205,7 +237,7 @@ def test_constrained_flux_matches_exact_projection(mesh4):
             problem = get_problem(name)
             system = build_saddle_system(mesh4, tags, problem)
             qn = project_exact(problem, mesh4).qn
-            got = system.g[system.dofmap.flux_dofs(system.dofmap.neumann_edges)]
+            got = system.g[flux_dofs(mesh4, system.dofmap.neumann_edges)]
             assert np.array_equal(got, qn[system.dofmap.neumann_edges])
             coords = mesh4.p2_node_coords[system.dofmap.dirichlet_nodes]
             assert np.abs(

@@ -79,11 +79,11 @@ def test_cases_on_one_mesh_share_s_and_b_and_keep_their_bits():
     matrices = {case: assemble_matrix(mesh, tags_for(mesh, case))
                 for case in ("case1", "case2", "case5")}
     W = mesh.operators["W"]
-    n = matrices["case1"].dofmap.n_primal
-    assert_same_bits(W[:n, :n], assembly.assemble_stabilizer(mesh, matrices["case1"].dofmap))
-    assert_same_bits(W[n:, :n], assembly.constraint_matrix(mesh, matrices["case1"].dofmap))
+    n = assembly.num_primal(mesh)
+    assert_same_bits(W[:n, :n], assembly.assemble_stabilizer(mesh))
+    assert_same_bits(W[n:, :n], assembly.constraint_matrix(mesh))
+    assert assembly.saddle_operator(mesh) is W
     for case, matrix in matrices.items():
-        assert assembly.saddle_operator(mesh, matrix.dofmap) is W
         fresh_mesh = build_uniform_unit_square(8)
         fresh = assemble_matrix(fresh_mesh, tags_for(fresh_mesh, case))
         for name in ("S", "B", "C", "M"):

@@ -216,7 +216,7 @@ def test_error_equations_flag_a_matrix_without_the_stabilizer(monkeypatch):
     # solved with 2 s(., .) in place of s, B^T lam balances the matrix's S
     # but not s(e_h, .) + s(Q_h u, .) from the stabilizer blocks
     stabilizer = assembly.assemble_stabilizer
-    monkeypatch.setattr(assembly, "assemble_stabilizer", lambda m, d: 2.0 * stabilizer(m, d))
+    monkeypatch.setattr(assembly, "assemble_stabilizer", lambda m: 2.0 * stabilizer(m))
     sehv, sehv2 = check_error_equations(*sinsin_case1_n8())
     assert sehv > 1e-9
     assert sehv2 <= 1e-8
