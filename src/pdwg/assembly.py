@@ -5,7 +5,7 @@ edge midpoint) followed by two P1 flux coefficients per edge, stored with
 respect to the global edge normal.  This module alone numbers them
 (``flux_dofs``, ``num_primal``), splits a primal vector into its P2 values
 and (E, 2) flux coefficients and joins it again (``split_primal``,
-``join_primal``), and finds a case's free fluxes (``DofMap.free_flux``);
+``join_primal``), and finds a case's free fluxes (``SystemMatrix.free_flux``);
 every other module asks it.  One P0 multiplier per triangle closes the
 saddle-point system
 
@@ -94,50 +94,6 @@ def split_primal(mesh: Mesh, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def join_primal(u0: np.ndarray, un: np.ndarray) -> np.ndarray:
     """The primal vector of P2 values u0 and (E, 2) flux coefficients un."""
     return np.concatenate([u0, un.ravel()])
-
-
-@dataclass(frozen=True)
-class DofMap:
-    """Free/constrained partition of the primal (u, flux) unknowns."""
-
-    n_vertices: int
-    n_edges: int
-    dirichlet_nodes: np.ndarray  # sorted P2 node ids on closure(Gamma_d)
-    neumann_edges: np.ndarray    # sorted edge ids carrying Neumann data
-    constrained: np.ndarray      # sorted primal dof indices
-    free: np.ndarray
-
-    @property
-    def n_u(self) -> int:
-        return self.n_vertices + self.n_edges
-
-    @property
-    def free_flux(self) -> np.ndarray:
-        """Positions in ``free`` of the free fluxes: one run after the free P2 values."""
-        return np.arange(np.searchsorted(self.free, self.n_u), len(self.free))
-
-
-def build_dofmap(mesh: Mesh, tags: BoundaryTags) -> DofMap:
-    """Constrain u-dofs on closure(Gamma_d) nodes and flux dofs on Gamma_n edges.
-
-    A node incident to any Dirichlet-tagged edge is constrained ("any
-    incident" rule), so corner nodes shared with an untagged segment still
-    receive data.
-    """
-    dirichlet_nodes = mesh.closure_p2_nodes(tags.dirichlet_edges)
-    neumann_edges = tags.neumann_edges
-    constrained = np.sort(
-        np.concatenate([dirichlet_nodes, flux_dofs(mesh, neumann_edges).ravel()]))
-    mask = np.ones(num_primal(mesh), dtype=bool)
-    mask[constrained] = False
-    return DofMap(
-        n_vertices=mesh.num_vertices,
-        n_edges=mesh.num_edges,
-        dirichlet_nodes=dirichlet_nodes,
-        neumann_edges=neumann_edges,
-        constrained=constrained,
-        free=np.flatnonzero(mask),
-    )
 
 
 def mesh_operator(mesh: Mesh, key, build: Callable):
@@ -309,33 +265,34 @@ def assemble_constraint(
 
 def apply_boundary_conditions(
     problem: ManufacturedSolution,
-    mesh: Mesh,
-    dofmap: DofMap,
+    matrix: SystemMatrix,
     edge_points: int = DEFAULT_EDGE_POINTS,
     noise: NoiseSpec | None = None,
 ) -> np.ndarray:
     """Full-length primal vector of prescribed values (zero on free dofs).
 
-    Dirichlet u-dofs get u at the P2 nodes on closure(Gamma_d).  Neumann
-    flux dofs get s P1(s samples): the samples of grad u . n_e on the
-    Neumann edges (``normal_derivative_samples``), turned outward by
-    s = s(T, e) of the edge's one element, projected, and stored against
-    n_e again.  The flips by s = +-1 are exact, so without noise these are
-    the Qn(grad u . n_e) of Q_h u bit for bit.  With a NoiseSpec, one PCG64
-    stream perturbs the outward data samples in a fixed order: Dirichlet
-    node values by ascending node id first, then Neumann edges by ascending
-    edge id with each edge's quadrature samples in rule order.
+    ``matrix`` is the case.  Its Dirichlet u-dofs get u at its
+    ``dirichlet_nodes``.  Its Neumann flux dofs get s P1(s samples): the
+    samples of grad u . n_e on the Neumann edges of ``matrix.tags``
+    (``normal_derivative_samples``), turned outward by s = s(T, e) of the
+    edge's one element, projected, and stored against n_e again.  The flips
+    by s = +-1 are exact, so without noise these are the Qn(grad u . n_e)
+    of Q_h u bit for bit.  With a NoiseSpec, one PCG64 stream perturbs the
+    outward data samples in a fixed order: Dirichlet node values by
+    ascending node id first, then Neumann edges by ascending edge id with
+    each edge's quadrature samples in rule order.
     """
+    mesh, nodes = matrix.mesh, matrix.dirichlet_nodes
     g = np.zeros(num_primal(mesh))
     rng = None
     if noise is not None and noise.amplitude > 0.0:
         rng = noise.generator()
-    if len(dofmap.dirichlet_nodes):
-        values = interpolate_nodes(problem.u, mesh, dofmap.dirichlet_nodes)
+    if len(nodes):
+        values = interpolate_nodes(problem.u, mesh, nodes)
         if noise is not None:
             values = perturb(values, noise, rng)
-        g[dofmap.dirichlet_nodes] = values
-    edges = dofmap.neumann_edges
+        g[nodes] = values
+    edges = matrix.tags.neumann_edges
     if len(edges):
         s = mesh.edge_tri_signs[edges, 0][:, None]
         samples = s * normal_derivative_samples(problem.grad_u, mesh, edges, edge_points)
@@ -363,23 +320,33 @@ def saddle_operator(mesh: Mesh) -> sp.csr_matrix:
 
 @dataclass
 class SystemMatrix:
-    """The part of the PD-WG system fixed by the mesh and the boundary tags.
+    """A boundary case: the part of the PD-WG system fixed by the mesh and the tags.
 
-    The problem and the data noise change only the right-hand side, so one
-    SystemMatrix (and one factor of M) serves every load and boundary datum.
-    It holds no operator of the mesh: ``S`` and ``B`` read the mesh's W,
-    built again if ``mesh.operators`` was cleared.
+    It holds the case's free/constrained partition of the primal dofs
+    (``assemble_matrix``) beside the matrix cut by it.  The problem and the
+    data noise change only the right-hand side, so one SystemMatrix (and
+    one factor of M) serves every load and boundary datum.  It holds no
+    operator of the mesh: ``S`` and ``B`` read the mesh's W, built again if
+    ``mesh.operators`` was cleared.
     """
 
     mesh: Mesh
     tags: BoundaryTags
-    dofmap: DofMap
+    dirichlet_nodes: np.ndarray  # sorted P2 node ids on closure(Gamma_d)
+    constrained: np.ndarray      # sorted primal dofs: those nodes and the Neumann fluxes
+    free: np.ndarray             # sorted primal dofs, the rest
     M: sp.csr_matrix          # [S_ff B_f^T; B_f 0]
     C: sp.csr_matrix          # [-S_fc; B_c]: the rows of M, the columns of constrained dofs
 
     @property
     def n_free(self) -> int:
-        return len(self.dofmap.free)
+        return len(self.free)
+
+    @property
+    def free_flux(self) -> np.ndarray:
+        """Positions in ``free`` of the free fluxes: one run after the free P2 values."""
+        first_flux = flux_dofs(self.mesh, 0)[0]
+        return np.arange(np.searchsorted(self.free, first_flux), self.n_free)
 
     @property
     def S(self) -> sp.csr_matrix:
@@ -405,21 +372,31 @@ class SaddleSystem(SystemMatrix):
 def assemble_matrix(mesh: Mesh, tags: BoundaryTags) -> SystemMatrix:
     """Assemble the data-independent blocks of the saddle-point system.
 
-    One row selection of the mesh's W (``saddle_operator``), shared with
-    every other case on the mesh, takes the free primal rows and then the
-    multiplier rows; selecting its columns the same way gives M, and the
-    constrained columns give C.  C's stabilizer rows are negated, as the
-    right-hand side takes them, so that C @ g_c gives the bits of -S_fc @ g_c
-    and B_c @ g_c, zero signs included.
+    The case constrains the u-dofs on closure(Gamma_d) nodes and the flux
+    dofs on Gamma_n edges.  A node incident to any Dirichlet-tagged edge is
+    constrained ("any incident" rule), so corner nodes shared with an
+    untagged segment still receive data.  One row selection of the mesh's W
+    (``saddle_operator``), shared with every other case on the mesh, takes
+    the free primal rows and then the multiplier rows; selecting its columns
+    the same way gives M, and the constrained columns give C.  C's
+    stabilizer rows are negated, as the right-hand side takes them, so that
+    C @ g_c gives the bits of -S_fc @ g_c and B_c @ g_c, zero signs
+    included.
     """
-    dofmap = build_dofmap(mesh, tags)
+    dirichlet_nodes = mesh.closure_p2_nodes(tags.dirichlet_edges)
+    constrained = np.sort(np.concatenate(
+        [dirichlet_nodes, flux_dofs(mesh, tags.neumann_edges).ravel()]))
+    mask = np.ones(num_primal(mesh), dtype=bool)
+    mask[constrained] = False
+    free = np.flatnonzero(mask)
     W = saddle_operator(mesh)
-    kept = np.concatenate([dofmap.free, np.arange(num_primal(mesh), W.shape[0])])
+    kept = np.concatenate([free, np.arange(len(mask), W.shape[0])])
     rows = W[kept]
-    M, C = rows[:, kept], rows[:, dofmap.constrained]
-    stabilizer_rows = C.data[:C.indptr[len(dofmap.free)]]
+    M, C = rows[:, kept], rows[:, constrained]
+    stabilizer_rows = C.data[:C.indptr[len(free)]]
     np.negative(stabilizer_rows, out=stabilizer_rows)
-    return SystemMatrix(mesh=mesh, tags=tags, dofmap=dofmap, M=M, C=C)
+    return SystemMatrix(mesh=mesh, tags=tags, dirichlet_nodes=dirichlet_nodes,
+                        constrained=constrained, free=free, M=M, C=C)
 
 
 def assemble_rhs(
@@ -438,10 +415,9 @@ def assemble_rhs(
     computed here when not given; it does not depend on the noise, so the
     solves of one problem on one mesh can share it.
     """
-    mesh, dofmap = matrix.mesh, matrix.dofmap
-    F = element_load(mesh, problem.f, tri_degree) if load is None else load
-    g = apply_boundary_conditions(problem, mesh, dofmap, edge_points_for(tri_degree), noise)
-    lift = matrix.C @ g[dofmap.constrained]
+    F = element_load(matrix.mesh, problem.f, tri_degree) if load is None else load
+    g = apply_boundary_conditions(problem, matrix, edge_points_for(tri_degree), noise)
+    lift = matrix.C @ g[matrix.constrained]
     nf = matrix.n_free
     rhs = np.concatenate([lift[:nf], F - lift[nf:]])
     return SaddleSystem(**vars(matrix), g=g, rhs=rhs)

@@ -321,9 +321,9 @@ class CondensedFactor:
 
 
 def saddle_factor(system: SystemMatrix) -> CondensedFactor:
-    """Condensed factor of a saddle matrix, its free flux unknowns
-    (``DofMap.free_flux``) eliminated."""
-    return CondensedFactor(system.M, system.dofmap.free_flux)
+    """Condensed factor of a case's saddle matrix, its free flux unknowns
+    (``SystemMatrix.free_flux``) eliminated."""
+    return CondensedFactor(system.M, system.free_flux)
 
 
 def factor_and_solve(system: SaddleSystem, factor: CondensedFactor | None = None) -> Solution:
@@ -338,7 +338,7 @@ def factor_and_solve(system: SaddleSystem, factor: CondensedFactor | None = None
     nf = system.n_free
     solved = factor.solve(system.rhs)
     z = system.g.copy()
-    z[system.dofmap.free] = solved.x[:nf]
+    z[system.free] = solved.x[:nf]
     lam = solved.x[nf:]
     u0, un = split_primal(system.mesh, z)
     return Solution(

@@ -26,7 +26,7 @@ its norms are measured on those rules.  Norm conventions:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 import numpy as np
 
 from pdwg.assembly import (
@@ -91,15 +91,8 @@ class ErrorReport:
     lambda0h: float
 
     def as_dict(self) -> dict[str, float]:
-        return {
-            "h2": self.h2,
-            "l1": self.l1,
-            "l2": self.l2,
-            "h1": self.h1,
-            "linf": self.linf,
-            "w11": self.w11,
-            "lambda0h": self.lambda0h,
-        }
+        """The norms by name, in the order of the fields."""
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -155,7 +155,7 @@ def check_error_equations(
     en = solution.un - qhu.qn
     res = (s_against_basis(solution.u0[qhu.p2_dofs] - qhu.q0, en)
            + system.B.T @ solution.lam + s_against_basis(qhu.q0, qhu.qn))
-    sehv = float(np.abs(res[system.dofmap.free]).max())
+    sehv = float(np.abs(res[system.free]).max())
 
     sehv2 = float(np.abs(system.B @ join_primal(np.zeros_like(solution.u0), en)).max())
     return sehv, sehv2
@@ -171,7 +171,7 @@ def quadratic_consistency_residual(matrix: SystemMatrix, ref: Reference) -> floa
     system = assemble_rhs(matrix, problem, ref.tri_degree, load=ref.load)
     coords = mesh.p2_node_coords
     q = join_primal(problem.u(coords[:, 0], coords[:, 1]), ref.projection.qn)
-    x = np.concatenate([q[system.dofmap.free], np.zeros(mesh.num_triangles)])
+    x = np.concatenate([q[system.free], np.zeros(mesh.num_triangles)])
     return float(np.abs(system.M @ x - system.rhs).max())
 
 

@@ -12,6 +12,9 @@ from pdwg.problems import get_case
 # such as test_harness.py::test_e12_text_matches_percent_format; select it
 # with HYPOTHESIS_PROFILE=large.
 settings.register_profile("large", max_examples=5000)
+# The budget of every property in tests/test_properties.py, which runs 15
+# examples of each otherwise; select it with HYPOTHESIS_PROFILE=properties.
+settings.register_profile("properties", max_examples=300)
 settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 REF_TRI = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])

@@ -5,8 +5,8 @@ import scipy.integrate
 from pdwg.assembly import (
     apply_boundary_conditions,
     assemble_constraint,
+    assemble_matrix,
     assemble_stabilizer,
-    build_dofmap,
     build_saddle_system,
     element_load,
     flux_dofs,
@@ -49,12 +49,12 @@ def exact_primal_vector(problem, mesh):
 
 def test_dof_counts_and_partition(mesh4):
     tags = tags_for(mesh4, "case1")
-    dm = build_dofmap(mesh4, tags)
+    matrix = assemble_matrix(mesh4, tags)
     V, E = mesh4.num_vertices, mesh4.num_edges
-    assert dm.n_u == V + E
-    assert num_primal(mesh4) - dm.n_u == 2 * E
-    assert len(dm.free) + len(dm.constrained) == num_primal(mesh4)
-    assert not np.intersect1d(dm.free, dm.constrained).size
+    assert flux_dofs(mesh4, 0)[0] == V + E
+    assert num_primal(mesh4) - (V + E) == 2 * E
+    assert len(matrix.free) + len(matrix.constrained) == num_primal(mesh4)
+    assert not np.intersect1d(matrix.free, matrix.constrained).size
 
 
 @pytest.mark.parametrize("case, n", [(case, n) for n in (1, 2, 4) for case in sorted(case_configs())
@@ -77,10 +77,10 @@ def test_every_operator_reads_one_dof_layout(case, n):
     _, dofs = stabilizer_blocks(mesh, normal_maps(mesh), tri_p2_dofs(mesh))
     assert np.array_equal(dofs[..., 6:], flux_dofs(mesh, mesh.tri_edges.T))
 
-    dm = matrix.dofmap
-    assert np.array_equal(saddle_factor(matrix).flux, dm.free_flux)
-    assert np.array_equal(dm.free[dm.free_flux], np.setdiff1d(flux, dm.constrained))
-    assert np.all(dm.free[:len(dm.free) - len(dm.free_flux)] < len(u0))
+    free, free_flux = matrix.free, matrix.free_flux
+    assert np.array_equal(saddle_factor(matrix).flux, free_flux)
+    assert np.array_equal(free[free_flux], np.setdiff1d(flux, matrix.constrained))
+    assert np.all(free[:len(free) - len(free_flux)] < len(u0))
 
     x = np.random.default_rng(n).standard_normal(num_primal(mesh))
     assert join_primal(*split_primal(mesh, x)).tobytes() == x.tobytes()
@@ -90,14 +90,14 @@ def test_any_incident_rule_constrains_shared_corners(mesh2):
     # top side carries only Neumann data, yet its corner vertices sit on the
     # closure of Dirichlet edges of the left/right sides
     tags = tags_for(mesh2, "case1")
-    dm = build_dofmap(mesh2, tags)
+    nodes = assemble_matrix(mesh2, tags).dirichlet_nodes
     vid = {tuple(v): i for i, v in enumerate(map(tuple, mesh2.vertices))}
-    assert vid[(0.0, 1.0)] in dm.dirichlet_nodes
-    assert vid[(1.0, 1.0)] in dm.dirichlet_nodes
+    assert vid[(0.0, 1.0)] in nodes
+    assert vid[(1.0, 1.0)] in nodes
     # midpoints of top edges are unconstrained
     for e in np.flatnonzero(mesh2.boundary_edge_mask):
         if abs(mesh2.edge_midpoints[e][1] - 1.0) < 1e-12:
-            assert mesh2.num_vertices + e not in dm.dirichlet_nodes
+            assert mesh2.num_vertices + e not in nodes
 
 
 def test_all_cauchy_system_dimension_n1():
@@ -105,7 +105,7 @@ def test_all_cauchy_system_dimension_n1():
     tags = classify_boundary(mesh, ALL_CAUCHY)
     system = build_saddle_system(mesh, tags, get_problem("quad"))
     # dof-counting oracle: 8 of 9 u-dofs and 8 of 10 flux dofs constrained
-    assert len(system.dofmap.free) == 3
+    assert len(system.free) == 3
     assert system.M.shape == (3 + 2, 3 + 2)
 
 
@@ -127,12 +127,11 @@ def test_stabilizer_zero_vector(mesh2):
 def test_stabilizer_unit_flux_on_diagonal_edge():
     # hand oracle over the two incident triangles of the n=1 diagonal
     mesh = build_uniform_unit_square(1)
-    dm = build_dofmap(mesh, tags_for(mesh, "case1"))
     S = assemble_stabilizer(mesh)
     diag = [e for e in range(mesh.num_edges) if not mesh.boundary_edge_mask[e]]
     assert len(diag) == 1
     v = np.zeros(num_primal(mesh))
-    v[dm.n_u + 2 * diag[0]] = 1.0
+    v[flux_dofs(mesh, diag[0])[0]] = 1.0
     assert float(v @ (S @ v)) == pytest.approx(2.0, abs=1e-13)
 
 
@@ -160,12 +159,11 @@ def test_constraint_zero_flux_zero_source(mesh2):
 
 def test_constraint_unit_outward_flux_gives_perimeter():
     mesh = build_uniform_unit_square(1)
-    dm = build_dofmap(mesh, tags_for(mesh, "case1"))
     B, _ = assemble_constraint(mesh, lambda x, y: 0.0 * x)
     v = np.zeros(num_primal(mesh))
     for l in range(3):
         e = mesh.tri_edges[0, l]
-        v[dm.n_u + 2 * e] = mesh.tri_edge_signs[0, l]
+        v[flux_dofs(mesh, e)[0]] = mesh.tri_edge_signs[0, l]
     assert (B @ v)[0] == pytest.approx(2.0 + np.sqrt(2.0), abs=1e-14)
 
 
@@ -180,10 +178,9 @@ def test_neumann_projection_against_dense_oracle():
     # u = sin(x)sin(y) with Neumann data on the top side: du/dn = sin(x)cos(1)
     mesh = build_uniform_unit_square(4)
     tags = classify_boundary(mesh, [BoundarySegmentSpec(side="top", has_neumann=True)])
-    dm = build_dofmap(mesh, tags)
-    g = apply_boundary_conditions(get_problem("sinsin"), mesh, dm)
-    coeffs = g[flux_dofs(mesh, dm.neumann_edges)]
-    for k, e in enumerate(dm.neumann_edges):
+    g = apply_boundary_conditions(get_problem("sinsin"), assemble_matrix(mesh, tags))
+    coeffs = g[flux_dofs(mesh, tags.neumann_edges)]
+    for k, e in enumerate(tags.neumann_edges):
         a, b = mesh.edges[e]
         pa, pb = mesh.vertices[a], mesh.vertices[b]
         s = mesh.edge_tri_signs[e, 0]
@@ -202,8 +199,8 @@ def test_noise_draw_order_is_one_stream():
     # rule samples per Neumann edge by ascending edge id
     mesh = build_uniform_unit_square(4)
     tags = tags_for(mesh, "case1")
-    dm = build_dofmap(mesh, tags)
-    assert len(dm.neumann_edges) >= 8 and len(dm.dirichlet_nodes) > 0
+    matrix = assemble_matrix(mesh, tags)
+    assert len(tags.neumann_edges) >= 8 and len(matrix.dirichlet_nodes) > 0
     problem = get_problem("sinsin")
 
     def g2(x, y, n_out):
@@ -211,14 +208,14 @@ def test_noise_draw_order_is_one_stream():
         return gx * n_out[0] + gy * n_out[1]
 
     a = 0.1
-    got = apply_boundary_conditions(problem, mesh, dm, noise=NoiseSpec(amplitude=a, seed=2024))
+    got = apply_boundary_conditions(problem, matrix, noise=NoiseSpec(amplitude=a, seed=2024))
 
     rng = np.random.Generator(np.random.PCG64(2024))
-    coords = mesh.p2_node_coords[dm.dirichlet_nodes]
+    coords = mesh.p2_node_coords[matrix.dirichlet_nodes]
     nodal = problem.u(coords[:, 0], coords[:, 1]) + a * (0.5 - rng.random(len(coords)))
-    assert np.array_equal(got[dm.dirichlet_nodes], nodal)
+    assert np.array_equal(got[matrix.dirichlet_nodes], nodal)
     t, w = edge_gauss()
-    for e in dm.neumann_edges:
+    for e in tags.neumann_edges:
         pa, pb = mesh.vertices[mesh.edges[e]]
         pts = pa[None, :] + t[:, None] * (pb - pa)[None, :]
         s = mesh.edge_tri_signs[e, 0]
@@ -237,11 +234,11 @@ def test_constrained_flux_matches_exact_projection(mesh4):
             problem = get_problem(name)
             system = build_saddle_system(mesh4, tags, problem)
             qn = project_exact(problem, mesh4).qn
-            got = system.g[flux_dofs(mesh4, system.dofmap.neumann_edges)]
-            assert np.array_equal(got, qn[system.dofmap.neumann_edges])
-            coords = mesh4.p2_node_coords[system.dofmap.dirichlet_nodes]
+            got = system.g[flux_dofs(mesh4, tags.neumann_edges)]
+            assert np.array_equal(got, qn[tags.neumann_edges])
+            coords = mesh4.p2_node_coords[system.dirichlet_nodes]
             assert np.abs(
-                system.g[system.dofmap.dirichlet_nodes]
+                system.g[system.dirichlet_nodes]
                 - problem.u(coords[:, 0], coords[:, 1])
             ).max() <= 1e-13
 
@@ -250,10 +247,9 @@ def test_dirichlet_values_are_nodal_samples(mesh4):
     tags = tags_for(mesh4, "case1")
     problem = get_problem("coscos")
     system = build_saddle_system(mesh4, tags, problem)
-    dm = system.dofmap
-    coords = mesh4.p2_node_coords[dm.dirichlet_nodes]
+    coords = mesh4.p2_node_coords[system.dirichlet_nodes]
     assert np.array_equal(
-        system.g[dm.dirichlet_nodes], problem.u(coords[:, 0], coords[:, 1])
+        system.g[system.dirichlet_nodes], problem.u(coords[:, 0], coords[:, 1])
     )
 
 
@@ -263,7 +259,7 @@ def test_system_symmetric_and_blocks(mesh4):
     assert abs(system.M - system.M.T).max() <= 1e-14
     nf = system.n_free
     assert np.abs(system.M[nf:, nf:].toarray()).max() == 0.0
-    free, con = system.dofmap.free, system.dofmap.constrained
+    free, con = system.free, system.constrained
     g_c = system.g[con]
     assert np.array_equal(system.rhs[:nf], -system.S[free][:, con] @ g_c)
     load = element_load(mesh4, get_problem("sinsin").f)

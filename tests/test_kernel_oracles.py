@@ -16,7 +16,6 @@ import scipy.sparse.linalg as spla
 from pdwg.assembly import (
     assemble_matrix,
     assemble_stabilizer,
-    build_dofmap,
     constraint_matrix,
     normal_mismatch_maps,
     tri_p2_dofs,
@@ -66,9 +65,8 @@ def stabilizer_einsum(mesh):
     return upper + sp.triu(upper, k=1).T.tocsr()
 
 
-def saddle_einsum(S, B, dofmap):
-    """M assembled in CSC and converted to CSR."""
-    free = dofmap.free
+def saddle_einsum(S, B, free):
+    """M over the free primal dofs, assembled in CSC and converted to CSR."""
     S_f, B_f = S[free], B[:, free]
     return sp.bmat([[S_f[:, free], B_f.T], [B_f, None]], format="csc").tocsr()
 
@@ -122,11 +120,11 @@ def test_physical_points_are_bitwise_einsum(n):
 def test_stabilizer_and_saddle_matrix_are_bitwise_einsum(n, case):
     mesh = build_uniform_unit_square(n)
     tags = tags_for(mesh, case)
-    dofmap = build_dofmap(mesh, tags)
+    matrix = assemble_matrix(mesh, tags)
     S = stabilizer_einsum(mesh)
     assert_same_csr(assemble_stabilizer(mesh), S)
-    M = saddle_einsum(S, constraint_matrix(mesh), dofmap)
-    assert_same_csr(assemble_matrix(mesh, tags).M, M)
+    M = saddle_einsum(S, constraint_matrix(mesh), matrix.free)
+    assert_same_csr(matrix.M, M)
 
 
 @pytest.mark.parametrize("case, n", [("case1", 3), ("case2", 8), ("case5", 8)])

@@ -100,7 +100,7 @@ def test_wellposed_mixed_solve_reproduces_rhs():
     mesh = build_uniform_unit_square(8)
     system = build_saddle_system(mesh, tags_for(mesh, "case2"), get_problem("sinsin"))
     solution = factor_and_solve(system)
-    x = np.concatenate([solution.primal[system.dofmap.free], solution.lam])
+    x = np.concatenate([solution.primal[system.free], solution.lam])
     rel = np.abs(system.M @ x - system.rhs).max() / max(1.0, np.abs(system.rhs).max())
     assert rel <= 1e-11
 
@@ -109,10 +109,10 @@ def test_solution_scatter_respects_constraints():
     mesh = build_uniform_unit_square(4)
     system = build_saddle_system(mesh, tags_for(mesh, "case1"), get_problem("coscos"))
     solution = factor_and_solve(system)
-    dm = system.dofmap
-    assert np.array_equal(solution.primal[dm.constrained], system.g[dm.constrained])
-    assert solution.u0.shape == (dm.n_u,)
-    assert solution.un.shape == (dm.n_edges, 2)
+    con = system.constrained
+    assert np.array_equal(solution.primal[con], system.g[con])
+    assert solution.u0.shape == (mesh.num_vertices + mesh.num_edges,)
+    assert solution.un.shape == (mesh.num_edges, 2)
     assert solution.lam.shape == (mesh.num_triangles,)
     assert solution.residual_inf <= 1e-10 * max(1.0, np.abs(system.rhs).max())
 
@@ -142,7 +142,7 @@ def test_pivoting_retry_fires_only_on_breakdown(case, n, factors, monkeypatch):
 def test_condensed_solve_matches_dense_solve(case, n):
     system = system_for(case, n)
     solution = factor_and_solve(system)
-    got = np.concatenate([solution.primal[system.dofmap.free], solution.lam])
+    got = np.concatenate([solution.primal[system.free], solution.lam])
     A = system.M.toarray()
     want = scipy.linalg.solve(A, system.rhs)
     bound = np.linalg.cond(A) * np.finfo(float).eps
@@ -152,8 +152,9 @@ def test_condensed_solve_matches_dense_solve(case, n):
 @pytest.mark.parametrize("case", ["case1", "case2", "figures"])
 def test_free_flux_block_is_positive_diagonal(case):
     system = system_for(case, 4)
-    dm = system.dofmap
-    flux = np.arange(np.searchsorted(dm.free, dm.n_u), system.n_free)
+    mesh = system.mesh
+    flux = np.arange(np.searchsorted(system.free, mesh.num_vertices + mesh.num_edges),
+                     system.n_free)
     block = system.M[flux][:, flux].toarray()
     d = np.diag(block)
     assert np.array_equal(block, np.diag(d))

@@ -97,7 +97,7 @@ def test_case_cut_matches_blocks_of_s_and_b(case, n):
     mesh = build_uniform_unit_square(n)
     system = assemble_matrix(mesh, tags_for(mesh, case))
     S, B = system.S, system.B
-    free, con = system.dofmap.free, system.dofmap.constrained
+    free, con = system.free, system.constrained
     M = sp.bmat([[S[free][:, free], B[:, free].T], [B[:, free], None]])
     assert_same_bits(system.M, M.tocsr())
     assert_same_bits(system.C, sp.vstack([-S[free][:, con], B[:, con]]).tocsr())

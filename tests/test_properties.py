@@ -10,14 +10,19 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdwg.assembly import assemble_matrix, assemble_rhs
+from pdwg.assembly import apply_boundary_conditions, assemble_matrix, assemble_rhs, num_primal
 from pdwg.linsolve import RESIDUAL_RTOL, SingularSystem, factor_and_solve
 from pdwg.mesh import BoundarySegmentSpec, build_uniform_unit_square, classify_boundary
 from pdwg.problems import NoiseSpec, get_problem
 from pdwg.verify import check_infsup
 
-# bounded and derandomized so that the suite stays fast and reproducible
-PROPERTY_SETTINGS = settings(max_examples=15, deadline=None, derandomize=True, database=None)
+# Bounded and derandomized so that the suite stays fast and reproducible:
+# 15 examples per property, or the budget of the "properties" profile
+# (tests/conftest.py) when HYPOTHESIS_PROFILE selects it.
+PROPERTY_SETTINGS = settings(
+    max_examples=(settings().max_examples
+                  if settings.get_current_profile_name() == "properties" else 15),
+    deadline=None, derandomize=True, database=None)
 
 
 @st.composite
@@ -43,6 +48,32 @@ def configuration(draw):
 
 @PROPERTY_SETTINGS
 @given(configuration())
+def test_partition_matches_the_tags(config):
+    mesh, tags = config
+    matrix = assemble_matrix(mesh, tags)
+    free, constrained = matrix.free, matrix.constrained
+    assert np.all(np.diff(free) > 0) and np.all(np.diff(constrained) > 0)
+    assert not np.intersect1d(free, constrained).size
+    assert np.array_equal(np.union1d(free, constrained), np.arange(num_primal(mesh)))
+
+    # oracle: the vertices and midpoint of every Dirichlet edge, then both
+    # flux dofs of every Neumann edge, numbered by hand from mesh.edges
+    V, E = mesh.num_vertices, mesh.num_edges
+    want = set()
+    for e, (a, b) in enumerate(mesh.edges):
+        if tags.dirichlet[e]:
+            want |= {int(a), int(b), V + e}
+        if tags.neumann[e]:
+            want |= {V + E + 2 * e, V + E + 2 * e + 1}
+    assert constrained.tolist() == sorted(want)
+    assert free[matrix.free_flux].tolist() == [i for i in free.tolist() if i >= V + E]
+
+    g = apply_boundary_conditions(get_problem("sinsin"), matrix)
+    assert not np.any(g[free])
+
+
+@PROPERTY_SETTINGS
+@given(configuration())
 def test_saddle_matrix_is_exactly_symmetric(config):
     M = assemble_matrix(*config).M
     assert abs(M - M.T).max() == 0.0
@@ -54,7 +85,7 @@ def test_stabilizer_is_positive_semidefinite(config):
     # S does not depend on the tags; its free block, the one in M, does.  A
     # configuration without Dirichlet data leaves every unknown free.
     matrix = assemble_matrix(*config)
-    free = matrix.dofmap.free
+    free = matrix.free
     eig = np.linalg.eigvalsh(matrix.S[free][:, free].toarray())
     assert eig[0] >= -1e-12 * np.abs(eig).max()
 
