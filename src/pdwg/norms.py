@@ -26,7 +26,7 @@ its norms are measured on those rules.  Norm conventions:
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 import numpy as np
 
 from pdwg.assembly import (
@@ -92,7 +92,7 @@ class ErrorReport:
 
     def as_dict(self) -> dict[str, float]:
         """The norms by name, in the order of the fields."""
-        return asdict(self)
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
