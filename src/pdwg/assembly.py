@@ -31,17 +31,16 @@ The Neumann data are sampled by the sampler that gives Qn of Q_h u,
 edges; only their sign, s(T, e) = +-1, turns n_e into the outward normal.
 The stabilizer s(., .) has an h^-3 trace-mismatch term, which C0 elements
 lack (no independent vb unknown) and the norms module measures on the error
-field, and an h^-1 normal-derivative-mismatch term, written once here
-(``stabilizer_weights``, ``stabilizer_blocks``): S scatters its blocks, and
-the h2 norm and the error equation of ``pdwg.verify`` read them.
-Assembly runs in a fixed element/edge traversal order.  The stabilizer
-sums each of its upper-triangle entries once, from the local block entries
-(a, b) whose global dofs satisfy i <= j, and mirrors the strict upper
-triangle, so S, W and the saddle matrices are exactly symmetric.  (Summing
-the lower triangle from its own copies of the block entries would sum the
-duplicates of one position in another order, since the conversion to CSR
-sorts each row; its bits would then differ from the mirror's.)  W and the
-saddle matrices are CSR with sorted indices.
+field, and an h^-1 normal-derivative-mismatch term, written once here: its
+weights w (``stabilizer_weights``) and the weighted mismatch map Gs, one
+row sqrt(w) (grad v0 . n_e - vhat_e) per local edge, element and flux
+coefficient (``mismatch_operator``).  S = Gs^T Gs, and the error equation
+of ``pdwg.verify`` applies Gs^T; the h2 norm reads the weights.
+Assembly runs in a fixed element/edge traversal order.  S is exactly
+symmetric: the sparse product sums S_ab and S_ba over the same rows of Gs
+in the same ascending order, and each product Gs_ra Gs_rb commutes; it
+stores no entry that sums to exactly zero.  So are W and the saddle
+matrices cut from it, which are CSR with sorted indices.
 """
 
 from __future__ import annotations
@@ -193,37 +192,33 @@ def stabilizer_weights(mesh: Mesh) -> np.ndarray:
     return (mesh.h_e[edges] / mesh.h_t)[..., None] * np.array([1.0, 1.0 / 12.0])
 
 
-def stabilizer_blocks(mesh: Mesh, maps: np.ndarray, p2_dofs: np.ndarray):
-    """The (3, T, 8, 8) local blocks R^T w R of s(., .) and their (3, T, 8) dofs.
+def mismatch_operator(mesh: Mesh) -> sp.csr_matrix:
+    """The weighted mismatch map Gs of s(., .): s(v, v) = ||Gs v||^2.
 
-    R maps an element's six P2 dofs and an edge's two flux dofs to the
-    mismatch grad v0 . n_e - vhat_e (``maps``, the ``normal_maps``, then -1
-    per flux coefficient); w is ``stabilizer_weights``.  ``p2_dofs`` is
-    ``tri_p2_dofs(mesh)``; the dofs are int32 primal indices.
+    One row per (local edge l, element T, flux coefficient k), in that
+    order, with seven entries: sqrt(w) times the ``normal_maps`` row G on
+    the element's six P2 dofs, and -sqrt(w) on the edge's flux dof; w is
+    ``stabilizer_weights``.
     """
-    edges = mesh.tri_edges.T                        # (3, T)
-    R = np.zeros(edges.shape + (2, 8))
-    R[..., :6] = maps
-    R[..., 0, 6] = -1.0
-    R[..., 1, 7] = -1.0
-    K = np.einsum("ltia,lti,ltib->ltab", R, stabilizer_weights(mesh), R)
-    p2 = np.broadcast_to(p2_dofs.astype(np.int32), edges.shape + (6,))
-    return K, np.concatenate([p2, flux_dofs(mesh, edges).astype(np.int32)], axis=-1)
+    edges = mesh.tri_edges.T                                  # (3, T)
+    root_w = np.sqrt(stabilizer_weights(mesh))[..., None]     # (3, T, 2, 1)
+    data = np.concatenate([root_w * normal_maps(mesh), -root_w], axis=-1)
+    p2 = np.broadcast_to(tri_p2_dofs(mesh)[:, None, :], edges.shape + (2, 6))
+    cols = np.concatenate([p2, flux_dofs(mesh, edges)[..., None]], axis=-1)
+    rows = data.size // 7
+    return sp.csr_matrix((data.ravel(), cols.ravel(), np.arange(0, data.size + 1, 7)),
+                         shape=(rows, num_primal(mesh)))
 
 
 def assemble_stabilizer(mesh: Mesh) -> sp.csr_matrix:
-    """Stabilizer Gram matrix S over all primal dofs (exactly symmetric PSD).
+    """Stabilizer S = Gs^T Gs over all primal dofs (exactly symmetric PSD).
 
-    The upper entries of the ``stabilizer_blocks``, scattered local edge by
-    local edge.
+    Gs is ``mismatch_operator``; S is CSR with sorted indices.
     """
-    K, dofs = stabilizer_blocks(mesh, normal_maps(mesh), tri_p2_dofs(mesh))
-    rows = np.broadcast_to(dofs[..., :, None], K.shape)
-    cols = np.broadcast_to(dofs[..., None, :], K.shape)
-    upper = rows <= cols
-    n = num_primal(mesh)
-    upper = sp.coo_matrix((K[upper], (rows[upper], cols[upper])), shape=(n, n)).tocsr()
-    return upper + sp.triu(upper, k=1).T.tocsr()
+    Gs = mismatch_operator(mesh)
+    S = Gs.T.tocsr() @ Gs
+    S.sort_indices()
+    return S
 
 
 def constraint_matrix(mesh: Mesh) -> sp.csr_matrix:

@@ -6,9 +6,11 @@ system symmetry/positive-semidefiniteness, exactness on quadratics, and
 factorization pivots for the well-posed mixed configuration.  Constants
 hidden behind the theory's mesh-independence statements are reported
 empirically, never asserted against fixed values from the analysis.
-The error equation takes both s terms from the blocks S is scattered from
-(``pdwg.assembly.stabilizer_blocks``); s is bilinear, so a wrong Q_h u
-shows in the constraint identity, and a matrix without s in the first.
+The error equation takes both s terms from the operator whose Gram matrix
+is S, the weighted mismatch map Gs (``pdwg.assembly.mismatch_operator``):
+Gs^T applied to sqrt(w) times an element-local mismatch.  s is bilinear,
+so a wrong Q_h u shows in the constraint identity, and a matrix without s
+in the first.
 As the studies do, ``run_standard_checks`` makes one matrix and at most one
 factor per (case, n) and one ``harness.Reference`` per (problem, n).
 """
@@ -20,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from pdwg.assembly import (SystemMatrix, assemble_matrix, assemble_rhs, element_load,
-                           join_primal, num_primal, stabilizer_blocks)
+                           join_primal, mismatch_operator, stabilizer_weights)
 from pdwg.harness import Reference, case_matrix
 from pdwg.linsolve import CondensedFactor, Solution, saddle_factor
 from pdwg.mesh import BoundaryTags, Mesh, build_uniform_unit_square
@@ -138,19 +140,18 @@ def check_error_equations(
     """Residuals of the two post-solve error identities.
 
     First: max over free test directions v of s(e_h, v) + (weak_lap v, lam)
-    + s(Q_h u, v), the s terms from the ``stabilizer_blocks`` applied to
-    (u_h - Q0 u, u_n - Qn) and (Q0 u, Qn), so it fails where the solved
+    + s(Q_h u, v), the s terms Gs^T sqrt(w) times the element-local mismatch
+    of (u_h - Q0 u, u_n - Qn) and of (Q0 u, Qn), so it fails where the solved
     matrix does not carry s; second: ||B e_h||_inf, the statement that the
     error has vanishing discrete weak Laplacian.
     """
     mesh = system.mesh
-    K, dofs = stabilizer_blocks(mesh, qhu.normal_maps, qhu.p2_dofs)
-    edges = mesh.tri_edges.T
+    Gs, edges = mismatch_operator(mesh), mesh.tri_edges.T
+    root_w = np.sqrt(stabilizer_weights(mesh))
 
     def s_against_basis(v0, vn):  # v: (T, 6) element P2 values, (E, 2) edge fluxes
-        x = np.concatenate([np.broadcast_to(v0, edges.shape + (6,)), vn[edges]], axis=-1)
-        return np.bincount(dofs.ravel(), np.einsum("ltab,ltb->lta", K, x).ravel(),
-                           minlength=num_primal(mesh))
+        mismatch = np.einsum("ltci,ti->ltc", qhu.normal_maps, v0) - vn[edges]
+        return Gs.T @ (root_w * mismatch).ravel()
 
     en = solution.un - qhu.qn
     res = (s_against_basis(solution.u0[qhu.p2_dofs] - qhu.q0, en)

@@ -11,11 +11,9 @@ from pdwg.assembly import (
     element_load,
     flux_dofs,
     join_primal,
-    normal_maps,
+    mismatch_operator,
     num_primal,
     split_primal,
-    stabilizer_blocks,
-    tri_p2_dofs,
 )
 from pdwg.harness import Reference, case_matrix
 from pdwg.linsolve import saddle_factor
@@ -60,8 +58,9 @@ def test_dof_counts_and_partition(mesh4):
 @pytest.mark.parametrize("case, n", [(case, n) for n in (1, 2, 4) for case in sorted(case_configs())
                                      if (case, n) != ("figures", 1)])  # figures needs n even
 def test_every_operator_reads_one_dof_layout(case, n):
-    # B, the stabilizer blocks, the free-flux range of the factor and the
-    # split of a primal vector all put edge e's fluxes where flux_dofs does
+    # B, the flux column of each mismatch-map row, the free-flux range of
+    # the factor and the split of a primal vector all put edge e's fluxes
+    # where flux_dofs does
     mesh = build_uniform_unit_square(n)
     matrix = case_matrix(case, mesh)
     flux = flux_dofs(mesh, np.arange(mesh.num_edges))
@@ -74,8 +73,9 @@ def test_every_operator_reads_one_dof_layout(case, n):
     assert np.array_equal(B.indices.reshape(-1, 3),
                           np.sort(flux_dofs(mesh, mesh.tri_edges)[..., 0], axis=1))
     assert np.array_equal(np.unique(B.indices), flux[:, 0])
-    _, dofs = stabilizer_blocks(mesh, normal_maps(mesh), tri_p2_dofs(mesh))
-    assert np.array_equal(dofs[..., 6:], flux_dofs(mesh, mesh.tri_edges.T))
+    Gs = mismatch_operator(mesh)
+    flux_column = Gs.indices.reshape(3, mesh.num_triangles, 2, 7)[..., 6]
+    assert np.array_equal(flux_column, flux_dofs(mesh, mesh.tri_edges.T))
 
     free, free_flux = matrix.free, matrix.free_flux
     assert np.array_equal(saddle_factor(matrix).flux, free_flux)

@@ -2,10 +2,12 @@
 
 The stabilizer, the quadrature map and the condensed factor must give the
 same bits as these oracles, so that the saddle matrix, the load and the
-factor, and with them every solution, stay byte-identical.  The P2
-projection Q0 u is checked against an independent basis instead: the mass
-system of centered/scaled monomials, solved per element, must give the same
-values at the P2 nodes to roundoff.
+factor, and with them every solution, stay byte-identical.  The
+stabilizer's oracle is the Gram matrix of a dense mismatch map, summed row
+by row; the local-block sums S was scattered from before stay as the bound
+of that rounding change.  The P2 projection Q0 u is checked against an
+independent basis instead: the mass system of centered/scaled monomials,
+solved per element, must give the same values at the P2 nodes to roundoff.
 """
 
 import numpy as np
@@ -36,8 +38,32 @@ def physical_points_einsum(quad, tri):
     return np.einsum("qk,tkd->tqd", quad.points, tri)
 
 
+def stabilizer_gram(mesh):
+    """S summed from the rows of a dense Gs, one row at a time.
+
+    The rows come in the order of ``mismatch_operator``: local edge, element,
+    flux coefficient.  Each adds np.multiply.outer(row, row) on the row's
+    nonzeros only, which gives the bits of adding it over every column.
+    """
+    n_u = mesh.num_vertices + mesh.num_edges
+    n = n_u + 2 * mesh.num_edges
+    p2 = tri_p2_dofs(mesh)
+    acc = np.zeros((n, n))
+    for e, G in zip(mesh.tri_edges.T, normal_mismatch_maps(mesh)):
+        root_w = np.sqrt((mesh.h_e[e] / mesh.h_t)[:, None] * np.array([1.0, 1.0 / 12.0]))
+        for t in range(len(e)):
+            for k in range(2):
+                row = np.zeros(n)
+                row[p2[t]] = root_w[t, k] * G[t, k]
+                row[n_u + 2 * e[t] + k] = -root_w[t, k]
+                nz = np.flatnonzero(row)
+                acc[np.ix_(nz, nz)] += np.multiply.outer(row[nz], row[nz])
+    return sp.csr_matrix(acc)
+
+
 def stabilizer_einsum(mesh):
-    """S from the upper-triangle entries of the local blocks, mirrored."""
+    """S from the upper-triangle entries of the local blocks, mirrored: the
+    sums S was scattered from before it was a Gram matrix."""
     n_u = mesh.num_vertices + mesh.num_edges
     p2 = tri_p2_dofs(mesh)
     rows, cols, data = [], [], []
@@ -100,6 +126,11 @@ def q0_einsum(problem, mesh, tri_degree=6):
     return np.einsum("tqa,ta->tq", centered_monomials(tri, nodes), coeffs)
 
 
+def pattern(A):
+    A = A.tocoo()
+    return set(zip(A.row.tolist(), A.col.tolist()))
+
+
 def assert_same_csr(A, B):
     assert A.format == B.format == "csr"
     assert np.array_equal(A.indptr, B.indptr)
@@ -121,8 +152,17 @@ def test_stabilizer_and_saddle_matrix_are_bitwise_einsum(n, case):
     mesh = build_uniform_unit_square(n)
     tags = tags_for(mesh, case)
     matrix = assemble_matrix(mesh, tags)
-    S = stabilizer_einsum(mesh)
+    S = stabilizer_gram(mesh)
     assert_same_csr(assemble_stabilizer(mesh), S)
+    # the block sums round differently, by at most 2 eps; where they keep a
+    # rounding residue of an entry that is zero in exact arithmetic, S may
+    # sum it to exactly zero and not store it
+    S_blocks = stabilizer_einsum(mesh)
+    bound = 2 * np.finfo(float).eps * abs(S).max()
+    assert abs(S - S_blocks).max() <= bound
+    kept, blocks = pattern(S), pattern(S_blocks)
+    assert kept <= blocks
+    assert all(abs(S_blocks[i, j]) <= bound for i, j in blocks - kept)
     M = saddle_einsum(S, constraint_matrix(mesh), matrix.free)
     assert_same_csr(matrix.M, M)
 

@@ -10,7 +10,9 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pdwg.assembly import apply_boundary_conditions, assemble_matrix, assemble_rhs, num_primal
+from pdwg.assembly import (apply_boundary_conditions, assemble_matrix, assemble_rhs,
+                           assemble_stabilizer, flux_dofs, mismatch_operator, num_primal,
+                           tri_p2_dofs)
 from pdwg.linsolve import RESIDUAL_RTOL, SingularSystem, factor_and_solve
 from pdwg.mesh import BoundarySegmentSpec, build_uniform_unit_square, classify_boundary
 from pdwg.problems import NoiseSpec, get_problem
@@ -77,6 +79,28 @@ def test_partition_matches_the_tags(config):
 def test_saddle_matrix_is_exactly_symmetric(config):
     M = assemble_matrix(*config).M
     assert abs(M - M.T).max() == 0.0
+
+
+@PROPERTY_SETTINGS
+@given(st.integers(1, 12), st.integers(0, 2**63 - 1))
+def test_stabilizer_is_the_gram_matrix_of_the_mismatch_map(n, seed):
+    mesh = build_uniform_unit_square(n)
+    S, Gs, N = assemble_stabilizer(mesh), mismatch_operator(mesh), num_primal(mesh)
+    assert abs(S - S.T).max() == 0.0
+
+    # S stores nothing outside the blocks of each edge: the P2 dofs of one
+    # of its elements with the edge's fluxes.  It may leave out a block
+    # entry that sums to zero (the pairs the normal maps zero, for one).
+    e, side = np.nonzero(mesh.edge_tris >= 0)
+    blocks = np.concatenate([tri_p2_dofs(mesh)[mesh.edge_tris[e, side]], flux_dofs(mesh, e)],
+                            axis=1)
+    patch = (blocks[:, :, None] * N + blocks[:, None, :]).ravel()
+    stored = np.repeat(np.arange(N), np.diff(S.indptr)) * N + S.indices
+    assert np.isin(stored, patch).all()
+
+    v = np.random.default_rng(seed).standard_normal(N)
+    gram = np.sum((Gs @ v) ** 2)
+    assert abs(v @ (S @ v) - gram) <= 1e-12 * gram
 
 
 @PROPERTY_SETTINGS
