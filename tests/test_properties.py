@@ -89,8 +89,8 @@ def test_stabilizer_is_the_gram_matrix_of_the_mismatch_map(n, seed):
     assert abs(S - S.T).max() == 0.0
 
     # S stores nothing outside the blocks of each edge: the P2 dofs of one
-    # of its elements with the edge's fluxes.  It may leave out a block
-    # entry that sums to zero (the pairs the normal maps zero, for one).
+    # of its elements with the edge's fluxes.  It leaves out block entries
+    # that are zero, such as the edge's two fluxes against each other.
     e, side = np.nonzero(mesh.edge_tris >= 0)
     blocks = np.concatenate([tri_p2_dofs(mesh)[mesh.edge_tris[e, side]], flux_dofs(mesh, e)],
                             axis=1)
