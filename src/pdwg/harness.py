@@ -33,6 +33,7 @@ from pdwg.linsolve import (
     Solution,
     SingularSystem,
     factor_and_solve,
+    pivot_report,
     saddle_factor,
 )
 from pdwg.mesh import BoundaryTags, Mesh, build_uniform_unit_square, classify_boundary
@@ -326,8 +327,9 @@ def _study(
     freed before the last case's factor, and one Reference per problem.
     Each case is factored once, and its factor is deleted after its last
     solve, before that solve is measured: no factor is held through the
-    next case's assembly.  With ``pivots`` each solution carries its
-    factor's pivot report; with ``snapshots`` each run takes its snapshot
+    next case's assembly.  With ``pivots`` each case's last solution carries
+    its factor's pivot report, read once only the factor's SuperLU object
+    is left of it; with ``snapshots`` each run takes its snapshot
     when it is measured.  A singular factor fails the runs of its case, a
     singular solve its own run, and running out of memory every run on the
     mesh that has not finished.  A case without runs is not assembled, and
@@ -351,18 +353,22 @@ def _study(
             except SingularSystem as exc:
                 runs[case] += [_failed(exc) for _ in todo]
                 continue
+            pivot = None
             for k, (p, noise) in enumerate(todo, start=1):
                 ref = refs[p]
                 try:
                     solution = ref.solve(matrix, factor, noise)
-                    if pivots:
-                        solution = replace(solution, pivot_report=factor.pivot_report())
                 except SingularSystem as exc:
                     runs[case].append(_failed(exc))
                     continue
                 finally:
-                    if k == len(todo):
-                        del factor  # the case's last solve: freed before it is measured
+                    if k == len(todo):  # the case's last solve: freed before it is measured
+                        lu = factor.lu
+                        del factor  # U is read with only the SuperLU object held
+                        pivot = pivot_report(lu) if pivots else None
+                        del lu
+                if pivot is not None:
+                    solution = replace(solution, pivot_report=pivot)
                 runs[case].append(Run(solution, ref.measure(solution, matrix.tags),
                                       ref.snapshot(solution) if snapshots else None))
     except MemoryError as exc:

@@ -25,7 +25,8 @@ the factor without pivoting fails the gate, the same K is factored once
 more with partial pivoting.  The gate never reads the factor's L or U,
 because the first read makes SuperLU build and keep CSC copies of both,
 about as much memory again as the factor itself; the pivot report,
-which needs U, is computed only when ``pivot_report`` is called, which
+which needs U, is computed only when ``pivot_report`` is called on the
+factor's SuperLU object, once the rest of the factor is freed, as
 ``pdwg solve --diagnostics`` and the mixed-case pivot check of
 ``pdwg verify`` do.  The fluxes follow by back-substitution, and
 iterative refinement and the residual check run against the full system
@@ -54,20 +55,27 @@ PIVOT_RTOL = 1e-14
 # CondensedFactor gates the equilibrated condensed K.  A solve whose
 # backward error exceeds BERR_MAX means the factor broke down; a condition
 # estimate above COND_MAX means K is singular to working precision.  The
-# estimates the gate computes for the named cases (largest: figures) and
-# for the singular configurations of tests/test_singularity_gate.py
-# (smallest of the four; at n = 1 dirichlet_bottom_only, at n = 256 only
-# data_free was run):
+# estimates the gate computes for the named cases (largest: figures; case1
+# and case5 beside it) and for the singular configurations of
+# tests/test_singularity_gate.py (smallest of the four; at n = 1
+# dirichlet_bottom_only, at n = 256 only data_free was run):
 #
 #     n          1      2      4      8     16     32     64    128    256
+#     case1    6.5e0  3.6e2  8.5e3  1.5e5  2.5e6  4.1e7  6.7e8  1.1e10 1.7e11
+#     case5    2.4e2  5.6e3  1.0e5  2.5e6  6.5e7  2.1e9  7.9e10 6.4e12 2.8e14
 #     figures    -    4.7e4  8.2e5  3.1e7  1.1e9  3.7e10 1.6e12 6.8e13 3.0e15
 #     singular 6.2e16 1.3e17 1.1e17 1.8e17 2.2e17 2.7e17 2.8e17 2.9e17 3.1e17
 #
-# figures grows about 40x per halving of h.  COND_MAX leaves a factor of 5
-# above figures at n = 256 and of 4 below the smallest singular value.  The
-# backward error is <= 1.4e-15 on every factor that did not break down, and
-# >= 5e-5 on the two factors without pivoting that did (case5 at n = 1,
-# figures at n = 2).
+# figures grows about 40x per halving of h, case5 40-80x and case1 about
+# 16x.  COND_MAX leaves a factor of 5 above figures at n = 256, of 58 above
+# case5 and of 9e4 above case1, and of 4 below the smallest singular value.
+# The n = 256 factors, each built alone in a fresh process, peak at
+# 2 589 MiB (case1) and 2 194 MiB (case5) of resident memory; a whole
+# ``pdwg solve --n 128`` (sinsin, case1) peaks at 573 MiB, against 587 MiB
+# when the condensation held the rows of M beside its blocks and a CSR and
+# a CSC copy of K at once.  The backward error is <= 1.4e-15 on every
+# factor that did not break down, and >= 5e-5 on the two factors without
+# pivoting that did (case5 at n = 1, figures at n = 2).
 BERR_MAX = 1e-10
 COND_MAX = 1.6e16
 REFINE_RTOL = 1e-11
@@ -103,8 +111,8 @@ class Solution:
     u0 holds the values at the V + E P2 nodes, un the (E, 2) stored flux
     coefficients and lam the per-triangle multiplier values.  condition is
     the 1-norm condition estimate of the equilibrated condensed matrix;
-    pivot_report is None unless a caller set it from its factor's
-    ``pivot_report``.
+    pivot_report is None unless a caller set it from ``pivot_report`` of
+    its factor's ``lu``.
     """
 
     u0: np.ndarray
@@ -134,11 +142,13 @@ def _factor(A, **options):
         raise SingularSystem(str(exc)) from exc
 
 
-def _pivot_report(lu) -> PivotReport:
-    """Smallest and largest |U_ii| of a SuperLU factor.
+def pivot_report(lu) -> PivotReport:
+    """Smallest and largest |U_ii| of a SuperLU factor, such as the ``lu`` of
+    a CondensedFactor: the pivots of its equilibrated condensed matrix.
 
     Reading lu.U makes SuperLU build CSC copies of L and U, which it keeps
-    for as long as lu lives.
+    for as long as lu lives.  So ask once nothing else of the factor is
+    held: keep its ``lu``, drop the CondensedFactor, then read the pivots.
     """
     diag = np.abs(lu.U.diagonal())
     return PivotReport(min_pivot=float(diag.min()), max_pivot=float(diag.max()))
@@ -208,7 +218,7 @@ def solve_sparse(M, b: np.ndarray) -> SparseSolve:
     M = M.tocsc()
     b = np.asarray(b, dtype=float)
     lu = _factor(M)
-    pivot = _pivot_report(lu)
+    pivot = pivot_report(lu)
     if pivot.min_pivot < PIVOT_RTOL * pivot.max_pivot:
         raise SingularSystem(
             f"pivot underflow: min |U_ii| = {pivot.min_pivot:.3e} "
@@ -223,23 +233,23 @@ def _equilibration(K) -> tuple[sp.csc_matrix, np.ndarray, float, float]:
     and inf-norms of diag(s) K diag(s), its column and row sums of
     |K_ij| s_i s_j.
 
-    K is CSR, its rows' entries in any order.  The row maxima are reduced
-    over each row's stored entries, which gives the bits of
-    ``abs(K).max(axis=1)``; a row without stored entries is a zero row,
-    checked first because ``reduceat`` would read the next row's entry for
-    it.  The sums run over the CSC arrays, which list each column by
-    increasing row, and so add the terms of each column sum by increasing
-    row and of each row sum by increasing column: the bits of
-    ``abs(K).T @ s`` and ``abs(K) @ s`` for K with sorted indices.
+    K is converted to CSC unless it is CSC already; a caller that passes a
+    CSC K holds one copy of it.  |K| shares K's index arrays.  The row
+    maxima are reduced over each row's stored entries, in any order, since
+    a maximum is exact: the bits of ``abs(K).max(axis=1)``; a row without
+    stored entries, or with only zeros, is a zero row.  The sums run over
+    the CSC arrays, which list each column by increasing row, and so add
+    the terms of each column sum by increasing row and of each row sum by
+    increasing column: the bits of ``abs(K).T @ s`` and ``abs(K) @ s`` for
+    K with sorted indices.
     """
-    if not np.all(np.diff(K.indptr) > 0):
-        raise SingularSystem("the condensed matrix has a zero row")
-    row_max = np.maximum.reduceat(np.abs(K.data), K.indptr[:-1])
+    K = K.tocsc()
+    abs_K = sp.csc_matrix((np.abs(K.data), K.indices, K.indptr), shape=K.shape)
+    row_max = np.zeros(K.shape[0])
+    np.maximum.at(row_max, K.indices, abs_K.data)
     if not np.all(row_max > 0.0):
         raise SingularSystem("the condensed matrix has a zero row")
     s = 1.0 / np.sqrt(row_max)
-    K = K.tocsc()
-    abs_K = abs(K)
     return K, s, float((s * (abs_K.T @ s)).max()), float((s * (abs_K @ s)).max())
 
 
@@ -256,6 +266,14 @@ class CondensedFactor:
     SingularSystem when SuperLU fails or the factor breaks down both
     without and with pivoting, or when the condition estimate is above
     COND_MAX or not finite.
+
+    K is formed as ``M_kk - (M_kq @ diags(1 / d)) @ M_qk`` and kept so:
+    scipy's product sums each entry of the product over q in descending
+    order, and an M_kq scaled by 1 / d in its data, the same product in
+    exact arithmetic, sums it otherwise and changes K's bits (case1 at
+    n = 3).  Each step from M to SuperLU's input holds one copy of each
+    matrix: the rows of M, M_kk and the product are freed before K is
+    converted to CSC, and the CSR K once it is.
     """
 
     def __init__(self, M, flux: np.ndarray):
@@ -274,9 +292,12 @@ class CondensedFactor:
         self.keep = np.concatenate([np.arange(f0), np.arange(f1, M.shape[0])])
         rows = M[self.keep]
         self.M_kq = rows[:, f0:f1]
+        M_kk = rows[:, self.keep]
+        del rows
         self.M_qk = self.M_kq.T  # M is exactly symmetric
-        K = rows[:, self.keep] - (self.M_kq @ sp.diags(self.inv_d)) @ self.M_qk
-        del rows  # not held through the factorization
+        K = M_kk - (self.M_kq @ sp.diags(self.inv_d)) @ self.M_qk  # frees the product
+        del M_kk
+        K = K.tocsc()  # frees the CSR K: one copy of K from here on
 
         K, self.s, norm_1, norm_inf = _equilibration(K)
         # diag(s) K diag(s) entry by entry: first s of the row, then s of the column
@@ -294,14 +315,6 @@ class CondensedFactor:
                 f"condition estimate {self.condition:.3e} of the equilibrated "
                 f"condensed matrix exceeds {COND_MAX:.1e}"
             )
-
-    def pivot_report(self) -> PivotReport:
-        """Smallest and largest pivot of the equilibrated condensed factor.
-
-        This reads U: the factor then holds copies of L and U for the rest
-        of its life, so ask only of a factor about to be dropped.
-        """
-        return _pivot_report(self.lu)
 
     def _apply_inverse(self, r: np.ndarray) -> np.ndarray:
         keep, flux, inv_d, s = self.keep, self.flux, self.inv_d, self.s
@@ -331,7 +344,8 @@ def factor_and_solve(system: SaddleSystem, factor: CondensedFactor | None = None
 
     ``factor`` is the saddle_factor of system's matrix; when it is not
     given, one is built here for this one solve.  The Solution carries no
-    pivot report: ask a factor for ``pivot_report`` where it is needed.
+    pivot report: read ``pivot_report`` of a factor's ``lu`` where it is
+    needed.
     """
     if factor is None:
         factor = saddle_factor(system)

@@ -24,7 +24,7 @@ import numpy as np
 from pdwg.assembly import (SystemMatrix, assemble_matrix, assemble_rhs, element_load,
                            join_primal, mismatch_operator, stabilizer_weights)
 from pdwg.harness import Reference, case_matrix
-from pdwg.linsolve import CondensedFactor, Solution, saddle_factor
+from pdwg.linsolve import CondensedFactor, Solution, pivot_report, saddle_factor
 from pdwg.mesh import BoundaryTags, Mesh, build_uniform_unit_square
 from pdwg.norms import (
     ExactProjection,
@@ -206,14 +206,15 @@ def _case2_pivot_scale(mesh: Mesh) -> float:
     """1e-12 * max/min pivot of the case2 factor on ``mesh``, the last case
     assembled on it.
 
-    Its operators go before the factor is built and its matrix before U is
-    read, since reading U makes the factor keep copies of L and U.
+    Its operators go before the factor is built, and its matrix and all of
+    the factor but its SuperLU object before U is read, since reading U
+    makes SuperLU keep copies of L and U.
     """
     matrix = case_matrix("case2", mesh)
     mesh.operators.clear()
-    factor = saddle_factor(matrix)
+    lu = saddle_factor(matrix).lu
     del matrix
-    pr = factor.pivot_report()
+    pr = pivot_report(lu)
     return 1e-12 * pr.max_pivot / pr.min_pivot
 
 
@@ -227,9 +228,10 @@ def run_standard_checks(seed: int = VERIFY_SEED) -> VerificationReport:
     matrix W, normal-derivative maps, P2 geometry and triangle-rule points
     are built once, for case1 and the projections, and case2 on n = 8, 16,
     32 is cut from the same W.  Each factor is a local,
-    deleted after its last use.  The case2 pivots run last, each once
-    everything else of its mesh is freed: reading U makes a factor keep
-    copies of L and U, and the one at n=32 sets the peak memory of the run.
+    deleted after its last use.  The case2 pivots run last, each read from
+    the factor's SuperLU object alone, once everything else of its mesh
+    and of the factor is freed: reading U makes SuperLU keep copies of L
+    and U, and the one at n=32 sets the peak memory of the run.
     """
     meshes = {n: build_uniform_unit_square(n) for n in (1, 2, 4, 8, 16, 32)}
 

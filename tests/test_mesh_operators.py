@@ -247,23 +247,42 @@ def test_no_factor_is_held_through_the_next_case_assembly(tmp_path, monkeypatch)
     assert alive == [0] * 10
 
 
-def test_case2_pivots_are_read_with_nothing_else_held(monkeypatch, built_meshes):
-    # reading U makes a factor keep copies of L and U, so no factor that
-    # read them outlives its check, and no operator is held while U is read
-    read, held, alive = [], [], []
-    pivot_report, factor = linsolve.CondensedFactor.pivot_report, spla.splu
+class WeakLU:
+    """A SuperLU object behind a wrapper that a weak reference can follow."""
 
-    def pivots(self):
+    def __init__(self, lu):
+        self.lu = lu
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+
+def test_case2_pivots_are_read_with_nothing_else_held(monkeypatch, built_meshes):
+    # reading U makes SuperLU keep copies of L and U, so no factor that
+    # read them outlives its check, and no operator, nor any CondensedFactor,
+    # is held while U is read
+    read, held, alive, factors, factors_alive = [], [], [], [], []
+    pivot_report, factor, condensed = verify.pivot_report, spla.splu, verify.saddle_factor
+
+    def pivots(lu):
         held.append({mesh.n: len(mesh.operators) for mesh in built_meshes if mesh.n >= 8})
-        read.append(weakref.ref(self))
-        return pivot_report(self)
+        factors_alive.append(sum(r() is not None for r in factors))
+        read.append(weakref.ref(lu))
+        return pivot_report(lu)
 
     def splu(*args, **kwargs):
         alive.append(sum(r() is not None for r in read))
-        return factor(*args, **kwargs)
+        return WeakLU(factor(*args, **kwargs))
 
-    monkeypatch.setattr(linsolve.CondensedFactor, "pivot_report", pivots)
+    def saddle_factor(matrix):
+        made = condensed(matrix)
+        factors.append(weakref.ref(made))
+        return made
+
+    monkeypatch.setattr(verify, "pivot_report", pivots)
+    monkeypatch.setattr(verify, "saddle_factor", saddle_factor)
     monkeypatch.setattr(spla, "splu", splu)
     assert verify.run_standard_checks().ok
     assert len(held) == 3 and held[-1] == {8: 0, 16: 0, 32: 0}
     assert alive == [0] * 7
+    assert len(factors) == 7 and factors_alive == [0, 0, 0]
