@@ -19,24 +19,20 @@ equilibrated symmetrically, its entries scaled in place by s of their row
 and then by s of their column (the products diag(s) K diag(s) forms, in
 the same order), and factored by SuperLU in a symmetric minimum-degree
 order without pivoting.  The factor is gated by solves alone: three solves of a
-Hager 1-norm estimate of ||K^-1||_1 give the condition estimate kappa_1(K),
-and the backward error of each of them shows a factor that broke down.  If
-the factor without pivoting fails the gate, the same K is factored once
+Hager 1-norm estimate of ||K^-1||_1 give the condition estimate kappa_1(K).
+If the factor without pivoting fails the gate, the same K is factored once
 more with partial pivoting.  The gate never reads the factor's L or U,
 because the first read makes SuperLU build and keep CSC copies of both,
-about as much memory again as the factor itself; the pivot report,
-which needs U, is computed only when ``pivot_report`` is called on the
-factor's SuperLU object, once the rest of the factor is freed, as
-``pdwg solve --diagnostics`` and the mixed-case pivot check of
-``pdwg verify`` do.  The fluxes follow by back-substitution, and
-iterative refinement and the residual check run against the full system
-M.  The saddle matrix depends only on the mesh and the boundary
-partition, so one factor serves every right-hand side: the gate runs
-once, while refinement and the residual check run for each ``solve``.
-
-``solve_sparse`` is the plain partial-pivoting LU of any sparse matrix,
-without condensation or scaling, gated on its pivots.  No pdwg code
-calls it.
+about as much memory again as the factor itself; ``pivot_report`` reads U
+from the factor's SuperLU object once the rest of the factor is freed, as
+``pdwg solve --diagnostics`` and ``pdwg verify`` do.  The fluxes follow by
+back-substitution, and iterative refinement runs against the full system
+M.  Every solve, the gate's three with K and each refined one with M, is
+accepted by one rule: its normwise backward error
+||A x - b||_inf / (||A||_inf ||x||_inf + ||b||_inf) (Rigal and Gaches,
+1967) is at most BERR_MAX, which a solve that is not finite fails.  One
+factor serves every right-hand side: the gate runs once, refinement and
+its acceptance once per ``solve``.
 """
 
 from __future__ import annotations
@@ -52,9 +48,10 @@ from pdwg.assembly import SaddleSystem, SystemMatrix, join_primal, split_primal
 
 # solve_sparse gates the pivots of an unscaled matrix.
 PIVOT_RTOL = 1e-14
-# CondensedFactor gates the equilibrated condensed K.  A solve whose
-# backward error exceeds BERR_MAX means the factor broke down; a condition
-# estimate above COND_MAX means K is singular to working precision.  The
+# Every solve with a factor, of the gate or refined, is refused when its
+# backward error exceeds BERR_MAX or is not finite: in the gate that means
+# the factor broke down.  A condition estimate of the equilibrated
+# condensed K above COND_MAX means K is singular to working precision.  The
 # estimates the gate computes for the named cases (largest: figures; case1
 # and case5 beside it) and for the singular configurations of
 # tests/test_singularity_gate.py (smallest of the four; at n = 1
@@ -71,15 +68,14 @@ PIVOT_RTOL = 1e-14
 # case5 and of 9e4 above case1, and of 4 below the smallest singular value.
 # The n = 256 factors, each built alone in a fresh process, peak at
 # 2 589 MiB (case1) and 2 194 MiB (case5) of resident memory; a whole
-# ``pdwg solve --n 128`` (sinsin, case1) peaks at 573 MiB, against 587 MiB
-# when the condensation held the rows of M beside its blocks and a CSR and
-# a CSC copy of K at once.  The backward error is <= 1.4e-15 on every
-# factor that did not break down, and >= 5e-5 on the two factors without
-# pivoting that did (case5 at n = 1, figures at n = 2).
+# ``pdwg solve --n 128`` (sinsin, case1) peaks at 573 MiB.  The backward
+# error is <= 1.4e-15 on every factor that did not break down, and >= 5e-5
+# on the two factors without pivoting that did (case5 at n = 1, figures at
+# n = 2).  Refined solves of b = ones with M, case2 to figures at n = 8-32,
+# read at most 5.6e-17, with residuals up to 5.3e-6.
 BERR_MAX = 1e-10
 COND_MAX = 1.6e16
 REFINE_RTOL = 1e-11
-RESIDUAL_RTOL = 1e-10
 MAX_REFINE = 3
 
 
@@ -154,25 +150,33 @@ def pivot_report(lu) -> PivotReport:
     return PivotReport(min_pivot=float(diag.min()), max_pivot=float(diag.max()))
 
 
+def _backward_error(residual: float, norm_A: float, x: np.ndarray, b: np.ndarray) -> float:
+    """Backward error residual / (norm_A ||x||_inf + ||b||_inf) of a solve x of
+    A x = b, from residual = ||A x - b||_inf and norm_A = ||A||_inf; 0 for a
+    zero residual.  SingularSystem unless it is <= BERR_MAX, so also if nan."""
+    if residual == 0.0:
+        return 0.0
+    berr = residual / (norm_A * float(np.abs(x).max()) + float(np.abs(b).max()))
+    if not berr <= BERR_MAX:
+        raise SingularSystem(
+            f"backward error {berr:.3e} of a solve with the factor exceeds {BERR_MAX:.0e}"
+            if math.isfinite(berr) else f"the solve is not finite (backward error {berr})")
+    return berr
+
+
 def _condition_estimate(lu, K, norm_1: float, norm_inf: float) -> float:
     """kappa_1(K) = ||K||_1 * est ||K^-1||_1 from three solves with lu, the factor of K.
 
     Hager's estimate: x = K^-1 (1/n), z = K^-T sign(x), y = K^-1 e_j with
     j = argmax |z|, and est ||K^-1||_1 = max(||x||_1, ||y||_1), a lower
     bound that is rarely off by more than a small factor.  norm_1 and
-    norm_inf are those of K.  Raises SingularSystem when the backward error
-    ||A x - b||_inf / (||A||_inf ||x||_inf + ||b||_inf) of a solve with A = K
-    or K^T exceeds BERR_MAX: the factor broke down.
+    norm_inf are those of K.  Raises SingularSystem when a solve with K or
+    K^T fails ``_backward_error``: the factor broke down.
     """
     def solve(b: np.ndarray, trans: str = "N") -> np.ndarray:
         x = lu.solve(b, trans=trans)
         A, norm = (K, norm_inf) if trans == "N" else (K.T, norm_1)
-        berr = float(np.abs(A @ x - b).max()) / (norm * float(np.abs(x).max())
-                                                  + float(np.abs(b).max()))
-        if not berr <= BERR_MAX:
-            raise SingularSystem(
-                f"backward error {berr:.3e} of a solve with the factor exceeds {BERR_MAX:.0e}"
-            )
+        _backward_error(float(np.abs(A @ x - b).max()), norm, x, b)
         return x
 
     n = K.shape[0]
@@ -184,12 +188,11 @@ def _condition_estimate(lu, K, norm_1: float, norm_inf: float) -> float:
     return norm_1 * max(float(np.abs(x).sum()), float(np.abs(y).sum()))
 
 
-def _refine(M, b: np.ndarray, solve) -> tuple[np.ndarray, float]:
-    """Solve M x = b with ``solve`` and refine against the residual of M.
-
-    Raises SingularSystem when the refined residual stays above
-    RESIDUAL_RTOL * max(1, ||b||_inf).
-    """
+def _refine(M, norm_M: float, b: np.ndarray, solve) -> tuple[np.ndarray, float]:
+    """x and ||M x - b||_inf for M x = b, from ``solve`` refined against M
+    until the residual is <= REFINE_RTOL * max(1, ||b||_inf) or for at most
+    MAX_REFINE passes; SingularSystem when x fails ``_backward_error``
+    with norm_M = ||M||_inf."""
     x = solve(b)
     scale = max(1.0, float(np.abs(b).max()) if b.size else 1.0)
     residual = float(np.abs(M @ x - b).max()) if b.size else 0.0
@@ -198,11 +201,7 @@ def _refine(M, b: np.ndarray, solve) -> tuple[np.ndarray, float]:
         x = x + solve(b - M @ x)
         residual = float(np.abs(M @ x - b).max())
         passes += 1
-    if residual > RESIDUAL_RTOL * scale:
-        raise SingularSystem(
-            f"residual {residual:.3e} exceeds {RESIDUAL_RTOL:.0e} * {scale:.3e} "
-            "after iterative refinement"
-        )
+    _backward_error(residual, norm_M, x, b)
     return x, residual
 
 
@@ -213,7 +212,7 @@ def solve_sparse(M, b: np.ndarray) -> SparseSolve:
     hooks it by name, and a traced name that no longer exists fails there.
     Raises SingularSystem when SuperLU reports singularity, the smallest
     pivot magnitude falls below PIVOT_RTOL times the largest, or the
-    refined residual stays above RESIDUAL_RTOL * max(1, ||b||_inf).
+    refined solve fails ``_backward_error``.
     """
     M = M.tocsc()
     b = np.asarray(b, dtype=float)
@@ -224,7 +223,7 @@ def solve_sparse(M, b: np.ndarray) -> SparseSolve:
             f"pivot underflow: min |U_ii| = {pivot.min_pivot:.3e} "
             f"< {PIVOT_RTOL:.0e} * {pivot.max_pivot:.3e}"
         )
-    x, residual = _refine(M, b, lu.solve)
+    x, residual = _refine(M, float(abs(M).sum(axis=1).max()), b, lu.solve)
     return SparseSolve(x=x, residual_inf=residual, pivot_report=pivot)
 
 
@@ -278,6 +277,8 @@ class CondensedFactor:
 
     def __init__(self, M, flux: np.ndarray):
         self.M = M = M.tocsr()
+        self.norm_M = float((sp.csr_matrix((np.abs(M.data), M.indices, M.indptr), shape=M.shape)
+                             @ np.ones(M.shape[1])).max())  # ||M||_inf; |M| shares M's indices
         self.flux = flux = np.asarray(flux)
         f0, f1 = (int(flux[0]), int(flux[-1]) + 1) if len(flux) else (0, 0)
         if not np.array_equal(flux, np.arange(f0, f0 + len(flux))):
@@ -324,12 +325,10 @@ class CondensedFactor:
         return x
 
     def solve(self, b: np.ndarray) -> SparseSolve:
-        """Solve M x = b with iterative refinement against M.
-
-        Raises SingularSystem when the refined residual stays above
-        RESIDUAL_RTOL * max(1, ||b||_inf).
-        """
-        x, residual = _refine(self.M, np.asarray(b, dtype=float), self._apply_inverse)
+        """Solve M x = b with iterative refinement against M; SingularSystem
+        when its backward error exceeds BERR_MAX or is not finite."""
+        x, residual = _refine(self.M, self.norm_M, np.asarray(b, dtype=float),
+                              self._apply_inverse)
         return SparseSolve(x=x, residual_inf=residual)
 
 

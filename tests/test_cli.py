@@ -353,6 +353,22 @@ def test_out_of_memory_fails_its_row_and_keeps_the_finished_ones(tmp_path, monke
     assert err == f"solver failure at n=8: out of memory: {message}\n"
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                            "ignore:invalid value encountered:RuntimeWarning")
+def test_a_solve_that_is_not_finite_fails_its_row_and_keeps_the_finished_ones(tmp_path, capsys):
+    # amplitude 1e308 overflows the lifted data: the right-hand side and the solve are not finite
+    argv = ["noise", "--problem", "coscos", "--case", "case2", "--n", "4",
+            "--amplitudes", "0,1e308"]
+    assert run(argv, tmp_path) == 3
+    rows = (tmp_path / "noise_summary.csv").read_text().splitlines()
+    assert rows[0] == "amplitude,l2,linf" and rows[2] == "1e+308,,"
+    assert rows[1].startswith("0.0,") and all(math.isfinite(float(v)) for v in rows[1].split(","))
+    assert sorted(f.name for f in tmp_path.glob("noise_*.csv")) == [
+        "noise_a0_elements.csv", "noise_a0_nodes.csv", "noise_summary.csv"]
+    err = capsys.readouterr().err
+    assert err.startswith("solver failure at amplitude 1e+308: the solve is not finite")
+
+
 def test_verify_subcommand_passes(tmp_path):
     assert run(["verify"], tmp_path) == 0
 

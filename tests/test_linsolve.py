@@ -207,6 +207,39 @@ def test_condensed_saddle_block_matches_dense_solve(rng):
     assert np.abs(out.x - np.linalg.solve(M.toarray(), b)).max() <= 1e-14
 
 
+# case2, case1, case5 and figures with residuals ||M x - 1||_inf of 3.2e-10
+# to 5.3e-6: refinement cannot bring them below 1e-10, since ||x||_inf
+# reaches 5.6e2 to 2.5e6, yet each solve is backward stable.
+@pytest.mark.parametrize("case, n", [("case2", 16), ("case2", 32), ("case1", 16), ("case1", 32),
+                                     *[(case, n) for case in ("case5", "figures")
+                                       for n in (8, 16, 32)]])
+def test_a_backward_stable_solve_is_accepted(case, n):
+    mesh = build_uniform_unit_square(n)
+    matrix = assemble_matrix(mesh, tags_for(mesh, case))
+    M, b = matrix.M, np.ones(matrix.M.shape[0])
+    out = saddle_factor(matrix).solve(b)
+    berr = np.abs(M @ out.x - b).max() / (spla.norm(M, np.inf) * np.abs(out.x).max() + 1.0)
+    assert out.residual_inf > 1e-10
+    assert berr <= 1e-15
+
+
+def test_zero_right_hand_side_gives_exact_zeros():
+    mesh = build_uniform_unit_square(4)
+    factor = saddle_factor(assemble_matrix(mesh, tags_for(mesh, "case1")))
+    out = factor.solve(np.zeros(factor.M.shape[0]))
+    assert out.residual_inf == 0.0 and not np.any(out.x)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_solve_that_is_not_finite_raises(value):
+    mesh = build_uniform_unit_square(4)
+    factor = saddle_factor(assemble_matrix(mesh, tags_for(mesh, "case1")))
+    b = np.ones(factor.M.shape[0])
+    b[0] = value
+    with np.errstate(invalid="ignore"), pytest.raises(SingularSystem, match="not finite"):
+        factor.solve(b)
+
+
 def equilibration_oracle(K):
     """The scaling and norms of _equilibration, with the row maxima from scipy."""
     abs_K = abs(K)

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from pdwg.assembly import (apply_boundary_conditions, assemble_matrix, assemble_rhs,
                            assemble_stabilizer, flux_dofs, mismatch_operator, num_primal,
                            tri_p2_dofs)
-from pdwg.linsolve import RESIDUAL_RTOL, SingularSystem, factor_and_solve
+from pdwg.linsolve import BERR_MAX, SingularSystem, factor_and_solve
 from pdwg.mesh import BoundarySegmentSpec, build_uniform_unit_square, classify_boundary
 from pdwg.problems import NoiseSpec, get_problem
 from pdwg.verify import check_infsup
@@ -122,8 +122,12 @@ def test_solve_passes_residual_check_or_raises_singular(config):
         solution = factor_and_solve(system)
     except SingularSystem:
         return
-    scale = max(1.0, float(np.abs(system.rhs).max()))
-    assert solution.residual_inf <= RESIDUAL_RTOL * scale
+    x = np.concatenate([solution.primal[system.free], solution.lam])
+    residual = np.abs(system.M @ x - system.rhs).max()
+    assert residual == solution.residual_inf
+    # the backward error residual / (||M||_inf ||x||_inf + ||rhs||_inf), without a 0/0
+    norm_M = abs(system.M).sum(axis=1).max()
+    assert residual <= BERR_MAX * (norm_M * np.abs(x).max() + np.abs(system.rhs).max())
 
 
 @PROPERTY_SETTINGS
