@@ -10,18 +10,15 @@ Schur complement
 
 which keeps the free P2 values and the multipliers, about half of the
 unknowns (24448 of 48896 for case1 at n = 64).  The flux unknowns are one
-run of consecutive rows of M, and the blocks are scipy selections of M:
-the flux block, which is checked to be a positive diagonal D on every
-factor, and the other rows, which give M_kk and M_kq.  M is exactly
-symmetric, so M_qk is M_kq transposed, and K is formed as
-``M_kk - (M_kq @ diags(1 / d)) @ M_qk``.  K is converted to CSC once,
-equilibrated symmetrically, its entries scaled in place by s of their row
-and then by s of their column (the products diag(s) K diag(s) forms, in
-the same order), and factored by SuperLU in a symmetric minimum-degree
-order without pivoting.  The factor is gated by solves alone: three solves of a
-Hager 1-norm estimate of ||K^-1||_1 give the condition estimate kappa_1(K).
-If the factor without pivoting fails the gate, the same K is factored once
-more with partial pivoting.  The gate never reads the factor's L or U,
+run of consecutive rows of M, whose block is checked to be a positive
+diagonal D on every factor.  K is converted to CSC once, equilibrated
+symmetrically, its entries scaled in place by s of their row and then by s
+of their column (the products diag(s) K diag(s) forms, in the same order),
+and factored once by SuperLU in a symmetric minimum-degree order with
+threshold pivoting (DIAG_PIVOT_THRESH), which swaps rows only where a
+factor without pivoting would break down.  The factor is gated by solves
+alone: three solves of a Hager 1-norm estimate of ||K^-1||_1 give the
+condition estimate kappa_1(K).  The gate never reads the factor's L or U,
 because the first read makes SuperLU build and keep CSC copies of both,
 about as much memory again as the factor itself; ``pivot_report`` reads U
 from the factor's SuperLU object once the rest of the factor is freed, as
@@ -69,19 +66,25 @@ PIVOT_RTOL = 1e-14
 # The n = 256 factors, each built alone in a fresh process, peak at
 # 2 589 MiB (case1) and 2 194 MiB (case5) of resident memory; a whole
 # ``pdwg solve --n 128`` (sinsin, case1) peaks at 573 MiB.  The backward
-# error is <= 1.4e-15 on every factor that did not break down, and >= 5e-5
-# on the two factors without pivoting that did (case5 at n = 1, figures at
-# n = 2).  Refined solves of b = ones with M, case2 to figures at n = 8-32,
-# read at most 5.6e-17, with residuals up to 5.3e-6.
+# error of the gate's solves is <= 1.4e-15 on every factor.  Refined solves
+# of b = ones with M, case2 to figures at n = 8-32, read at most 5.6e-17,
+# with residuals up to 5.3e-6.  SuperLU keeps a column's diagonal pivot
+# unless it is below DIAG_PIVOT_THRESH times the column's largest entry
+# (threshold pivoting; Demmel et al., 1999).  Without pivoting, the gate's
+# first solve reads backward errors 9.3e-4 (case5, n = 1) and 2.7e-6
+# (figures, n = 2); thresholds from 1e-14 pass both, not 1e-15.  By decade,
+# every other named-case factor stays bit for bit the unpivoted one up to
+# 2e-2 at n <= 32, 1e-2 at n = 64 and 1e-3 at n = 128 (n = 256 unmeasured).
 BERR_MAX = 1e-10
 COND_MAX = 1.6e16
+DIAG_PIVOT_THRESH = 1e-6
 REFINE_RTOL = 1e-11
 MAX_REFINE = 3
 
 
 class SingularSystem(Exception):
-    """Factorization failed, broke down, or the matrix is singular to
-    working precision.
+    """Factorization failed, its solves fail their backward error, or the
+    matrix is singular to working precision.
 
     Signals either a misconfigured boundary (no usable data overlap) or
     extreme ill-conditioning of the discrete system.
@@ -171,7 +174,8 @@ def _condition_estimate(lu, K, norm_1: float, norm_inf: float) -> float:
     j = argmax |z|, and est ||K^-1||_1 = max(||x||_1, ||y||_1), a lower
     bound that is rarely off by more than a small factor.  norm_1 and
     norm_inf are those of K.  Raises SingularSystem when a solve with K or
-    K^T fails ``_backward_error``: the factor broke down.
+    K^T fails ``_backward_error``: the factor broke down, as one without
+    pivoting does on two named meshes (DIAG_PIVOT_THRESH).
     """
     def solve(b: np.ndarray, trans: str = "N") -> np.ndarray:
         x = lu.solve(b, trans=trans)
@@ -262,9 +266,8 @@ class CondensedFactor:
     is exact only for such a block.  Built once per matrix; ``solve`` then
     takes any number of right-hand sides.  ``condition`` is the 1-norm
     condition estimate of the equilibrated condensed matrix.  Raises
-    SingularSystem when SuperLU fails or the factor breaks down both
-    without and with pivoting, or when the condition estimate is above
-    COND_MAX or not finite.
+    SingularSystem when SuperLU fails, the factor breaks down, or the
+    condition estimate is above COND_MAX or not finite.
 
     K is formed as ``M_kk - (M_kq @ diags(1 / d)) @ M_qk`` and kept so:
     scipy's product sums each entry of the product over q in descending
@@ -304,13 +307,9 @@ class CondensedFactor:
         # diag(s) K diag(s) entry by entry: first s of the row, then s of the column
         K.data *= self.s[K.indices]
         K.data *= np.repeat(self.s, np.diff(K.indptr))
-        try:
-            self.lu = _factor(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                              options={"SymmetricMode": True})
-            self.condition = _condition_estimate(self.lu, K, norm_1, norm_inf)
-        except SingularSystem:
-            self.lu = _factor(K)
-            self.condition = _condition_estimate(self.lu, K, norm_1, norm_inf)
+        self.lu = _factor(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                          options={"SymmetricMode": True})
+        self.condition = _condition_estimate(self.lu, K, norm_1, norm_inf)
         if not self.condition <= COND_MAX:
             raise SingularSystem(
                 f"condition estimate {self.condition:.3e} of the equilibrated "

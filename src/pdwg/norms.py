@@ -26,6 +26,7 @@ its norms are measured on those rules.  Norm conventions:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 import numpy as np
 
@@ -223,7 +224,31 @@ def norms_of_error(
     tags: BoundaryTags,
     tri_degree: int = DEFAULT_TRI_DEGREE,
 ) -> ErrorReport:
-    """Evaluate the seven norms of an error field sampled at ``tri_degree``."""
+    """Evaluate the seven norms of an error field sampled at ``tri_degree``.
+
+    Each norm is positively homogeneous in the field.  A norm whose sum of
+    squares overflows while the field is finite (entries above about 1e154)
+    is measured again on the field scaled by 2^-k, 2^k just above its
+    largest entry, and scaled back by 2^k; both scalings are exact, and the
+    norms that did not overflow keep their bits.
+    """
+    with np.errstate(over="ignore"):  # an overflow is measured again below
+        report = _norms_of_error(field, mesh, tags, tri_degree)
+        norms = report.as_dict()
+        arrays = [getattr(field, f.name) for f in fields(field)]
+        if all(map(math.isfinite, norms.values())) or not all(
+                np.isfinite(a).all() for a in arrays):
+            return report
+        k = math.frexp(max(float(np.abs(a).max(initial=0.0)) for a in arrays))[1]
+        scaled = _norms_of_error(field.scaled(math.ldexp(1.0, -k)), mesh, tags,
+                                 tri_degree).as_dict()
+        return ErrorReport(**{name: value if math.isfinite(value)
+                              else float(np.ldexp(scaled[name], k))
+                              for name, value in norms.items()})
+
+
+def _norms_of_error(field: ErrorField, mesh: Mesh, tags: BoundaryTags,
+                    tri_degree: int) -> ErrorReport:
     quad = triangle_quadrature(tri_degree)
     w = quad.physical_weights(mesh.area)
     l2 = float(np.sqrt(np.einsum("tq,tq->", w, field.e0_quad**2)))

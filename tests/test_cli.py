@@ -369,6 +369,20 @@ def test_a_solve_that_is_not_finite_fails_its_row_and_keeps_the_finished_ones(tm
     assert err.startswith("solver failure at amplitude 1e+308: the solve is not finite")
 
 
+def test_an_error_field_whose_squares_overflow_has_finite_norms(tmp_path):
+    # at amplitude 1e300 the error field is finite, but its squares are not
+    argv = ["noise", "--problem", "coscos", "--case", "case2", "--n", "4"]
+    assert run([*argv, "--amplitudes", "0,1e100,1e300"], tmp_path / "large") == 0
+    assert run([*argv, "--amplitudes", "0"], tmp_path / "clean") == 0
+    rows = (tmp_path / "large" / "noise_summary.csv").read_text().splitlines()
+    assert rows[1] == (tmp_path / "clean" / "noise_summary.csv").read_text().splitlines()[1]
+    norms = [[float(v) for v in row.split(",")] for row in rows[2:]]
+    assert all(math.isfinite(v) for row in norms for v in row)
+    # the noise dominates the error, which is linear in the amplitude
+    assert norms[1][1] / 1e300 == pytest.approx(norms[0][1] / 1e100, rel=1e-9)
+    assert norms[1][2] / 1e300 == pytest.approx(norms[0][2] / 1e100, rel=1e-9)
+
+
 def test_verify_subcommand_passes(tmp_path):
     assert run(["verify"], tmp_path) == 0
 

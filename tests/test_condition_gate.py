@@ -3,8 +3,8 @@
 Reading L or U of a SuperLU factor makes it build and keep CSC copies of
 both, so a solve must work with a factor whose L and U cannot be read.  The
 condition estimate must separate the singular configurations from the
-ill-posed but solvable ones on fine meshes, and a factor without pivoting
-that breaks down must still reach the retry with partial pivoting.
+ill-posed but solvable ones on fine meshes, and the one threshold-pivoting
+factor must pass on the meshes where a factor without pivoting breaks down.
 """
 
 import numpy as np
@@ -16,6 +16,7 @@ from pdwg.assembly import assemble_matrix, assemble_rhs
 from pdwg.harness import Reference, case_matrix, run_noise_study, solve_single
 from pdwg.linsolve import (
     COND_MAX,
+    DIAG_PIVOT_THRESH,
     SingularSystem,
     _condition_estimate,
     factor_and_solve,
@@ -133,8 +134,9 @@ def test_ill_posed_margin_at_n64():
     assert solution.condition * 40**2 < COND_MAX
 
 
-@pytest.mark.parametrize("case, n", [("case5", 1), ("figures", 2)])
-def test_breakdown_without_pivoting_reaches_the_retry(case, n, monkeypatch):
+@pytest.mark.parametrize("case, n, kappa", [("case5", 1, 2.4e2), ("figures", 2, 4.7e4)])
+def test_breakdown_mesh_passes_with_one_threshold_pivoting_factor(case, n, kappa, monkeypatch):
+    # a factor of K without pivoting breaks down on these two meshes
     calls = []
     splu = spla.splu
 
@@ -145,6 +147,8 @@ def test_breakdown_without_pivoting_reaches_the_retry(case, n, monkeypatch):
     monkeypatch.setattr(spla, "splu", counting_splu)
     mesh = build_uniform_unit_square(n)
     factor = saddle_factor(assemble_matrix(mesh, tags_for(mesh, case)))
-    assert len(calls) == 2
-    assert calls[0]["diag_pivot_thresh"] == 0.0 and "diag_pivot_thresh" not in calls[1]
+    assert len(calls) == 1
+    assert calls[0]["diag_pivot_thresh"] == DIAG_PIVOT_THRESH
     assert factor.condition <= COND_MAX
+    # the margin table of pdwg.linsolve
+    assert factor.condition == pytest.approx(kappa, rel=0.05)

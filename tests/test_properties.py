@@ -7,13 +7,16 @@ SingularSystem, never in another exception.
 """
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pdwg.assembly import (apply_boundary_conditions, assemble_matrix, assemble_rhs,
                            assemble_stabilizer, flux_dofs, mismatch_operator, num_primal,
                            tri_p2_dofs)
-from pdwg.linsolve import BERR_MAX, SingularSystem, factor_and_solve
+from pdwg.linsolve import (BERR_MAX, COND_MAX, SingularSystem, _condition_estimate,
+                           factor_and_solve, saddle_factor)
 from pdwg.mesh import BoundarySegmentSpec, build_uniform_unit_square, classify_boundary
 from pdwg.problems import NoiseSpec, get_problem
 from pdwg.verify import check_infsup
@@ -128,6 +131,54 @@ def test_solve_passes_residual_check_or_raises_singular(config):
     # the backward error residual / (||M||_inf ||x||_inf + ||rhs||_inf), without a 0/0
     norm_M = abs(system.M).sum(axis=1).max()
     assert residual <= BERR_MAX * (norm_M * np.abs(x).max() + np.abs(system.rhs).max())
+
+
+@PROPERTY_SETTINGS
+@given(configuration())
+def test_one_threshold_pivoting_factor_solves_what_the_unpivoted_factor_or_a_pivoting_one_did(
+        config):
+    # K as tests/test_kernel_oracles.py forms it: condensed, then scaled symmetrically
+    matrix = assemble_matrix(*config)
+    M, flux = matrix.M, matrix.free_flux
+    keep = np.setdiff1d(np.arange(M.shape[0]), flux)
+    K = M[keep][:, keep] - M[keep][:, flux] @ sp.diags(1.0 / M.diagonal()[flux]) @ M[flux][:, keep]
+    row_max = abs(K).max(axis=1).toarray().ravel()
+    try:
+        factor = saddle_factor(matrix)
+    except SingularSystem:
+        factor = None
+    if not np.all(row_max > 0.0):  # a zero row: singular
+        assert factor is None
+        return
+    s = 1.0 / np.sqrt(row_max)
+    K = (sp.diags(s) @ K @ sp.diags(s)).tocsc()
+    norm_1, norm_inf = abs(K).sum(axis=0).max(), abs(K).sum(axis=1).max()
+
+    def gate(options):
+        """The SuperLU factor of K with these options, its condition estimate
+        and whether it broke down; None for the factor if SuperLU refuses K."""
+        try:
+            lu = spla.splu(K, **options)
+            return lu, _condition_estimate(lu, K, norm_1, norm_inf), False
+        except RuntimeError:
+            return None, np.inf, True
+        except SingularSystem:
+            return lu, np.inf, True
+
+    unpivoted, kappa, breakdown = gate(dict(permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                                            options={"SymmetricMode": True}))
+    if breakdown:  # the oracle: COLAMD order and partial pivoting
+        pivoted, kappa, _ = gate({})
+    if factor is None:  # the unpivoted factor, or after its breakdown the oracle, fails too
+        assert not kappa <= COND_MAX
+        return
+    b = np.random.default_rng(len(keep)).standard_normal(len(keep))
+    x = factor.lu.solve(b)
+    if not breakdown:
+        assert np.array_equal(x, unpivoted.solve(b))
+    elif pivoted is not None:
+        want = pivoted.solve(b)
+        assert np.abs(x - want).max() <= 1e-13 * factor.condition * np.abs(want).max()
 
 
 @PROPERTY_SETTINGS
