@@ -425,10 +425,17 @@ def assemble_rhs(
     projected with the edge rule ``edge_points_for(tri_degree)``.  ``load``
     is the problem's ``element_load`` on this mesh at ``tri_degree``,
     computed here when not given; it does not depend on the noise, so the
-    solves of one problem on one mesh can share it.
+    solves of one problem on one mesh can share it.  Raises
+    ``pdwg.linsolve.SingularSystem`` when the boundary data is not finite,
+    as a large noise amplitude can make it, before any solve.
     """
+    from pdwg.linsolve import SingularSystem  # linsolve imports this module
+
     F = element_load(matrix.mesh, problem.f, tri_degree) if load is None else load
-    g = apply_boundary_conditions(problem, matrix, edge_points_for(tri_degree), noise)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+        g = apply_boundary_conditions(problem, matrix, edge_points_for(tri_degree), noise)
+    if not np.isfinite(g).all():
+        raise SingularSystem("the boundary data is not finite")
     lift = matrix.C @ g[matrix.constrained]
     nf = matrix.n_free
     rhs = np.concatenate([lift[:nf], F - lift[nf:]])

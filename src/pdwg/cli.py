@@ -16,6 +16,7 @@ import sys
 from pathlib import Path
 
 from pdwg.harness import (
+    case_pivots,
     failure_text,
     run_benchmark_tables,
     run_convergence,
@@ -23,7 +24,7 @@ from pdwg.harness import (
     solve_single,
 )
 from pdwg.linsolve import SingularSystem
-from pdwg.mesh import check_alignment
+from pdwg.mesh import build_uniform_unit_square, check_alignment
 from pdwg.norms import PROJECTION_MIN_TRI_DEGREE
 from pdwg.polyspace import DEFAULT_TRI_DEGREE, MAX_TRI_DEGREE
 from pdwg.problems import DEFAULT_NOISE_SEED, NoiseSpec, case_configs, catalog, get_case
@@ -252,8 +253,11 @@ def main(argv=None) -> int:
         deg = cfg["quadrature_degree"]
 
         if command == "solve":
-            solution, report, snapshot = solve_single(
-                cfg["problem"], cfg["case"], cfg["n"], deg, pivots=cfg["diagnostics"])
+            # the pivots come from a factor of their own, read before the solve:
+            # after it, the same read peaks higher and less predictably
+            pr = (case_pivots(cfg["case"], build_uniform_unit_square(cfg["n"]))
+                  if cfg["diagnostics"] else None)
+            solution, report, snapshot = solve_single(cfg["problem"], cfg["case"], cfg["n"], deg)
             (out / "solution_nodes.csv").write_text(snapshot.nodes_csv(), encoding="utf-8")
             (out / "solution_elements.csv").write_text(snapshot.elements_csv(), encoding="utf-8")
             lines = ["norm,value"] + [f"{k},{v:.12e}" for k, v in report.as_dict().items()]
@@ -261,8 +265,7 @@ def main(argv=None) -> int:
             print(f"solved {cfg['problem']}/{cfg['case']} at n={cfg['n']}")
             for k, v in report.as_dict().items():
                 print(f"  {k:9s} {v:.6e}")
-            if cfg["diagnostics"]:
-                pr = solution.pivot_report
+            if pr is not None:
                 print(f"  residual_inf {solution.residual_inf:.3e}  "
                       f"min_pivot {pr.min_pivot:.3e}  pivot_ratio {pr.ratio:.3e}")
                 print(f"  cond1_estimate {solution.condition:.3e}")

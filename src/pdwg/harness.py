@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
 
@@ -30,6 +30,7 @@ import numpy as np
 from pdwg.assembly import SystemMatrix, assemble_matrix, assemble_rhs, element_load
 from pdwg.linsolve import (
     CondensedFactor,
+    PivotReport,
     Solution,
     SingularSystem,
     factor_and_solve,
@@ -317,7 +318,6 @@ def _study(
     n: int,
     plan: dict[str, list[tuple[str, NoiseSpec | None]]],
     tri_degree: int,
-    pivots: bool = False,
     snapshots: bool = False,
 ) -> dict[str, list[Run]]:
     """Solve and measure the runs of ``plan`` on the n x n mesh.
@@ -327,10 +327,9 @@ def _study(
     freed before the last case's factor, and one Reference per problem.
     Each case is factored once, and its factor is deleted after its last
     solve, before that solve is measured: no factor is held through the
-    next case's assembly.  With ``pivots`` each case's last solution carries
-    its factor's pivot report, read once only the factor's SuperLU object
-    is left of it; with ``snapshots`` each run takes its snapshot
-    when it is measured.  A singular factor fails the runs of its case, a
+    next case's assembly.  No factor's L or U is read here (``case_pivots``
+    reads them).  With ``snapshots`` each run takes its snapshot when it is
+    measured.  A singular factor fails the runs of its case, a
     singular solve its own run, and running out of memory every run on the
     mesh that has not finished.  A case without runs is not assembled, and
     a plan without runs builds no mesh.
@@ -353,7 +352,6 @@ def _study(
             except SingularSystem as exc:
                 runs[case] += [_failed(exc) for _ in todo]
                 continue
-            pivot = None
             for k, (p, noise) in enumerate(todo, start=1):
                 ref = refs[p]
                 try:
@@ -363,12 +361,7 @@ def _study(
                     continue
                 finally:
                     if k == len(todo):  # the case's last solve: freed before it is measured
-                        lu = factor.lu
-                        del factor  # U is read with only the SuperLU object held
-                        pivot = pivot_report(lu) if pivots else None
-                        del lu
-                if pivot is not None:
-                    solution = replace(solution, pivot_report=pivot)
+                        del factor
                 runs[case].append(Run(solution, ref.measure(solution, matrix.tags),
                                       ref.snapshot(solution) if snapshots else None))
     except MemoryError as exc:
@@ -383,18 +376,34 @@ def solve_single(
     n: int,
     tri_degree: int = DEFAULT_TRI_DEGREE,
     noise: NoiseSpec | None = None,
-    pivots: bool = False,
 ):
     """One assemble/solve/measure pass; returns (solution, report, snapshot).
 
-    With ``pivots`` the solution also carries its factor's pivot report.
-    A solver failure is raised.
+    A solver failure is raised.  The solution holds no pivots:
+    ``case_pivots`` reads them from a factor of its own.
     """
-    run, = _study(n, {case_name: [(problem_name, noise)]}, tri_degree, pivots,
-                  snapshots=True)[case_name]
+    run, = _study(n, {case_name: [(problem_name, noise)]}, tri_degree, snapshots=True)[case_name]
     if run.failure is not None:
         raise run.failure
     return run.solution, run.report, run.snapshot
+
+
+def case_pivots(case_name: str, mesh: Mesh) -> PivotReport:
+    """The pivot range of a boundary case's factor on ``mesh``, from a
+    factor of its own: every factor of the case's matrix is bit for bit
+    this one.
+
+    Reading U makes SuperLU build and keep copies of L and U, so no study
+    reads it.  The case is cut from the mesh's W, and the mesh's operators
+    are cleared before the factor is built (a later case on the mesh builds
+    them again).  The matrix and all of the factor but its SuperLU object
+    are freed before U is read.
+    """
+    matrix = case_matrix(case_name, mesh)
+    mesh.operators.clear()
+    lu = saddle_factor(matrix).lu
+    del matrix
+    return pivot_report(lu)
 
 
 def _convergence_tables(

@@ -21,15 +21,18 @@ alone: three solves of a Hager 1-norm estimate of ||K^-1||_1 give the
 condition estimate kappa_1(K).  The gate never reads the factor's L or U,
 because the first read makes SuperLU build and keep CSC copies of both,
 about as much memory again as the factor itself; ``pivot_report`` reads U
-from the factor's SuperLU object once the rest of the factor is freed, as
-``pdwg solve --diagnostics`` and ``pdwg verify`` do.  The fluxes follow by
+from the factor's SuperLU object once the rest of the factor is freed, and
+only ``pdwg.harness.case_pivots`` calls it, for ``pdwg solve --diagnostics``
+and ``pdwg verify``.  The fluxes follow by
 back-substitution, and iterative refinement runs against the full system
 M.  Every solve, the gate's three with K and each refined one with M, is
 accepted by one rule: its normwise backward error
 ||A x - b||_inf / (||A||_inf ||x||_inf + ||b||_inf) (Rigal and Gaches,
 1967) is at most BERR_MAX, which a solve that is not finite fails.  One
 factor serves every right-hand side: the gate runs once, refinement and
-its acceptance once per ``solve``.
+its acceptance once per ``solve``.  It is the one factor path:
+``solve_sparse`` solves any exactly symmetric matrix with a CondensedFactor
+that eliminates no unknown.
 """
 
 from __future__ import annotations
@@ -43,8 +46,6 @@ import scipy.sparse.linalg as spla
 
 from pdwg.assembly import SaddleSystem, SystemMatrix, join_primal, split_primal
 
-# solve_sparse gates the pivots of an unscaled matrix.
-PIVOT_RTOL = 1e-14
 # Every solve with a factor, of the gate or refined, is refused when its
 # backward error exceeds BERR_MAX or is not finite: in the gate that means
 # the factor broke down.  A condition estimate of the equilibrated
@@ -109,16 +110,15 @@ class Solution:
 
     u0 holds the values at the V + E P2 nodes, un the (E, 2) stored flux
     coefficients and lam the per-triangle multiplier values.  condition is
-    the 1-norm condition estimate of the equilibrated condensed matrix;
-    pivot_report is None unless a caller set it from ``pivot_report`` of
-    its factor's ``lu``.
+    the 1-norm condition estimate of the equilibrated condensed matrix.  It
+    holds no pivots: ``pdwg.harness.case_pivots`` reads them from a factor
+    of its own.
     """
 
     u0: np.ndarray
     un: np.ndarray
     lam: np.ndarray
     residual_inf: float
-    pivot_report: PivotReport | None = None
     condition: float = math.nan
 
     @property
@@ -128,17 +128,10 @@ class Solution:
 
 @dataclass(frozen=True)
 class SparseSolve:
+    """A refined solve x of M x = b and its residual ||M x - b||_inf."""
+
     x: np.ndarray
     residual_inf: float
-    pivot_report: PivotReport | None = None
-
-
-def _factor(A, **options):
-    """SuperLU factor of A; SingularSystem when SuperLU reports singularity."""
-    try:
-        return spla.splu(A, **options)
-    except RuntimeError as exc:  # "Factor is exactly singular"
-        raise SingularSystem(str(exc)) from exc
 
 
 def pivot_report(lu) -> PivotReport:
@@ -207,28 +200,6 @@ def _refine(M, norm_M: float, b: np.ndarray, solve) -> tuple[np.ndarray, float]:
         passes += 1
     _backward_error(residual, norm_M, x, b)
     return x, residual
-
-
-def solve_sparse(M, b: np.ndarray) -> SparseSolve:
-    """LU-factor a sparse matrix with partial pivoting and solve, with refinement.
-
-    No pdwg code calls this; it stays only because perfbench/tracing.py
-    hooks it by name, and a traced name that no longer exists fails there.
-    Raises SingularSystem when SuperLU reports singularity, the smallest
-    pivot magnitude falls below PIVOT_RTOL times the largest, or the
-    refined solve fails ``_backward_error``.
-    """
-    M = M.tocsc()
-    b = np.asarray(b, dtype=float)
-    lu = _factor(M)
-    pivot = pivot_report(lu)
-    if pivot.min_pivot < PIVOT_RTOL * pivot.max_pivot:
-        raise SingularSystem(
-            f"pivot underflow: min |U_ii| = {pivot.min_pivot:.3e} "
-            f"< {PIVOT_RTOL:.0e} * {pivot.max_pivot:.3e}"
-        )
-    x, residual = _refine(M, float(abs(M).sum(axis=1).max()), b, lu.solve)
-    return SparseSolve(x=x, residual_inf=residual, pivot_report=pivot)
 
 
 def _equilibration(K) -> tuple[sp.csc_matrix, np.ndarray, float, float]:
@@ -307,8 +278,11 @@ class CondensedFactor:
         # diag(s) K diag(s) entry by entry: first s of the row, then s of the column
         K.data *= self.s[K.indices]
         K.data *= np.repeat(self.s, np.diff(K.indptr))
-        self.lu = _factor(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=DIAG_PIVOT_THRESH,
-                          options={"SymmetricMode": True})
+        try:
+            self.lu = spla.splu(K, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=DIAG_PIVOT_THRESH,
+                                options={"SymmetricMode": True})
+        except RuntimeError as exc:  # "Factor is exactly singular"
+            raise SingularSystem(str(exc)) from exc
         self.condition = _condition_estimate(self.lu, K, norm_1, norm_inf)
         if not self.condition <= COND_MAX:
             raise SingularSystem(
@@ -331,6 +305,17 @@ class CondensedFactor:
         return SparseSolve(x=x, residual_inf=residual)
 
 
+def solve_sparse(M, b: np.ndarray) -> SparseSolve:
+    """Solve M x = b with a ``CondensedFactor`` of M that eliminates nothing.
+
+    M must be exactly symmetric.  No pdwg code calls this; it stays only
+    because perfbench/tracing.py hooks it by name, and a traced name that
+    no longer exists fails there.  Raises SingularSystem as the factor and
+    its ``solve`` do.
+    """
+    return CondensedFactor(M, np.arange(0)).solve(b)
+
+
 def saddle_factor(system: SystemMatrix) -> CondensedFactor:
     """Condensed factor of a case's saddle matrix, its free flux unknowns
     (``SystemMatrix.free_flux``) eliminated."""
@@ -342,8 +327,8 @@ def factor_and_solve(system: SaddleSystem, factor: CondensedFactor | None = None
 
     ``factor`` is the saddle_factor of system's matrix; when it is not
     given, one is built here for this one solve.  The Solution carries no
-    pivot report: read ``pivot_report`` of a factor's ``lu`` where it is
-    needed.
+    pivots: ``pdwg.harness.case_pivots`` reads them from a factor of its
+    own.
     """
     if factor is None:
         factor = saddle_factor(system)

@@ -23,8 +23,8 @@ import numpy as np
 
 from pdwg.assembly import (SystemMatrix, assemble_matrix, assemble_rhs, element_load,
                            join_primal, mismatch_operator, stabilizer_weights)
-from pdwg.harness import Reference, case_matrix
-from pdwg.linsolve import CondensedFactor, Solution, pivot_report, saddle_factor
+from pdwg.harness import Reference, case_matrix, case_pivots
+from pdwg.linsolve import CondensedFactor, Solution, saddle_factor
 from pdwg.mesh import BoundaryTags, Mesh, build_uniform_unit_square
 from pdwg.norms import (
     ExactProjection,
@@ -202,22 +202,6 @@ def coercivity_ratio(ref: Reference, matrix: SystemMatrix, factor: CondensedFact
     return lap_sq / s_ee if s_ee > 0 else np.inf
 
 
-def _case2_pivot_scale(mesh: Mesh) -> float:
-    """1e-12 * max/min pivot of the case2 factor on ``mesh``, the last case
-    assembled on it.
-
-    Its operators go before the factor is built, and its matrix and all of
-    the factor but its SuperLU object before U is read, since reading U
-    makes SuperLU keep copies of L and U.
-    """
-    matrix = case_matrix("case2", mesh)
-    mesh.operators.clear()
-    lu = saddle_factor(matrix).lu
-    del matrix
-    pr = pivot_report(lu)
-    return 1e-12 * pr.max_pivot / pr.min_pivot
-
-
 def run_standard_checks(seed: int = VERIFY_SEED) -> VerificationReport:
     """The full identity suite run by the `verify` CLI subcommand.
 
@@ -228,10 +212,11 @@ def run_standard_checks(seed: int = VERIFY_SEED) -> VerificationReport:
     matrix W, normal-derivative maps, P2 geometry and triangle-rule points
     are built once, for case1 and the projections, and case2 on n = 8, 16,
     32 is cut from the same W.  Each factor is a local,
-    deleted after its last use.  The case2 pivots run last, each read from
-    the factor's SuperLU object alone, once everything else of its mesh
-    and of the factor is freed: reading U makes SuperLU keep copies of L
-    and U, and the one at n=32 sets the peak memory of the run.
+    deleted after its last use.  The case2 pivots run last
+    (``harness.case_pivots``), each read from the factor's SuperLU object
+    alone, once everything else of its mesh and of the factor is freed:
+    reading U makes SuperLU keep copies of L and U, and the one at n=32
+    sets the peak memory of the run.
     """
     meshes = {n: build_uniform_unit_square(n) for n in (1, 2, 4, 8, 16, 32)}
 
@@ -270,7 +255,8 @@ def run_standard_checks(seed: int = VERIFY_SEED) -> VerificationReport:
     del factor4, factor8  # their last use
     cs += [coercivity_ratio(sinsin[n], case1[n], saddle_factor(case1[n])) for n in (16, 32)]
     del case1, matrix, quad, sinsin, system  # not held through the pivots
-    worst_pivot = max(_case2_pivot_scale(meshes[n]) for n in (8, 16, 32))
+    pivots = [case_pivots("case2", meshes[n]) for n in (8, 16, 32)]
+    worst_pivot = max(1e-12 * p.max_pivot / p.min_pivot for p in pivots)
 
     report = VerificationReport()
     report.add("commutative_quadratic", worst, 1e-12, "theta in P2, n in {1,2,4}")

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -303,6 +304,35 @@ def test_diagnostics_print_residual_pivots_and_condition(tmp_path, capsys):
     assert label == "cond1_estimate" and 1.0 <= float(value) < 1e16
 
 
+def test_diagnostics_lines_keep_their_values(tmp_path, capsys):
+    argv = ["solve", "--problem", "coscos", "--case", "figures", "--n", "2", "--diagnostics"]
+    assert run(argv, tmp_path) == 0
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "  residual_inf 1.421e-14  min_pivot 7.873e-04  pivot_ratio 2.867e-04",
+        "  cond1_estimate 4.715e+04"]
+
+
+def test_diagnostics_read_u_with_no_factor_or_matrix_alive(tmp_path, monkeypatch):
+    # reading U makes SuperLU keep copies of L and U: no CondensedFactor and
+    # no SystemMatrix, of the solve or of the pivots' own factor, is alive then
+    made, alive = [], []
+    factor, pivot_report = harness.saddle_factor, harness.pivot_report
+
+    def saddle_factor(matrix):
+        condensed = factor(matrix)
+        made.extend([weakref.ref(matrix), weakref.ref(condensed)])
+        return condensed
+
+    def pivots(lu):
+        alive.append(sum(ref() is not None for ref in made))
+        return pivot_report(lu)
+
+    monkeypatch.setattr(harness, "saddle_factor", saddle_factor)
+    monkeypatch.setattr(harness, "pivot_report", pivots)
+    assert run(["solve", "--case", "case2", "--n", "4", "--diagnostics"], tmp_path) == 0
+    assert len(made) == 4 and alive == [0]
+
+
 def test_output_dir_from_environment(tmp_path, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path / "envout"))
     code = cli.main(["solve", "--problem", "quad", "--case", "case1", "--n", "1"])
@@ -353,10 +383,9 @@ def test_out_of_memory_fails_its_row_and_keeps_the_finished_ones(tmp_path, monke
     assert err == f"solver failure at n=8: out of memory: {message}\n"
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                            "ignore:invalid value encountered:RuntimeWarning")
 def test_a_solve_that_is_not_finite_fails_its_row_and_keeps_the_finished_ones(tmp_path, capsys):
-    # amplitude 1e308 overflows the lifted data: the right-hand side and the solve are not finite
+    # amplitude 1e308 overflows the lifted boundary data, which is refused
+    # before the solve and without a warning (warnings are errors here)
     argv = ["noise", "--problem", "coscos", "--case", "case2", "--n", "4",
             "--amplitudes", "0,1e308"]
     assert run(argv, tmp_path) == 3
@@ -366,7 +395,7 @@ def test_a_solve_that_is_not_finite_fails_its_row_and_keeps_the_finished_ones(tm
     assert sorted(f.name for f in tmp_path.glob("noise_*.csv")) == [
         "noise_a0_elements.csv", "noise_a0_nodes.csv", "noise_summary.csv"]
     err = capsys.readouterr().err
-    assert err.startswith("solver failure at amplitude 1e+308: the solve is not finite")
+    assert err == "solver failure at amplitude 1e+308: the boundary data is not finite\n"
 
 
 def test_an_error_field_whose_squares_overflow_has_finite_norms(tmp_path):

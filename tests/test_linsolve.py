@@ -11,6 +11,7 @@ from pdwg.linsolve import (
     SingularSystem,
     _equilibration,
     factor_and_solve,
+    pivot_report,
     saddle_factor,
     solve_sparse,
 )
@@ -66,18 +67,19 @@ def test_exactly_singular_matrix_raises():
         solve_sparse(M, np.array([1.0, 1.0]))
 
 
-def test_pivot_underflow_raises():
-    M = sp.csc_matrix(np.diag([1.0, 1e-20]))
-    with pytest.raises(SingularSystem):
+def test_badly_scaled_matrix_is_equilibrated_and_nearly_singular_one_raises():
+    # the symmetric scaling makes diag(1, 1e-20) the identity, so it solves
+    out = solve_sparse(sp.csc_matrix(np.diag([1.0, 1e-20])), np.array([1.0, 1.0]))
+    assert out.x == pytest.approx([1.0, 1e20], rel=1e-15)
+    # kappa_1 of this one is about 1.8e16, above COND_MAX
+    M = sp.csc_matrix(np.array([[1.0, 1.0], [1.0, 1.0 + 2.0**-52]]))
+    with pytest.raises(SingularSystem, match="condition estimate"):
         solve_sparse(M, np.array([1.0, 1.0]))
 
 
 def test_pivot_report_populated():
-    M = sp.csc_matrix(np.diag([4.0, 2.0]))
-    out = solve_sparse(M, np.array([4.0, 2.0]))
-    assert out.pivot_report.min_pivot == pytest.approx(2.0)
-    assert out.pivot_report.max_pivot == pytest.approx(4.0)
-    assert out.pivot_report.ratio == pytest.approx(0.5)
+    pr = pivot_report(spla.splu(sp.csc_matrix(np.diag([4.0, 2.0]))))
+    assert (pr.min_pivot, pr.max_pivot, pr.ratio) == (2.0, 4.0, 0.5)
 
 
 def test_matches_symmetric_ldlt_factorization():

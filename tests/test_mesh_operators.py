@@ -262,7 +262,7 @@ def test_case2_pivots_are_read_with_nothing_else_held(monkeypatch, built_meshes)
     # read them outlives its check, and no operator, nor any CondensedFactor,
     # is held while U is read
     read, held, alive, factors, factors_alive = [], [], [], [], []
-    pivot_report, factor, condensed = verify.pivot_report, spla.splu, verify.saddle_factor
+    pivot_report, factor, condensed = harness.pivot_report, spla.splu, verify.saddle_factor
 
     def pivots(lu):
         held.append({mesh.n: len(mesh.operators) for mesh in built_meshes if mesh.n >= 8})
@@ -279,8 +279,9 @@ def test_case2_pivots_are_read_with_nothing_else_held(monkeypatch, built_meshes)
         factors.append(weakref.ref(made))
         return made
 
-    monkeypatch.setattr(verify, "pivot_report", pivots)
-    monkeypatch.setattr(verify, "saddle_factor", saddle_factor)
+    monkeypatch.setattr(harness, "pivot_report", pivots)
+    for module in (verify, harness):  # case1's factors, and those of case_pivots
+        monkeypatch.setattr(module, "saddle_factor", saddle_factor)
     monkeypatch.setattr(spla, "splu", splu)
     assert verify.run_standard_checks().ok
     assert len(held) == 3 and held[-1] == {8: 0, 16: 0, 32: 0}

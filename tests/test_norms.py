@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from pdwg.assembly import build_saddle_system, normal_mismatch_maps, tri_p2_dofs
-from pdwg.linsolve import Solution, PivotReport, factor_and_solve
+from pdwg.linsolve import Solution, factor_and_solve
 from pdwg.mesh import build_uniform_unit_square
 from pdwg.norms import (
     ErrorField,
@@ -82,7 +82,6 @@ def fake_solution(mesh, u0, un, lam):
         un=np.asarray(un, dtype=float),
         lam=np.asarray(lam, dtype=float),
         residual_inf=0.0,
-        pivot_report=PivotReport(1.0, 1.0),
     )
 
 
