@@ -273,9 +273,13 @@ def main(argv=None) -> int:
 
         if command == "converge":
             if cfg["plan"] == "benchmark":
-                written = run_benchmark_tables(out, cfg["n_list"], deg)
+                written, tables = run_benchmark_tables(out, cfg["n_list"], deg)
                 print(f"wrote {len(written)} files to {out}")
-                return 0
+                failures = [(t, r) for t in tables for r in t.rows if r.report is None]
+                for t, r in failures:
+                    print(f"solver failure for {t.problem}/{t.case} at n={r.n}: {r.error}",
+                          file=sys.stderr)
+                return 3 if failures else 0
             table = run_convergence(cfg["problem"], cfg["case"], cfg["n_list"], deg)
             csv = table.to_csv()
             (out / f"{cfg['problem']}_{cfg['case']}.csv").write_text(csv, encoding="utf-8")

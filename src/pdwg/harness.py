@@ -552,12 +552,14 @@ def run_benchmark_tables(
     out_dir: Path,
     n_list: list[int],
     tri_degree: int = DEFAULT_TRI_DEGREE,
-) -> list[Path]:
-    """Regenerate every benchmark table layout as CSV plus markdown.
+) -> tuple[list[Path], list[ConvergenceTable]]:
+    """Regenerate every benchmark table layout as CSV plus markdown; the
+    files written and the (problem, case) tables behind them.
 
     Each (problem, case) table is computed once, mesh by mesh: every
     problem on a case shares one factor per mesh, and every case on a mesh
-    shares one Reference per problem.
+    shares one Reference per problem.  A failed run leaves a failed row
+    (``_convergence_tables``), which the files show as ``failed`` cells.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -584,5 +586,5 @@ def run_benchmark_tables(
         md_path = out_dir / f"table{entry['table']:02d}.md"
         md_path.write_text("\n".join(md_parts), encoding="utf-8")
         written.append(md_path)
-    return written
+    return written, list(tables.values())
 

@@ -23,16 +23,15 @@ because the first read makes SuperLU build and keep CSC copies of both,
 about as much memory again as the factor itself; ``pivot_report`` reads U
 from the factor's SuperLU object once the rest of the factor is freed, and
 only ``pdwg.harness.case_pivots`` calls it, for ``pdwg solve --diagnostics``
-and ``pdwg verify``.  The fluxes follow by
-back-substitution, and iterative refinement runs against the full system
-M.  Every solve, the gate's three with K and each refined one with M, is
+and ``pdwg verify``.  The fluxes follow by back-substitution.  Every
+solve, the gate's three with K and each right-hand side's one with M, is
 accepted by one rule: its normwise backward error
 ||A x - b||_inf / (||A||_inf ||x||_inf + ||b||_inf) (Rigal and Gaches,
 1967) is at most BERR_MAX, which a solve that is not finite fails.  One
-factor serves every right-hand side: the gate runs once, refinement and
-its acceptance once per ``solve``.  It is the one factor path:
-``solve_sparse`` solves any exactly symmetric matrix with a CondensedFactor
-that eliminates no unknown.
+factor serves every right-hand side: the gate runs once, and each
+``solve`` applies the factor's inverse once and accepts the result.  It is
+the one factor path: ``solve_sparse`` solves any exactly symmetric matrix
+with a CondensedFactor that eliminates no unknown.
 """
 
 from __future__ import annotations
@@ -46,12 +45,12 @@ import scipy.sparse.linalg as spla
 
 from pdwg.assembly import SaddleSystem, SystemMatrix, join_primal, split_primal
 
-# Every solve with a factor, of the gate or refined, is refused when its
-# backward error exceeds BERR_MAX or is not finite: in the gate that means
-# the factor broke down.  A condition estimate of the equilibrated
-# condensed K above COND_MAX means K is singular to working precision.  The
-# estimates the gate computes for the named cases (largest: figures; case1
-# and case5 beside it) and for the singular configurations of
+# Every solve with a factor, of the gate or of a right-hand side, is
+# refused when its backward error exceeds BERR_MAX or is not finite: in the
+# gate that means the factor broke down.  A condition estimate of the
+# equilibrated condensed K above COND_MAX means K is singular to working
+# precision.  The estimates the gate computes for the named cases (largest:
+# figures; case1 and case5 beside it) and for the singular configurations of
 # tests/test_singularity_gate.py (smallest of the four; at n = 1
 # dirichlet_bottom_only, at n = 256 only data_free was run):
 #
@@ -67,20 +66,20 @@ from pdwg.assembly import SaddleSystem, SystemMatrix, join_primal, split_primal
 # The n = 256 factors, each built alone in a fresh process, peak at
 # 2 589 MiB (case1) and 2 194 MiB (case5) of resident memory; a whole
 # ``pdwg solve --n 128`` (sinsin, case1) peaks at 573 MiB.  The backward
-# error of the gate's solves is <= 1.4e-15 on every factor.  Refined solves
-# of b = ones with M, case2 to figures at n = 8-32, read at most 5.6e-17,
-# with residuals up to 5.3e-6.  SuperLU keeps a column's diagonal pivot
-# unless it is below DIAG_PIVOT_THRESH times the column's largest entry
-# (threshold pivoting; Demmel et al., 1999).  Without pivoting, the gate's
-# first solve reads backward errors 9.3e-4 (case5, n = 1) and 2.7e-6
-# (figures, n = 2); thresholds from 1e-14 pass both, not 1e-15.  By decade,
-# every other named-case factor stays bit for bit the unpivoted one up to
-# 2e-2 at n <= 32, 1e-2 at n = 64 and 1e-3 at n = 128 (n = 256 unmeasured).
+# error of the gate's solves is <= 1.4e-15 on every factor.  A right-hand
+# side's one solve with M reads 9.2e-18 to 4.6e-16 on the saddle systems of
+# the named cases (n = 1-64, noisy data included), and at most 7.0e-17 for
+# b = ones, case2 to figures at n = 8-32, with residuals up to 7.0e-6.
+# SuperLU keeps a column's diagonal pivot unless it is below
+# DIAG_PIVOT_THRESH times the column's largest entry (threshold pivoting;
+# Demmel et al., 1999).  Without pivoting, the gate's first solve reads
+# backward errors 9.3e-4 (case5, n = 1) and 2.7e-6 (figures, n = 2);
+# thresholds from 1e-14 pass both, not 1e-15.  By decade, every other
+# named-case factor stays bit for bit the unpivoted one up to 2e-2 at
+# n <= 32, 1e-2 at n = 64 and 1e-3 at n = 128 (n = 256 unmeasured).
 BERR_MAX = 1e-10
 COND_MAX = 1.6e16
 DIAG_PIVOT_THRESH = 1e-6
-REFINE_RTOL = 1e-11
-MAX_REFINE = 3
 
 
 class SingularSystem(Exception):
@@ -109,10 +108,11 @@ class Solution:
     """Solved primal field, flux coefficients and multiplier.
 
     u0 holds the values at the V + E P2 nodes, un the (E, 2) stored flux
-    coefficients and lam the per-triangle multiplier values.  condition is
-    the 1-norm condition estimate of the equilibrated condensed matrix.  It
-    holds no pivots: ``pdwg.harness.case_pivots`` reads them from a factor
-    of its own.
+    coefficients and lam the per-triangle multiplier values.  residual_inf
+    is ||M x - b||_inf of the one solve of the saddle system, accepted by
+    its backward error (BERR_MAX), and condition the 1-norm condition
+    estimate of the equilibrated condensed matrix.  It holds no pivots:
+    ``pdwg.harness.case_pivots`` reads them from a factor of its own.
     """
 
     u0: np.ndarray
@@ -128,7 +128,7 @@ class Solution:
 
 @dataclass(frozen=True)
 class SparseSolve:
-    """A refined solve x of M x = b and its residual ||M x - b||_inf."""
+    """A solve x of M x = b and its residual ||M x - b||_inf."""
 
     x: np.ndarray
     residual_inf: float
@@ -146,10 +146,12 @@ def pivot_report(lu) -> PivotReport:
     return PivotReport(min_pivot=float(diag.min()), max_pivot=float(diag.max()))
 
 
-def _backward_error(residual: float, norm_A: float, x: np.ndarray, b: np.ndarray) -> float:
-    """Backward error residual / (norm_A ||x||_inf + ||b||_inf) of a solve x of
-    A x = b, from residual = ||A x - b||_inf and norm_A = ||A||_inf; 0 for a
-    zero residual.  SingularSystem unless it is <= BERR_MAX, so also if nan."""
+def _backward_error(A, norm_A: float, x: np.ndarray, b: np.ndarray) -> float:
+    """The residual ||A x - b||_inf of a solve x of A x = b, accepted by its
+    backward error residual / (norm_A ||x||_inf + ||b||_inf), norm_A =
+    ||A||_inf; a zero residual, or an empty b, is accepted as it is.
+    SingularSystem unless the backward error is <= BERR_MAX, so also if nan."""
+    residual = float(np.abs(A @ x - b).max()) if b.size else 0.0
     if residual == 0.0:
         return 0.0
     berr = residual / (norm_A * float(np.abs(x).max()) + float(np.abs(b).max()))
@@ -157,7 +159,7 @@ def _backward_error(residual: float, norm_A: float, x: np.ndarray, b: np.ndarray
         raise SingularSystem(
             f"backward error {berr:.3e} of a solve with the factor exceeds {BERR_MAX:.0e}"
             if math.isfinite(berr) else f"the solve is not finite (backward error {berr})")
-    return berr
+    return residual
 
 
 def _condition_estimate(lu, K, norm_1: float, norm_inf: float) -> float:
@@ -173,7 +175,7 @@ def _condition_estimate(lu, K, norm_1: float, norm_inf: float) -> float:
     def solve(b: np.ndarray, trans: str = "N") -> np.ndarray:
         x = lu.solve(b, trans=trans)
         A, norm = (K, norm_inf) if trans == "N" else (K.T, norm_1)
-        _backward_error(float(np.abs(A @ x - b).max()), norm, x, b)
+        _backward_error(A, norm, x, b)
         return x
 
     n = K.shape[0]
@@ -183,23 +185,6 @@ def _condition_estimate(lu, K, norm_1: float, norm_inf: float) -> float:
     e[np.argmax(np.abs(z))] = 1.0
     y = solve(e)
     return norm_1 * max(float(np.abs(x).sum()), float(np.abs(y).sum()))
-
-
-def _refine(M, norm_M: float, b: np.ndarray, solve) -> tuple[np.ndarray, float]:
-    """x and ||M x - b||_inf for M x = b, from ``solve`` refined against M
-    until the residual is <= REFINE_RTOL * max(1, ||b||_inf) or for at most
-    MAX_REFINE passes; SingularSystem when x fails ``_backward_error``
-    with norm_M = ||M||_inf."""
-    x = solve(b)
-    scale = max(1.0, float(np.abs(b).max()) if b.size else 1.0)
-    residual = float(np.abs(M @ x - b).max()) if b.size else 0.0
-    passes = 0
-    while residual > REFINE_RTOL * scale and passes < MAX_REFINE:
-        x = x + solve(b - M @ x)
-        residual = float(np.abs(M @ x - b).max())
-        passes += 1
-    _backward_error(residual, norm_M, x, b)
-    return x, residual
 
 
 def _equilibration(K) -> tuple[sp.csc_matrix, np.ndarray, float, float]:
@@ -298,15 +283,19 @@ class CondensedFactor:
         return x
 
     def solve(self, b: np.ndarray) -> SparseSolve:
-        """Solve M x = b with iterative refinement against M; SingularSystem
-        when its backward error exceeds BERR_MAX or is not finite."""
-        x, residual = _refine(self.M, self.norm_M, np.asarray(b, dtype=float),
-                              self._apply_inverse)
+        """Solve M x = b with one application of the factor's inverse;
+        SingularSystem when its backward error exceeds BERR_MAX or is not
+        finite, without numpy's overflow warnings of such a solve."""
+        b = np.asarray(b, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = self._apply_inverse(b)
+            residual = _backward_error(self.M, self.norm_M, x, b)
         return SparseSolve(x=x, residual_inf=residual)
 
 
 def solve_sparse(M, b: np.ndarray) -> SparseSolve:
-    """Solve M x = b with a ``CondensedFactor`` of M that eliminates nothing.
+    """Solve M x = b with a ``CondensedFactor`` of M that eliminates nothing:
+    one application of its inverse, accepted by its backward error.
 
     M must be exactly symmetric.  No pdwg code calls this; it stays only
     because perfbench/tracing.py hooks it by name, and a traced name that

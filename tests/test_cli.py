@@ -398,6 +398,50 @@ def test_a_solve_that_is_not_finite_fails_its_row_and_keeps_the_finished_ones(tm
     assert err == "solver failure at amplitude 1e+308: the boundary data is not finite\n"
 
 
+def test_a_solve_that_overflows_fails_its_row_with_one_line(tmp_path, capsys):
+    # amplitude 1e307 lifts to finite data, but the solve overflows: only the
+    # backward-error check reports it (warnings are errors here)
+    argv = ["noise", "--problem", "coscos", "--case", "case2", "--n", "4",
+            "--amplitudes", "0,1e307"]
+    assert run(argv, tmp_path) == 3
+    rows = (tmp_path / "noise_summary.csv").read_text().splitlines()
+    assert rows == ["amplitude,l2,linf", "0.0,5.204820851553e-04,1.156852331935e-03",
+                    "1e+307,,"]
+    err = capsys.readouterr().err
+    assert err == ("solver failure at amplitude 1e+307: "
+                   "the solve is not finite (backward error nan)\n")
+
+
+def test_benchmark_plan_reports_each_failed_row(tmp_path, monkeypatch, capsys):
+    cases, cut, factor = {}, harness.case_matrix, harness.saddle_factor
+
+    def case_matrix(case_name, mesh):
+        matrix = cut(case_name, mesh)
+        cases[id(matrix)] = case_name
+        return matrix
+
+    def singular_case2_at_4(matrix):
+        if cases[id(matrix)] == "case2" and matrix.mesh.n == 4:
+            raise SingularSystem("synthetic failure")
+        return factor(matrix)
+
+    monkeypatch.setattr(harness, "case_matrix", case_matrix)
+    monkeypatch.setattr(harness, "saddle_factor", singular_case2_at_4)
+    assert run(["converge", "--plan", "benchmark", "--n-list", "2,4"], tmp_path) == 3
+    out, err = capsys.readouterr()
+    assert out == f"wrote 29 files to {tmp_path}\n"
+    assert len(list(tmp_path.glob("*.csv")) + list(tmp_path.glob("*.md"))) == 29
+    problems = []
+    for entry in harness.benchmark_table_plan():
+        if entry["case"] == "case2":
+            problems += [p for p in entry["problems"] if p not in problems]
+    assert err.splitlines() == [f"solver failure for {p}/case2 at n=4: synthetic failure"
+                                for p in problems]
+    for p in problems:
+        rows = (tmp_path / f"{p}_case2.csv").read_text().splitlines()
+        assert [r.split(",")[0] for r in rows[1:]] == ["2", "4"] and rows[2].endswith(",,,")
+
+
 def test_an_error_field_whose_squares_overflow_has_finite_norms(tmp_path):
     # at amplitude 1e300 the error field is finite, but its squares are not
     argv = ["noise", "--problem", "coscos", "--case", "case2", "--n", "4"]

@@ -272,7 +272,8 @@ def test_render_markdown_layout():
 
 
 def test_run_benchmark_tables_writes_all_layouts(tmp_path):
-    written = run_benchmark_tables(tmp_path, n_list=[1, 2])
+    written, tables = run_benchmark_tables(tmp_path, n_list=[1, 2])
+    assert all(row.report is not None for t in tables for row in t.rows)
     md_files = sorted(p.name for p in tmp_path.glob("table*.md"))
     assert len(md_files) == 17
     csv_files = list(tmp_path.glob("*_case*.csv"))
