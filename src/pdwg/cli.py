@@ -4,7 +4,9 @@ Subcommands: solve, converge, noise, verify.  Flag values override config
 file values; a subcommand reads, checks and echoes into the output
 directory only the options its parser registers.  Exit codes: 0 success,
 1 check failure, 2 usage error (or an output file that cannot be written),
-3 solver failure (a singular system, or a run out of memory).
+3 solver failure (a singular system, or a run out of memory).  Once every
+file of a study is written, each failed row prints one stderr line
+(``_report_failures``).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import sys
 from pathlib import Path
 
 from pdwg.harness import (
+    FieldSnapshot,
     case_pivots,
     failure_text,
     run_benchmark_tables,
@@ -238,6 +241,21 @@ def _prepare_out(cfg: dict, args: argparse.Namespace) -> Path:
     return out
 
 
+def _write_snapshot(out: Path, stem: str, snapshot: FieldSnapshot) -> None:
+    """Write a snapshot's ``<stem>_nodes.csv`` and ``<stem>_elements.csv``."""
+    (out / f"{stem}_nodes.csv").write_text(snapshot.nodes_csv(), encoding="utf-8")
+    (out / f"{stem}_elements.csv").write_text(snapshot.elements_csv(), encoding="utf-8")
+
+
+def _report_failures(labelled_rows) -> int:
+    """Print ``solver failure <label>: <error>`` to stderr for each failed
+    row of the (label, row) pairs; the exit code, 3 if a row failed, else 0."""
+    failed = [(label, row) for label, row in labelled_rows if row.report is None]
+    for label, row in failed:
+        print(f"solver failure {label}: {row.error}", file=sys.stderr)
+    return 3 if failed else 0
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -258,8 +276,7 @@ def main(argv=None) -> int:
             pr = (case_pivots(cfg["case"], build_uniform_unit_square(cfg["n"]))
                   if cfg["diagnostics"] else None)
             solution, report, snapshot = solve_single(cfg["problem"], cfg["case"], cfg["n"], deg)
-            (out / "solution_nodes.csv").write_text(snapshot.nodes_csv(), encoding="utf-8")
-            (out / "solution_elements.csv").write_text(snapshot.elements_csv(), encoding="utf-8")
+            _write_snapshot(out, "solution", snapshot)
             lines = ["norm,value"] + [f"{k},{v:.12e}" for k, v in report.as_dict().items()]
             (out / "errors.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
             print(f"solved {cfg['problem']}/{cfg['case']} at n={cfg['n']}")
@@ -275,41 +292,24 @@ def main(argv=None) -> int:
             if cfg["plan"] == "benchmark":
                 written, tables = run_benchmark_tables(out, cfg["n_list"], deg)
                 print(f"wrote {len(written)} files to {out}")
-                failures = [(t, r) for t in tables for r in t.rows if r.report is None]
-                for t, r in failures:
-                    print(f"solver failure for {t.problem}/{t.case} at n={r.n}: {r.error}",
-                          file=sys.stderr)
-                return 3 if failures else 0
+                return _report_failures((f"for {t.problem}/{t.case} at n={r.n}", r)
+                                        for t in tables for r in t.rows)
             table = run_convergence(cfg["problem"], cfg["case"], cfg["n_list"], deg)
             csv = table.to_csv()
             (out / f"{cfg['problem']}_{cfg['case']}.csv").write_text(csv, encoding="utf-8")
             print(csv, end="")
-            failures = [r for r in table.rows if r.report is None]
-            if failures:
-                for r in failures:
-                    print(f"solver failure at n={r.n}: {r.error}", file=sys.stderr)
-                return 3
-            return 0
+            return _report_failures((f"at n={r.n}", r) for r in table.rows)
 
         if command == "noise":
             study = run_noise_study(cfg["problem"], cfg["case"], cfg["n"],
                                     cfg["amplitudes"], cfg["seed"], deg)
             for row in study.rows:
-                tag = _snapshot_tag(row.amplitude)
-                if row.snapshot is None:
-                    print(f"solver failure at amplitude {row.amplitude}: {row.error}",
-                          file=sys.stderr)
-                    continue
-                (out / f"noise_{tag}_nodes.csv").write_text(
-                    row.snapshot.nodes_csv(), encoding="utf-8")
-                (out / f"noise_{tag}_elements.csv").write_text(
-                    row.snapshot.elements_csv(), encoding="utf-8")
+                if row.snapshot is not None:
+                    _write_snapshot(out, f"noise_{_snapshot_tag(row.amplitude)}", row.snapshot)
             summary = study.summary_csv()
             (out / "noise_summary.csv").write_text(summary, encoding="utf-8")
             print(summary, end="")
-            if any(r.report is None for r in study.rows):
-                return 3
-            return 0
+            return _report_failures((f"at amplitude {r.amplitude}", r) for r in study.rows)
 
         if command == "verify":
             from pdwg.verify import run_standard_checks

@@ -1,25 +1,26 @@
 """Convergence studies, rate computation, table emission, noise studies.
 
 CSV is the canonical output; the markdown rendering of benchmark-style
-tables is a formatting layer on top.  Observed orders use log2 of the
-error ratio under mesh halving; reruns with the same inputs are
-byte-identical.  A single solve, a noise study and a convergence study
-run through one per-mesh loop (``_study``).  On each mesh, what depends on
-the mesh alone is built once (``pdwg.assembly.mesh_operator``): the saddle
-matrix W = [S B^T; B 0] over every primal dof and multiplier, the
-normal-derivative maps, the element P2 geometry and the triangle-rule
-points.  Every case cuts its matrix from that W (``case_matrix``) and is
-factored once for every problem and noise amplitude on it; every problem
-has one ``Reference`` per mesh, whose load, sampled Q_h u and snapshot
-columns serve every case and amplitude.  A snapshot CSV is one byte
-buffer: the coordinate text of its rows, built once per ``Reference``
-(``coordinate_rows``), beside the ``%.12e`` text of its value columns,
-which one numpy kernel writes (``e12_text``).
+tables is a formatting layer on top.  Every study yields one row type,
+``StudyRow``, and one writer, ``rows_csv``, formats each cell of a table
+from its column name (``_cell``), which the markdown order cells share.
+Observed orders use log2 of the error ratio under mesh halving; reruns with
+the same inputs are byte-identical.  A single solve, a noise study and a
+convergence study run through one per-mesh loop (``_study``).  On each
+mesh, what depends on the mesh alone is built once
+(``pdwg.assembly.mesh_operator``): the saddle matrix W = [S B^T; B 0] over
+every primal dof and multiplier, the normal-derivative maps, the element P2
+geometry and the triangle-rule points.  Every case cuts its matrix from
+that W (``case_matrix``) and is factored once for every problem and noise
+amplitude on it; every problem has one ``Reference`` per mesh, whose load,
+sampled Q_h u and snapshot columns serve every case and amplitude.  A
+snapshot CSV is one byte buffer: the coordinate text of its rows, built
+once per ``Reference`` (``coordinate_rows``), beside the ``%.12e`` text of
+its value columns, which one numpy kernel writes (``e12_text``).
 """
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -73,38 +74,51 @@ def compute_order(coarse_err: float, fine_err: float):
 
 
 @dataclass
-class ConvergenceRow:
+class StudyRow:
+    """One run of a study: its key (the mesh parameter ``n`` and the noise
+    amplitude, 0.0 for a noise-free run), its error norms and snapshot, or
+    the failure text that stands in their place, and its observed orders
+    against the previous mesh (empty when there is none)."""
+
     n: int
+    amplitude: float
     report: ErrorReport | None
-    error: str = ""
+    snapshot: FieldSnapshot | None
+    error: str
     orders: dict = field(default_factory=dict)
 
-    @property
-    def h(self) -> float:
-        return 1.0 / self.n
+
+def _cell(row: StudyRow, column: str) -> str:
+    """The CSV text of one column of a row: ``n`` as an integer, ``h`` and
+    ``amplitude`` as the repr of a float, ``ord_<norm>`` as ``%.4f``, and
+    any other column as the ``%.12e`` of that norm.  A norm or order the
+    row lacks is empty."""
+    if column == "n":
+        return str(row.n)
+    if column == "h":
+        return repr(1 / row.n)
+    if column == "amplitude":
+        return repr(row.amplitude)
+    if column.startswith("ord_"):
+        o = row.orders.get(column[4:])
+        return "" if o is None else f"{o:.4f}"
+    return "" if row.report is None else f"{getattr(row.report, column):.12e}"
+
+
+def rows_csv(rows: list[StudyRow], columns) -> str:
+    """A header of ``columns``, then one line of ``_cell`` text per row."""
+    lines = [",".join(columns)] + [",".join(_cell(row, c) for c in columns) for row in rows]
+    return "\n".join(lines) + "\n"
 
 
 @dataclass
 class ConvergenceTable:
     problem: str
     case: str
-    rows: list[ConvergenceRow] = field(default_factory=list)
+    rows: list[StudyRow] = field(default_factory=list)
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        out.write(CSV_HEADER + "\n")
-        for row in self.rows:
-            cells = [str(row.n), repr(row.h)]
-            if row.report is None:
-                cells += [""] * 7
-            else:
-                d = row.report.as_dict()
-                cells += [f"{d[k]:.12e}" for k in NORM_KEYS] + [f"{d['lambda0h']:.12e}"]
-            for k in NORM_KEYS:
-                o = row.orders.get(k)
-                cells.append("" if o is None else f"{o:.4f}")
-            out.write(",".join(cells) + "\n")
-        return out.getvalue()
+        return rows_csv(self.rows, CSV_HEADER.split(","))
 
 
 @dataclass
@@ -314,6 +328,10 @@ def _failed(exc: SingularSystem | MemoryError) -> Run:
     return Run(failure=type(exc)(*exc.args))
 
 
+def _row(n: int, run: Run, amplitude: float = 0.0) -> StudyRow:
+    return StudyRow(n, amplitude, run.report, run.snapshot, failure_text(run.failure))
+
+
 def _study(
     n: int,
     plan: dict[str, list[tuple[str, NoiseSpec | None]]],
@@ -425,14 +443,13 @@ def _convergence_tables(
     for n in n_list:
         for case, runs in _study(n, plan, tri_degree).items():
             for p, run in zip(problems_by_case[case], runs):
-                tables[(p, case)].rows.append(
-                    ConvergenceRow(n=n, report=run.report, error=failure_text(run.failure)))
+                tables[(p, case)].rows.append(_row(n, run))
     for table in tables.values():
         for prev, row in zip(table.rows, table.rows[1:]):
             if prev.report is None or row.report is None or row.n != 2 * prev.n:
                 continue
-            pd, rd = prev.report.as_dict(), row.report.as_dict()
-            row.orders = {k: compute_order(pd[k], rd[k]) for k in NORM_KEYS}
+            row.orders = {k: compute_order(getattr(prev.report, k), getattr(row.report, k))
+                          for k in NORM_KEYS}
     return tables
 
 
@@ -448,30 +465,13 @@ def run_convergence(
 
 
 @dataclass
-class NoiseStudyRow:
-    amplitude: float
-    report: ErrorReport | None
-    snapshot: FieldSnapshot | None
-    error: str = ""
-
-
-@dataclass
 class NoiseStudy:
     problem: str
     case: str
-    n: int
-    seed: int
-    rows: list[NoiseStudyRow] = field(default_factory=list)
+    rows: list[StudyRow]
 
     def summary_csv(self) -> str:
-        out = io.StringIO()
-        out.write("amplitude,l2,linf\n")
-        for row in self.rows:
-            if row.report is None:
-                out.write(f"{row.amplitude!r},,\n")
-            else:
-                out.write(f"{row.amplitude!r},{row.report.l2:.12e},{row.report.linf:.12e}\n")
-        return out.getvalue()
+        return rows_csv(self.rows, ("amplitude", "l2", "linf"))
 
 
 def run_noise_study(
@@ -488,11 +488,8 @@ def run_noise_study(
     amplitude gets a row without report or snapshot, and the study goes on.
     """
     plan = {case_name: [(problem_name, NoiseSpec(amplitude=a, seed=seed)) for a in amplitudes]}
-    study = NoiseStudy(problem=problem_name, case=case_name, n=n, seed=seed)
-    for a, run in zip(amplitudes, _study(n, plan, tri_degree, snapshots=True)[case_name]):
-        study.rows.append(NoiseStudyRow(amplitude=a, report=run.report, snapshot=run.snapshot,
-                                        error=failure_text(run.failure)))
-    return study
+    runs = _study(n, plan, tri_degree, snapshots=True)[case_name]
+    return NoiseStudy(problem_name, case_name, [_row(n, run, a) for a, run in zip(amplitudes, runs)])
 
 
 # ---------------------------------------------------------------------------
@@ -537,13 +534,9 @@ def render_markdown(table: ConvergenceTable, columns: tuple[str, ...]) -> str:
              "|" + "---|" * len(head)]
     for row in table.rows:
         cells = [str(row.n)]
-        for k in columns:
-            if row.report is None:
-                cells += ["failed", ""]
-                continue
-            cells.append(f"{row.report.as_dict()[k]:.4e}")
-            o = row.orders.get(k)
-            cells.append("" if o is None else f"{o:.4f}")
+        for k in columns:  # a failed row has no orders
+            cells += ["failed" if row.report is None else f"{getattr(row.report, k):.4e}",
+                      _cell(row, f"ord_{k}")]
         lines.append("| " + " | ".join(cells) + " |")
     return "\n".join(lines) + "\n"
 

@@ -440,6 +440,26 @@ def test_benchmark_plan_reports_each_failed_row(tmp_path, monkeypatch, capsys):
     for p in problems:
         rows = (tmp_path / f"{p}_case2.csv").read_text().splitlines()
         assert [r.split(",")[0] for r in rows[1:]] == ["2", "4"] and rows[2].endswith(",,,")
+    tables = [f"table{e['table']:02d}.md" for e in harness.benchmark_table_plan()
+              if e["case"] == "case2"]
+    assert len(tables) == 6
+    for name in tables:
+        lines = [line for line in (tmp_path / name).read_text().splitlines()
+                 if line.startswith("| 4 |")]
+        assert lines == ["| 4 | failed |  | failed |  | failed |  |"]
+
+
+@pytest.mark.parametrize("args, written, code", [
+    (["converge", "--problem", "sinsin", "--case", "case1", "--n-list", "1,2,4"],
+     "sinsin_case1.csv", 0),
+    (["noise", "--problem", "coscos", "--case", "case2", "--n", "4", "--amplitudes", "0,0.01"],
+     "noise_summary.csv", 0),
+    (["noise", "--problem", "coscos", "--case", "case2", "--n", "4", "--amplitudes", "0,1e307"],
+     "noise_summary.csv", 3),
+], ids=["converge", "noise", "noise_failed_amplitude"])
+def test_stdout_is_the_table_written(args, written, code, tmp_path, capsys):
+    assert run(args, tmp_path) == code
+    assert capsys.readouterr().out.encode() == (tmp_path / written).read_bytes()
 
 
 def test_an_error_field_whose_squares_overflow_has_finite_norms(tmp_path):
