@@ -15,12 +15,16 @@ saddle-point system
 over the free unknowns, with constrained values g eliminated by lifting.
 The matrix depends only on the mesh and the boundary tags
 (``assemble_matrix``); the problem and the data noise enter only F and g
-(``assemble_rhs``).  S and B themselves depend on the mesh alone: the tags
-pick only which of their rows and columns are free.  So each mesh has one
-saddle matrix W = [S B^T; B 0] over every primal dof and multiplier
-(``saddle_operator``), and a case is cut from it in one pass: one selection
-of W's rows, the free primal dofs and then the multipliers, whose columns
-give the case's M and the constrained columns C that lift the data.
+(``assemble_rhs``).  The noise enters linearly: the unit-amplitude
+perturbation of a case's data and its lifting with zero load
+(``noise_response``) give the right-hand side whose solution, times a, is
+what noise of amplitude a adds to the clean solution.  S and B themselves
+depend on the mesh alone: the tags pick only which of their rows and
+columns are free.  So each mesh has one saddle matrix W = [S B^T; B 0]
+over every primal dof and multiplier (``saddle_operator``), and a case is
+cut from it in one pass: one selection of W's rows, the free primal dofs
+and then the multipliers, whose columns give the case's M and the
+constrained columns C that lift the data.
 W is built once per mesh and kept, read-only, in ``mesh.operators``
 (``mesh_operator``), with the other mesh-only pieces that assembly and the
 error norms both read: the normal-derivative maps, the element P2 dofs,
@@ -440,6 +444,26 @@ def assemble_rhs(
     nf = matrix.n_free
     rhs = np.concatenate([lift[:nf], F - lift[nf:]])
     return SaddleSystem(**vars(matrix), g=g, rhs=rhs)
+
+
+# No load and no boundary data: its noisy data are the noise alone.
+_NO_DATA = ManufacturedSolution("zero", u=lambda x, y: 0.0, grad_u=lambda x, y: (0.0, 0.0),
+                                f=lambda x, y: 0.0)
+
+
+def noise_response(matrix: SystemMatrix, seed: int,
+                   tri_degree: int = DEFAULT_TRI_DEGREE) -> SaddleSystem:
+    """The unit-amplitude perturbation of the boundary data and its lifted
+    right-hand side, with zero load.
+
+    ``g`` holds 0.5 - r on the Dirichlet nodes and s P1(0.5 - r) on the
+    Neumann flux dofs, the draws r taken by ``apply_boundary_conditions``
+    from ``seed`` in the order of every noisy solve.  The data-to-solution
+    map is linear, so the solution with noise NoiseSpec(a, seed) is the
+    clean one plus a times the solution of this system.
+    """
+    return assemble_rhs(matrix, _NO_DATA, tri_degree, NoiseSpec(1.0, seed),
+                        load=np.zeros(matrix.mesh.num_triangles))
 
 
 def build_saddle_system(

@@ -11,9 +11,16 @@ mesh, what depends on the mesh alone is built once
 (``pdwg.assembly.mesh_operator``): the saddle matrix W = [S B^T; B 0] over
 every primal dof and multiplier, the normal-derivative maps, the element P2
 geometry and the triangle-rule points.  Every case cuts its matrix from
-that W (``case_matrix``) and is factored once for every problem and noise
-amplitude on it; every problem has one ``Reference`` per mesh, whose load,
-sampled Q_h u and snapshot columns serve every case and amplitude.  A
+that W (``case_matrix``) and is factored once; the factor solves each
+problem's clean system once and each noise seed's response once
+(``pdwg.assembly.noise_response``), and is freed before any run is
+measured.  The data-to-solution map is linear, so a run with noise
+NoiseSpec(a, seed) is the clean solve plus a times the response
+(``Reference.superpose``), accepted by its backward error against its own
+right-hand side, and a run without noise or at amplitude 0 is the clean
+solve itself: a noise study of any number of amplitudes makes two solves.
+Every problem has one ``Reference`` per mesh, whose load, sampled Q_h u
+and snapshot columns serve every case and amplitude.  A
 snapshot CSV is one byte buffer: the coordinate text of its rows, built
 once per ``Reference`` (``coordinate_rows``), beside the ``%.12e`` text of
 its value columns, which one numpy kernel writes (``e12_text``).
@@ -28,12 +35,20 @@ from pathlib import Path
 
 import numpy as np
 
-from pdwg.assembly import SystemMatrix, assemble_matrix, assemble_rhs, element_load
+from pdwg.assembly import (
+    SystemMatrix,
+    assemble_matrix,
+    assemble_rhs,
+    element_load,
+    join_primal,
+    noise_response,
+)
 from pdwg.linsolve import (
     CondensedFactor,
     PivotReport,
     Solution,
     SingularSystem,
+    _backward_error,
     factor_and_solve,
     pivot_report,
     saddle_factor,
@@ -279,12 +294,36 @@ class Reference:
         exact = self.problem.u(nodes[:, 0], nodes[:, 1])
         return nodes, exact, centroids, coordinate_rows(nodes), coordinate_rows(centroids)
 
-    def solve(self, matrix: SystemMatrix, factor: CondensedFactor,
-              noise: NoiseSpec | None = None) -> Solution:
-        """Solve the problem on ``matrix``, a case on this mesh, against its
-        ``saddle_factor``; only the right-hand side is assembled."""
-        system = assemble_rhs(matrix, self.problem, self.tri_degree, noise, load=self.load)
+    def solve(self, matrix: SystemMatrix, factor: CondensedFactor) -> Solution:
+        """The clean solve of the problem on ``matrix``, a case on this mesh,
+        against its ``saddle_factor``; only the noise-free right-hand side
+        is assembled.  A noisy run is this solve plus a times the case's
+        noise response (``superpose``)."""
+        system = assemble_rhs(matrix, self.problem, self.tri_degree, load=self.load)
         return factor_and_solve(system, factor)
+
+    def superpose(self, matrix: SystemMatrix, norm_M: float, clean: Solution,
+                  response: Solution | None, noise: NoiseSpec | None) -> Solution:
+        """The solution of one run on ``matrix``, from no solve of its own.
+
+        Without noise, or at amplitude 0, it is ``clean`` itself.  With
+        NoiseSpec(a, seed) it is x(a) = x_clean + a x_response in u0, un and
+        lam, ``response`` the solve of the seed's ``noise_response``: the
+        data-to-solution map is linear.  The amplitude's own right-hand side
+        is assembled as for a direct solve, and x(a) is accepted against it
+        by ``_backward_error`` (norm_M = ||M||_inf): SingularSystem when the
+        boundary data or x(a) is not finite, or x(a) does not solve it.
+        """
+        if noise is None or noise.amplitude == 0.0:
+            return clean
+        a = noise.amplitude
+        system = assemble_rhs(matrix, self.problem, self.tri_degree, noise, load=self.load)
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned
+            u0, un, lam = (clean.u0 + a * response.u0, clean.un + a * response.un,
+                           clean.lam + a * response.lam)
+            x = np.concatenate([join_primal(u0, un)[matrix.free], lam])
+            residual = _backward_error(matrix.M, norm_M, x, system.rhs)
+        return Solution(u0=u0, un=un, lam=lam, residual_inf=residual, condition=clean.condition)
 
     def measure(self, solution: Solution, tags: BoundaryTags) -> ErrorReport:
         """Error norms of ``solution`` against the problem's projection."""
@@ -328,6 +367,14 @@ def _failed(exc: SingularSystem | MemoryError) -> Run:
     return Run(failure=type(exc)(*exc.args))
 
 
+def _attempt(solve, *args) -> Run:
+    """The Run of ``solve(*args)``'s solution, or of the SingularSystem it raises."""
+    try:
+        return Run(solve(*args))
+    except SingularSystem as exc:
+        return _failed(exc)
+
+
 def _row(n: int, run: Run, amplitude: float = 0.0) -> StudyRow:
     return StudyRow(n, amplitude, run.report, run.snapshot, failure_text(run.failure))
 
@@ -343,14 +390,20 @@ def _study(
     ``plan`` maps each case to its (problem name, noise) runs; the result
     maps it to their Runs, in order.  The cases share the mesh's operators,
     freed before the last case's factor, and one Reference per problem.
-    Each case is factored once, and its factor is deleted after its last
-    solve, before that solve is measured: no factor is held through the
-    next case's assembly.  No factor's L or U is read here (``case_pivots``
-    reads them).  With ``snapshots`` each run takes its snapshot when it is
-    measured.  A singular factor fails the runs of its case, a
-    singular solve its own run, and running out of memory every run on the
-    mesh that has not finished.  A case without runs is not assembled, and
-    a plan without runs builds no mesh.
+    Each case is factored once and solved once per problem (its clean
+    solve) and once per noise seed of a run with an amplitude above 0 (the
+    seed's ``noise_response``).  Its factor is then deleted, before any run
+    is measured: no factor is held through a measurement or the next case's
+    assembly.  Each run's solution is the clean solve itself or the clean
+    solve plus a times the response (``Reference.superpose``), accepted
+    against the run's own right-hand side.  No factor's L or U is read here
+    (``case_pivots`` reads them).  With ``snapshots`` each run takes its
+    snapshot when it is measured.  A singular factor fails the runs of its
+    case, a failed clean solve the runs of its problem, a failed response
+    the noisy runs of its seed, a refused superposition its own run, and
+    running out of memory every run on the mesh that has not finished.  A
+    case without runs is not assembled, and a plan without runs builds no
+    mesh.
     """
     runs: dict[str, list[Run]] = {case: [] for case in plan}
     plan = {case: todo for case, todo in plan.items() if todo}
@@ -370,16 +423,27 @@ def _study(
             except SingularSystem as exc:
                 runs[case] += [_failed(exc) for _ in todo]
                 continue
-            for k, (p, noise) in enumerate(todo, start=1):
-                ref = refs[p]
+            clean = {p: _attempt(refs[p].solve, matrix, factor)
+                     for p in dict.fromkeys(p for p, _ in todo)}
+            seeds = [noise.seed if noise is not None and noise.amplitude > 0.0 else None
+                     for _, noise in todo]
+            responses = {seed: Run() if seed is None else _attempt(
+                factor_and_solve, noise_response(matrix, seed, tri_degree), factor)
+                for seed in dict.fromkeys(seeds)}
+            norm_M = factor.norm_M
+            del factor  # the case's last solve is done: freed before any run is measured
+            for (p, noise), seed in zip(todo, seeds):
+                ref, base, response = refs[p], clean[p], responses[seed]
+                failure = base.failure or response.failure
+                if failure is not None:
+                    runs[case].append(Run(failure=failure))
+                    continue
                 try:
-                    solution = ref.solve(matrix, factor, noise)
+                    solution = ref.superpose(matrix, norm_M, base.solution, response.solution,
+                                             noise)
                 except SingularSystem as exc:
                     runs[case].append(_failed(exc))
                     continue
-                finally:
-                    if k == len(todo):  # the case's last solve: freed before it is measured
-                        del factor
                 runs[case].append(Run(solution, ref.measure(solution, matrix.tags),
                                       ref.snapshot(solution) if snapshots else None))
     except MemoryError as exc:
@@ -397,8 +461,11 @@ def solve_single(
 ):
     """One assemble/solve/measure pass; returns (solution, report, snapshot).
 
-    A solver failure is raised.  The solution holds no pivots:
-    ``case_pivots`` reads them from a factor of its own.
+    It is a one-run ``_study``, so a noisy run is computed as in a noise
+    study: the clean solve plus a times the noise response, two solves with
+    one factor, and bit for bit the row of that amplitude in any noise
+    study of the same seed.  A solver failure is raised.  The solution
+    holds no pivots: ``case_pivots`` reads them from a factor of its own.
     """
     run, = _study(n, {case_name: [(problem_name, noise)]}, tri_degree, snapshots=True)[case_name]
     if run.failure is not None:
@@ -482,9 +549,12 @@ def run_noise_study(
     seed: int = DEFAULT_NOISE_SEED,
     tri_degree: int = DEFAULT_TRI_DEGREE,
 ) -> NoiseStudy:
-    """Solve once per amplitude against one factor, with the same seed.
+    """One row per amplitude, from two solves with one factor: the clean
+    solve and the seed's noise response.
 
-    Amplitude 0 reproduces the unperturbed solve bit-exactly.  A failed
+    Amplitude 0 is the unperturbed solve itself, bit for bit; amplitude a
+    is the clean solve plus a times the response (``Reference.superpose``),
+    so its row does not depend on the other amplitudes.  A failed
     amplitude gets a row without report or snapshot, and the study goes on.
     """
     plan = {case_name: [(problem_name, NoiseSpec(amplitude=a, seed=seed)) for a in amplitudes]}

@@ -4,7 +4,11 @@ The noise model perturbs each boundary data sample by a*(0.5 - r) with r
 uniform in (0, 1).  Draws come from numpy's PCG64 generator (a fixed,
 documented 128-bit-state/64-bit-output algorithm, deliberately not the
 platform default RNG) seeded from NoiseSpec.seed, so a study is bit-for-bit
-reproducible given the seed.
+reproducible given the seed.  The draws depend on the seed alone, not on
+the amplitude, so the noise of amplitude a is a times one unit
+perturbation 0.5 - r per seed; the studies solve for that perturbation
+once (``pdwg.assembly.noise_response``) and add a times its solution to
+the clean one.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from pdwg.assembly import (
     flux_dofs,
     join_primal,
     mismatch_operator,
+    noise_response,
     num_primal,
     split_primal,
 )
@@ -19,7 +20,12 @@ from pdwg.harness import Reference, case_matrix
 from pdwg.linsolve import saddle_factor
 from pdwg.mesh import BoundarySegmentSpec, build_uniform_unit_square, classify_boundary
 from pdwg.norms import project_exact
-from pdwg.polyspace import edge_gauss
+from pdwg.polyspace import (
+    DEFAULT_TRI_DEGREE,
+    edge_gauss,
+    edge_points_for,
+    project_edge_samples,
+)
 from pdwg.problems import ManufacturedSolution, NoiseSpec, case_configs, get_problem
 from pdwg.verify import quadratic_consistency_residual
 
@@ -223,6 +229,33 @@ def test_noise_draw_order_is_one_stream():
         samples = samples + a * (0.5 - rng.random(len(t)))
         want = s * np.array([w @ samples, 12.0 * (w * (t - 0.5)) @ samples])
         assert np.abs(got[flux_dofs(mesh, e)] - want).max() <= 1e-13
+
+
+def test_noise_response_is_the_unit_perturbation_lifted_without_load():
+    # g is 0.5 - r on the Dirichlet nodes and s P1(0.5 - r) on the Neumann
+    # fluxes, drawn in the order of a noisy solve, and the load is zero
+    mesh = build_uniform_unit_square(4)
+    matrix = assemble_matrix(mesh, tags_for(mesh, "case1"))
+    q = edge_points_for(DEFAULT_TRI_DEGREE)
+    response = noise_response(matrix, 2024, DEFAULT_TRI_DEGREE)
+    nodes, edges = matrix.dirichlet_nodes, matrix.tags.neumann_edges
+    rng = np.random.Generator(np.random.PCG64(2024))
+    assert np.array_equal(response.g[nodes], 0.5 - rng.random(len(nodes)))
+    s = mesh.edge_tri_signs[edges, 0][:, None]
+    want = s * project_edge_samples(0.5 - rng.random((len(edges), q)))
+    assert np.array_equal(response.g[flux_dofs(mesh, edges)], want)
+    assert not np.delete(response.g, matrix.constrained).any()
+    lift = matrix.C @ response.g[matrix.constrained]
+    assert np.array_equal(response.rhs, np.concatenate([lift[:matrix.n_free],
+                                                        -lift[matrix.n_free:]]))
+    # a problem's noisy data is its clean data plus a times g: bit for bit
+    # on the Dirichlet nodes, to roundoff of the projection on the fluxes
+    problem, a = get_problem("sinsin"), 0.1
+    clean = apply_boundary_conditions(problem, matrix, q)
+    noisy = apply_boundary_conditions(problem, matrix, q, NoiseSpec(amplitude=a, seed=2024))
+    assert np.array_equal(noisy[nodes], clean[nodes] + a * response.g[nodes])
+    eps = np.finfo(float).eps
+    assert np.abs(noisy - (clean + a * response.g)).max() <= 4 * eps * np.abs(noisy).max()
 
 
 def test_constrained_flux_matches_exact_projection(mesh4):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pdwg import cli, harness
+from pdwg.assembly import build_saddle_system, noise_response
 from pdwg.harness import (
     CSV_HEADER,
     EXACT_NORM,
@@ -24,8 +25,10 @@ from pdwg.harness import (
     run_noise_study,
     solve_single,
 )
+from pdwg.linsolve import CondensedFactor, factor_and_solve, saddle_factor
+from pdwg.mesh import build_uniform_unit_square
 from pdwg.polyspace import DEFAULT_TRI_DEGREE
-from pdwg.problems import DEFAULT_NOISE_SEED, NoiseSpec, case_configs, catalog
+from pdwg.problems import DEFAULT_NOISE_SEED, NoiseSpec, case_configs, catalog, get_problem
 
 
 def test_compute_order_reference_pair():
@@ -244,6 +247,87 @@ def test_noise_summary_csv_schema():
     assert len(lines) == 3
 
 
+def test_a_noisy_run_is_its_clean_run_plus_a_times_the_response():
+    amplitudes = [0.0, 0.001, 0.01, 0.1]
+    plan = {"figures": [("coscos", NoiseSpec(amplitude=a, seed=7)) for a in amplitudes]}
+    runs = harness._study(8, plan, DEFAULT_TRI_DEGREE, snapshots=True)["figures"]
+    clean, _, _ = solve_single("coscos", "figures", 8)
+    assert runs[0].solution is not None and np.array_equal(runs[0].solution.u0, clean.u0)
+    matrix = harness.case_matrix("figures", build_uniform_unit_square(8))
+    response = factor_and_solve(noise_response(matrix, 7, DEFAULT_TRI_DEGREE),
+                                saddle_factor(matrix))
+    for a, run in zip(amplitudes[1:], runs[1:]):
+        for name in ("u0", "un", "lam"):
+            want = getattr(clean, name) + a * getattr(response, name)
+            assert np.array_equal(getattr(run.solution, name), want), (a, name)
+        assert np.array_equal(run.snapshot.u0, run.solution.u0)
+        assert np.array_equal(run.snapshot.lam, run.solution.lam)
+
+
+def test_a_noisy_row_does_not_depend_on_the_other_amplitudes():
+    full = run_noise_study("coscos", "figures", 8, [0.0, 0.01, 0.1])
+    short = run_noise_study("coscos", "figures", 8, [0.0, 0.1])
+    assert full.summary_csv().splitlines()[3] == short.summary_csv().splitlines()[2]
+    a, b = full.rows[2].snapshot, short.rows[1].snapshot
+    assert a.nodes_csv().encode() == b.nodes_csv().encode()
+    assert a.elements_csv().encode() == b.elements_csv().encode()
+
+
+@pytest.mark.parametrize("case", ["figures", "case2"])
+def test_noisy_rows_agree_with_a_direct_solve(case):
+    # superposition and a direct solve of the noisy system are both
+    # backward stable, so they differ by a forward error of order
+    # kappa * eps times the solution's norm ||[u0, un, lam]||_inf, kappa
+    # the factor's condition estimate kappa_1 (figures 3.1e7, case2 2.7e4
+    # at n = 8); the largest difference reads 3.4e-2 of it (case2)
+    amplitudes = [0.001, 0.01, 0.1]
+    study = run_noise_study("coscos", case, 8, amplitudes)
+    mesh = build_uniform_unit_square(8)
+    tags = harness.case_matrix(case, mesh).tags
+    for a, row in zip(amplitudes, study.rows):
+        noise = NoiseSpec(amplitude=a, seed=DEFAULT_NOISE_SEED)
+        direct = factor_and_solve(build_saddle_system(mesh, tags, get_problem("coscos"),
+                                                      DEFAULT_TRI_DEGREE, noise))
+        norm = max(np.abs(direct.primal).max(), np.abs(direct.lam).max())
+        bound = direct.condition * np.finfo(float).eps * norm
+        for got, want in ((row.snapshot.u0, direct.u0), (row.snapshot.lam, direct.lam)):
+            assert np.abs(got - want).max() <= bound, a
+
+
+@pytest.fixture
+def factor_solves(monkeypatch):
+    """Record the size of every right-hand side solved with a CondensedFactor."""
+    sizes = []
+    solve = CondensedFactor.solve
+
+    def counted(self, b):
+        sizes.append(len(b))
+        return solve(self, b)
+
+    monkeypatch.setattr(CondensedFactor, "solve", counted)
+    return sizes
+
+
+@pytest.mark.parametrize("amplitudes, solves", [
+    ([0.0], 1), ([0.0, 0.01], 2), ([0.0, 0.001, 0.01, 0.1], 2),
+    ([0.0, 0.001, 0.002, 0.005, 0.01, 0.02, 0.05, 0.1], 2), ([0.05], 2)])
+def test_a_noise_study_solves_its_clean_system_and_its_response(amplitudes, solves,
+                                                                  factor_solves):
+    study = run_noise_study("coscos", "figures", 4, amplitudes)
+    assert all(row.report is not None for row in study.rows)
+    assert len(factor_solves) == solves
+
+
+def test_each_case_solves_each_problem_and_each_seed_once(factor_solves):
+    plan = {"figures": [("coscos", NoiseSpec(0.01, 1)), ("coscos", NoiseSpec(0.1, 1))],
+            "case2": [("coscos", None), ("sinsin", NoiseSpec(0.01, 1)),
+                      ("sinsin", NoiseSpec(0.01, 2)), ("sinsin", NoiseSpec(0.0, 3))]}
+    runs = harness._study(4, plan, DEFAULT_TRI_DEGREE)
+    assert all(run.report is not None for todo in runs.values() for run in todo)
+    # figures: coscos and seed 1; case2: coscos, sinsin and seeds 1 and 2
+    assert len(factor_solves) == 2 + 4
+
+
 def test_benchmark_plan_covers_reference_tables():
     plan = benchmark_table_plan()
     assert len(plan) == 17
@@ -419,13 +503,14 @@ def test_out_of_memory_keeps_the_rows_finished_on_its_mesh(tmp_path, monkeypatch
             assert (r[2] != "") == (r[0] in finished), (path.name, r[0])
 
 
-@pytest.mark.parametrize("owner, name", [(harness, "factor_and_solve"),
+@pytest.mark.parametrize("owner, name", [(harness.Reference, "superpose"),
                                          (harness.Reference, "snapshot")],
                          ids=["solve", "snapshot"])
 def test_out_of_memory_keeps_the_amplitudes_finished(owner, name, tmp_path, monkeypatch,
                                                      capsys):
-    # the third amplitude runs out of memory, in its solve or its snapshot,
-    # and the fourth is not solved
+    # the third amplitude runs out of memory, in its solve (the step that
+    # forms each amplitude's solution) or its snapshot, and the fourth is
+    # not solved
     original, calls = getattr(owner, name), []
 
     def oom_at_third(*args, **kwargs):
@@ -460,6 +545,24 @@ def test_a_failed_run_keeps_no_frame_of_its_solve(singular_splu):
         assert "exactly singular" in str(run.failure)
         assert run.failure.__traceback__ is None
         assert run.failure.__cause__ is None and run.failure.__context__ is None
+
+
+def test_a_failed_response_fails_only_the_noisy_runs(monkeypatch):
+    response = harness.noise_response
+
+    def not_finite(*args):
+        system = response(*args)
+        system.rhs[:] = np.nan
+        return system
+
+    monkeypatch.setattr(harness, "noise_response", not_finite)
+    plan = {"figures": [("coscos", NoiseSpec(0.0, 5)), ("coscos", NoiseSpec(0.01, 5)),
+                        ("sinsin", None), ("coscos", NoiseSpec(0.1, 5))]}
+    runs = harness._study(4, plan, DEFAULT_TRI_DEGREE)["figures"]
+    assert [run.report is not None for run in runs] == [True, False, True, False]
+    for run in (runs[1], runs[3]):
+        assert str(run.failure) == "the solve is not finite (backward error nan)"
+        assert run.failure.__traceback__ is None
 
 
 def test_factor_failure_recorded_on_every_row(tmp_path, singular_splu):
