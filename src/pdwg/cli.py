@@ -55,18 +55,12 @@ class UsageError(Exception):
     pass
 
 
-def _parse_int_list(text: str) -> list[int]:
+def _parse_list(text: str, convert, kind: str) -> list:
+    """The comma-separated values of ``text``, each read by ``convert``."""
     try:
-        return [int(v) for v in text.split(",") if v != ""]
+        return [convert(v) for v in text.split(",") if v != ""]
     except ValueError as exc:
-        raise UsageError(f"bad integer list {text!r}") from exc
-
-
-def _parse_float_list(text: str) -> list[float]:
-    try:
-        return [float(v) for v in text.split(",") if v != ""]
-    except ValueError as exc:
-        raise UsageError(f"bad number list {text!r}") from exc
+        raise UsageError(f"bad {kind} list {text!r}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -134,9 +128,9 @@ def _effective_config(args: argparse.Namespace) -> dict:
         if val is not None:
             cfg[key] = val
     if isinstance(cfg["n_list"], str):
-        cfg["n_list"] = _parse_int_list(cfg["n_list"])
+        cfg["n_list"] = _parse_list(cfg["n_list"], int, "integer")
     if isinstance(cfg["amplitudes"], str):
-        cfg["amplitudes"] = _parse_float_list(cfg["amplitudes"])
+        cfg["amplitudes"] = _parse_list(cfg["amplitudes"], float, "number")
     if cfg["out"] is None:
         cfg["out"] = os.environ.get(OUTPUT_DIR_ENV, "pdwg_out")
     return cfg
@@ -175,9 +169,10 @@ def _validate_values(cfg: dict, command: str) -> None:
     for key, (kind, ok) in _VALUE_TYPES.items():
         if not ok(cfg[key]):
             raise UsageError(f"{key} must be {kind}, got {cfg[key]!r}")
-    # a config file's integer amplitudes are the floats their flag gives
+    # a config file's integer amplitudes are the floats their flag gives, and
+    # -0.0 is 0.0 (adding 0.0 clears the sign of a zero), which names its files
     try:
-        cfg["amplitudes"] = [float(a) for a in cfg["amplitudes"]]
+        cfg["amplitudes"] = [float(a) + 0.0 for a in cfg["amplitudes"]]
     except OverflowError as exc:
         raise UsageError("an amplitude is too large for a float") from exc
     if command in ("solve", "converge", "noise"):

@@ -1,9 +1,10 @@
 """Convergence studies, rate computation, table emission, noise studies.
 
 CSV is the canonical output; the markdown rendering of benchmark-style
-tables is a formatting layer on top.  Every study yields one row type,
-``StudyRow``, and one writer, ``rows_csv``, formats each cell of a table
-from its column name (``_cell``), which the markdown order cells share.
+tables is a formatting layer on top.  Every run of every study has one
+record, ``StudyRow``, from the per-mesh loop that makes it to the one
+writer, ``rows_csv``, which formats each cell of a table from its column
+name (``_cell``), which the markdown order cells share.
 Observed orders use log2 of the error ratio under mesh halving; reruns with
 the same inputs are byte-identical.  A single solve, a noise study and a
 convergence study run through one per-mesh loop (``_study``).  On each
@@ -90,17 +91,25 @@ def compute_order(coarse_err: float, fine_err: float):
 
 @dataclass
 class StudyRow:
-    """One run of a study: its key (the mesh parameter ``n`` and the noise
-    amplitude, 0.0 for a noise-free run), its error norms and snapshot, or
-    the failure text that stands in their place, and its observed orders
-    against the previous mesh (empty when there is none)."""
+    """One run of a study, its only record: its key (the mesh parameter
+    ``n`` and the noise amplitude, 0.0 for a noise-free run), its solution,
+    error norms and snapshot, or the failure that stopped it, and its
+    observed orders against the previous mesh (empty when there is none).
+    The failure is a copy of the exception, without the traceback and
+    chained exceptions whose frames would keep the failed solve's arrays
+    alive; ``error`` is its text."""
 
     n: int
     amplitude: float
-    report: ErrorReport | None
-    snapshot: FieldSnapshot | None
-    error: str
+    solution: Solution | None = None
+    report: ErrorReport | None = None
+    snapshot: FieldSnapshot | None = None
+    failure: SingularSystem | MemoryError | None = None
     orders: dict = field(default_factory=dict)
+
+    @property
+    def error(self) -> str:
+        return failure_text(self.failure)
 
 
 def _cell(row: StudyRow, column: str) -> str:
@@ -349,34 +358,21 @@ def failure_text(exc: SingularSystem | MemoryError | None) -> str:
     return "" if exc is None else str(exc)
 
 
-@dataclass(frozen=True)
-class Run:
-    """One (problem, noise) run of a study: its solution, error norms and
-    snapshot, or the failure that stopped it.  The failure is a copy of the
-    exception, without the traceback and chained exceptions whose frames
-    would keep the failed solve's arrays alive.
-    """
-
-    solution: Solution | None = None
-    report: ErrorReport | None = None
-    snapshot: FieldSnapshot | None = None
-    failure: SingularSystem | MemoryError | None = None
+def _failed(exc: SingularSystem | MemoryError) -> SingularSystem | MemoryError:
+    """A copy of ``exc`` without its traceback and chained exceptions."""
+    return type(exc)(*exc.args)
 
 
-def _failed(exc: SingularSystem | MemoryError) -> Run:
-    return Run(failure=type(exc)(*exc.args))
-
-
-def _attempt(solve, *args) -> Run:
-    """The Run of ``solve(*args)``'s solution, or of the SingularSystem it raises."""
+def _attempt(solve, *args) -> tuple:
+    """(``solve(*args)``, None), or (None, ``_failed`` of its SingularSystem)."""
     try:
-        return Run(solve(*args))
+        return solve(*args), None
     except SingularSystem as exc:
-        return _failed(exc)
+        return None, _failed(exc)
 
 
-def _row(n: int, run: Run, amplitude: float = 0.0) -> StudyRow:
-    return StudyRow(n, amplitude, run.report, run.snapshot, failure_text(run.failure))
+def _amplitude(noise: NoiseSpec | None) -> float:
+    return 0.0 if noise is None else noise.amplitude
 
 
 def _study(
@@ -384,11 +380,12 @@ def _study(
     plan: dict[str, list[tuple[str, NoiseSpec | None]]],
     tri_degree: int,
     snapshots: bool = False,
-) -> dict[str, list[Run]]:
+) -> dict[str, list[StudyRow]]:
     """Solve and measure the runs of ``plan`` on the n x n mesh.
 
     ``plan`` maps each case to its (problem name, noise) runs; the result
-    maps it to their Runs, in order.  The cases share the mesh's operators,
+    maps it to their StudyRows, in order, each keyed by ``n`` and its run's
+    amplitude (0.0 without noise).  The cases share the mesh's operators,
     freed before the last case's factor, and one Reference per problem.
     Each case is factored once and solved once per problem (its clean
     solve) and once per noise seed of a run with an amplitude above 0 (the
@@ -396,19 +393,19 @@ def _study(
     is measured: no factor is held through a measurement or the next case's
     assembly.  Each run's solution is the clean solve itself or the clean
     solve plus a times the response (``Reference.superpose``), accepted
-    against the run's own right-hand side.  No factor's L or U is read here
-    (``case_pivots`` reads them).  With ``snapshots`` each run takes its
-    snapshot when it is measured.  A singular factor fails the runs of its
-    case, a failed clean solve the runs of its problem, a failed response
-    the noisy runs of its seed, a refused superposition its own run, and
-    running out of memory every run on the mesh that has not finished.  A
-    case without runs is not assembled, and a plan without runs builds no
-    mesh.
+    against the run's own right-hand side; a run at amplitude 0 reads no
+    response.  No factor's L or U is read here (``case_pivots`` reads
+    them).  With ``snapshots`` each row takes its snapshot when it is
+    measured.  A singular factor fails the rows of its case, a failed
+    clean solve the rows of its problem, a failed response the noisy rows
+    of its seed, a refused superposition its own row, and running out of
+    memory every row on the mesh that has not finished.  A case without
+    runs is not assembled, and a plan without runs builds no mesh.
     """
-    runs: dict[str, list[Run]] = {case: [] for case in plan}
+    rows: dict[str, list[StudyRow]] = {case: [] for case in plan}
     plan = {case: todo for case, todo in plan.items() if todo}
     if not plan:
-        return runs
+        return rows
     try:
         mesh = build_uniform_unit_square(n)
         refs = {p: Reference(get_problem(p), mesh, tri_degree)
@@ -421,35 +418,35 @@ def _study(
             try:
                 factor = saddle_factor(matrix)
             except SingularSystem as exc:
-                runs[case] += [_failed(exc) for _ in todo]
+                rows[case] += [StudyRow(n, _amplitude(noise), failure=_failed(exc))
+                               for _, noise in todo]
                 continue
             clean = {p: _attempt(refs[p].solve, matrix, factor)
                      for p in dict.fromkeys(p for p, _ in todo)}
-            seeds = [noise.seed if noise is not None and noise.amplitude > 0.0 else None
-                     for _, noise in todo]
-            responses = {seed: Run() if seed is None else _attempt(
-                factor_and_solve, noise_response(matrix, seed, tri_degree), factor)
-                for seed in dict.fromkeys(seeds)}
+            seeds = dict.fromkeys(noise.seed for _, noise in todo if _amplitude(noise) > 0.0)
+            responses = {seed: _attempt(factor_and_solve, noise_response(matrix, seed, tri_degree),
+                                        factor) for seed in seeds}
             norm_M = factor.norm_M
             del factor  # the case's last solve is done: freed before any run is measured
-            for (p, noise), seed in zip(todo, seeds):
-                ref, base, response = refs[p], clean[p], responses[seed]
-                failure = base.failure or response.failure
+            for p, noise in todo:
+                ref, amplitude = refs[p], _amplitude(noise)
+                (solution, failure), response = clean[p], None
+                if failure is None and amplitude > 0.0:  # amplitude 0 reads no response
+                    response, failure = responses[noise.seed]
+                if failure is None:
+                    solution, failure = _attempt(ref.superpose, matrix, norm_M, solution,
+                                                 response, noise)
                 if failure is not None:
-                    runs[case].append(Run(failure=failure))
+                    rows[case].append(StudyRow(n, amplitude, failure=failure))
                     continue
-                try:
-                    solution = ref.superpose(matrix, norm_M, base.solution, response.solution,
-                                             noise)
-                except SingularSystem as exc:
-                    runs[case].append(_failed(exc))
-                    continue
-                runs[case].append(Run(solution, ref.measure(solution, matrix.tags),
-                                      ref.snapshot(solution) if snapshots else None))
+                rows[case].append(StudyRow(n, amplitude, solution,
+                                           ref.measure(solution, matrix.tags),
+                                           ref.snapshot(solution) if snapshots else None))
     except MemoryError as exc:
         for case, todo in plan.items():
-            runs[case] += [_failed(exc) for _ in todo[len(runs[case]):]]
-    return runs
+            rows[case] += [StudyRow(n, _amplitude(noise), failure=_failed(exc))
+                           for _, noise in todo[len(rows[case]):]]
+    return rows
 
 
 def solve_single(
@@ -461,16 +458,17 @@ def solve_single(
 ):
     """One assemble/solve/measure pass; returns (solution, report, snapshot).
 
-    It is a one-run ``_study``, so a noisy run is computed as in a noise
-    study: the clean solve plus a times the noise response, two solves with
-    one factor, and bit for bit the row of that amplitude in any noise
-    study of the same seed.  A solver failure is raised.  The solution
-    holds no pivots: ``case_pivots`` reads them from a factor of its own.
+    It is a one-run ``_study``, and these are the fields of its one
+    StudyRow, so a noisy run is computed as in a noise study: the clean
+    solve plus a times the noise response, two solves with one factor, and
+    bit for bit the row of that amplitude in any noise study of the same
+    seed.  The row's failure is raised.  The solution holds no pivots:
+    ``case_pivots`` reads them from a factor of its own.
     """
-    run, = _study(n, {case_name: [(problem_name, noise)]}, tri_degree, snapshots=True)[case_name]
-    if run.failure is not None:
-        raise run.failure
-    return run.solution, run.report, run.snapshot
+    row, = _study(n, {case_name: [(problem_name, noise)]}, tri_degree, snapshots=True)[case_name]
+    if row.failure is not None:
+        raise row.failure
+    return row.solution, row.report, row.snapshot
 
 
 def case_pivots(case_name: str, mesh: Mesh) -> PivotReport:
@@ -508,9 +506,9 @@ def _convergence_tables(
               for case, names in problems_by_case.items() for p in names}
     plan = {case: [(p, None) for p in names] for case, names in problems_by_case.items()}
     for n in n_list:
-        for case, runs in _study(n, plan, tri_degree).items():
-            for p, run in zip(problems_by_case[case], runs):
-                tables[(p, case)].rows.append(_row(n, run))
+        for case, rows in _study(n, plan, tri_degree).items():
+            for p, row in zip(problems_by_case[case], rows):
+                tables[(p, case)].rows.append(row)
     for table in tables.values():
         for prev, row in zip(table.rows, table.rows[1:]):
             if prev.report is None or row.report is None or row.n != 2 * prev.n:
@@ -549,17 +547,17 @@ def run_noise_study(
     seed: int = DEFAULT_NOISE_SEED,
     tri_degree: int = DEFAULT_TRI_DEGREE,
 ) -> NoiseStudy:
-    """One row per amplitude, from two solves with one factor: the clean
-    solve and the seed's noise response.
+    """The ``_study`` row of each amplitude, in order, from two solves with
+    one factor: the clean solve and the seed's noise response.
 
     Amplitude 0 is the unperturbed solve itself, bit for bit; amplitude a
     is the clean solve plus a times the response (``Reference.superpose``),
     so its row does not depend on the other amplitudes.  A failed
-    amplitude gets a row without report or snapshot, and the study goes on.
+    amplitude gets a row without solution, report or snapshot, and the
+    study goes on.
     """
     plan = {case_name: [(problem_name, NoiseSpec(amplitude=a, seed=seed)) for a in amplitudes]}
-    runs = _study(n, plan, tri_degree, snapshots=True)[case_name]
-    return NoiseStudy(problem_name, case_name, [_row(n, run, a) for a, run in zip(amplitudes, runs)])
+    return NoiseStudy(problem_name, case_name, _study(n, plan, tri_degree, snapshots=True)[case_name])
 
 
 # ---------------------------------------------------------------------------

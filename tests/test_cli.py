@@ -117,8 +117,8 @@ def test_noise_requires_zero_amplitude(tmp_path):
 
 @pytest.mark.parametrize(
     "amplitudes",
-    ["0,0.001,0.0010000001", "0,0.01,0.01", "0.01,0.02"],
-    ids=["same_tag", "repeated", "no_zero"],
+    ["0,0.001,0.0010000001", "0,0.01,0.01", "0.01,0.02", "0,-0"],
+    ids=["same_tag", "repeated", "no_zero", "negative_zero"],
 )
 def test_noise_amplitude_list_rejected_before_writing(amplitudes, tmp_path, capsys):
     # 0.001 and 0.0010000001 would both write noise_a0p001_*.csv
@@ -127,6 +127,25 @@ def test_noise_amplitude_list_rejected_before_writing(amplitudes, tmp_path, caps
                      "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
     assert not out.exists()
+
+
+def test_negative_zero_amplitude_is_amplitude_zero(tmp_path, capsys):
+    # -0 parses to -0.0, which is amplitude 0: the same files, bytes and
+    # summary row, and beside 0 a second writer of noise_a0_*.csv
+    argv = ["noise", "--problem", "coscos", "--case", "figures", "--n", "2"]
+    zero, negative_zero = tmp_path / "zero", tmp_path / "negative_zero"
+    assert cli.main([*argv, "--amplitudes", "0", "--out", str(zero)]) == 0
+    assert cli.main([*argv, "--amplitudes", "-0", "--out", str(negative_zero)]) == 0
+    names = sorted(p.name for p in zero.iterdir())
+    assert names == sorted(p.name for p in negative_zero.iterdir())
+    for name in names:
+        want = (zero / name).read_text().replace(str(zero), str(negative_zero))
+        assert (negative_zero / name).read_text() == want, name
+    assert (zero / "noise_summary.csv").read_text().splitlines()[1].startswith("0.0,")
+    capsys.readouterr()
+    assert cli.main([*argv, "--amplitudes", "0,-0", "--out", str(tmp_path / "both")]) == 2
+    assert capsys.readouterr().err == (
+        "error: amplitudes 0.0 and 0.0 would both write noise_a0_nodes.csv\n")
 
 
 def test_noise_outputs(tmp_path):

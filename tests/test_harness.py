@@ -547,7 +547,9 @@ def test_a_failed_run_keeps_no_frame_of_its_solve(singular_splu):
         assert run.failure.__cause__ is None and run.failure.__context__ is None
 
 
-def test_a_failed_response_fails_only_the_noisy_runs(monkeypatch):
+@pytest.fixture
+def nan_response(monkeypatch):
+    """Make every noise response's right-hand side nan, so its solve fails."""
     response = harness.noise_response
 
     def not_finite(*args):
@@ -556,6 +558,23 @@ def test_a_failed_response_fails_only_the_noisy_runs(monkeypatch):
         return system
 
     monkeypatch.setattr(harness, "noise_response", not_finite)
+
+
+@pytest.fixture
+def oom_at_second_measure(monkeypatch):
+    """Make the second measurement of a study run out of memory."""
+    measure, calls = harness.Reference.measure, []
+
+    def oom(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise MemoryError("no room")
+        return measure(*args)
+
+    monkeypatch.setattr(harness.Reference, "measure", oom)
+
+
+def test_a_failed_response_fails_only_the_noisy_runs(nan_response):
     plan = {"figures": [("coscos", NoiseSpec(0.0, 5)), ("coscos", NoiseSpec(0.01, 5)),
                         ("sinsin", None), ("coscos", NoiseSpec(0.1, 5))]}
     runs = harness._study(4, plan, DEFAULT_TRI_DEGREE)["figures"]
@@ -563,6 +582,42 @@ def test_a_failed_response_fails_only_the_noisy_runs(monkeypatch):
     for run in (runs[1], runs[3]):
         assert str(run.failure) == "the solve is not finite (backward error nan)"
         assert run.failure.__traceback__ is None
+
+
+NOT_FINITE = "the solve is not finite (backward error nan)"
+
+
+@pytest.mark.parametrize("setup, plan, errors", [
+    (None, {"case2": [("coscos", None), ("sinsin", NoiseSpec(0.01, 1))],
+            "figures": [("quad", NoiseSpec(0.0, 1))]}, ["", "", ""]),
+    ("singular_splu", {"case1": [("sinsin", None), ("quad", NoiseSpec(0.1, 3))]},
+     ["exactly singular", "exactly singular"]),
+    ("nan_response", {"figures": [("coscos", NoiseSpec(0.0, 5)), ("coscos", NoiseSpec(0.01, 5))]},
+     ["", NOT_FINITE]),
+    (None, {"case2": [("coscos", NoiseSpec(0.0, 2)), ("coscos", NoiseSpec(1e307, 2))]},
+     ["", NOT_FINITE]),
+    ("oom_at_second_measure", {"case1": [("sinsin", None), ("quad", None)],
+                               "case2": [("coscos", NoiseSpec(0.01, 4))]},
+     ["", "out of memory: no room", "out of memory: no room"]),
+], ids=["solved", "singular_factor", "failed_response", "refused_superposition",
+        "out_of_memory"])
+def test_every_study_row_carries_its_key_and_its_outcome(setup, plan, errors, request):
+    if setup is not None:
+        request.getfixturevalue(setup)
+    rows = harness._study(4, plan, DEFAULT_TRI_DEGREE, snapshots=True)
+    assert list(rows) == list(plan)
+    got = [row for case in plan for row in rows[case]]
+    keys = [(4, 0.0 if noise is None else noise.amplitude)
+            for todo in plan.values() for _, noise in todo]
+    assert [(row.n, row.amplitude) for row in got] == keys
+    for row, error in zip(got, errors, strict=True):
+        assert row.error == harness.failure_text(row.failure)
+        assert error in row.error and (row.error == "") == (error == "")
+        if row.failure is None:
+            assert row.report is not None and np.array_equal(row.snapshot.u0, row.solution.u0)
+        else:
+            assert (row.solution, row.report, row.snapshot) == (None, None, None)
+            assert row.failure.__traceback__ is None
 
 
 def test_factor_failure_recorded_on_every_row(tmp_path, singular_splu):
