@@ -34,17 +34,27 @@ from pdwg.problems import DEFAULT_NOISE_SEED, NoiseSpec, case_configs, catalog, 
 
 OUTPUT_DIR_ENV = "PDWG_OUTPUT_DIR"
 
-_DEFAULTS = {
-    "problem": "sinsin",
-    "case": "case1",
-    "n": 16,
-    "n_list": [1, 2, 4, 8, 16, 32],
-    "amplitudes": [0.0, 0.005, 0.01, 0.05],
-    "seed": DEFAULT_NOISE_SEED,
-    "quadrature_degree": DEFAULT_TRI_DEGREE,
-    "out": None,
-    "plan": None,
-    "diagnostics": False,
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+# Each configuration value: its default, what it must be, and the check of
+# that (a --config file can hold any JSON).
+_OPTIONS = {
+    "problem": ("sinsin", "a string", lambda v: isinstance(v, str)),
+    "case": ("case1", "a string", lambda v: isinstance(v, str)),
+    "n": (16, "an integer", _is_int),
+    "n_list": ([1, 2, 4, 8, 16, 32], "a list of integers",
+               lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "amplitudes": ([0.0, 0.005, 0.01, 0.05], "a list of numbers",
+                   lambda v: isinstance(v, list) and all(
+                       _is_int(a) or isinstance(a, float) for a in v)),
+    "seed": (DEFAULT_NOISE_SEED, "an integer", _is_int),
+    "quadrature_degree": (DEFAULT_TRI_DEGREE, "an integer", _is_int),
+    "out": (None, "a string", lambda v: isinstance(v, str)),
+    "plan": (None, 'null or "benchmark"', lambda v: v in (None, "benchmark")),
+    "diagnostics": (False, "true or false", lambda v: isinstance(v, bool)),
 }
 
 
@@ -106,7 +116,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _effective_config(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
+    cfg = {key: default for key, (default, _, _) in _OPTIONS.items()}
     if getattr(args, "config", None):
         try:
             with open(args.config, encoding="utf-8") as fh:
@@ -131,29 +141,9 @@ def _effective_config(args: argparse.Namespace) -> dict:
         cfg["n_list"] = _parse_list(cfg["n_list"], int, "integer")
     if isinstance(cfg["amplitudes"], str):
         cfg["amplitudes"] = _parse_list(cfg["amplitudes"], float, "number")
-    if cfg["out"] is None:
-        cfg["out"] = os.environ.get(OUTPUT_DIR_ENV, "pdwg_out")
+    if cfg["out"] is None:  # an empty $PDWG_OUTPUT_DIR is unset
+        cfg["out"] = os.environ.get(OUTPUT_DIR_ENV) or "pdwg_out"
     return cfg
-
-
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-# What each configuration value must be; a --config file can hold any JSON.
-_VALUE_TYPES = {
-    "problem": ("a string", lambda v: isinstance(v, str)),
-    "case": ("a string", lambda v: isinstance(v, str)),
-    "n": ("an integer", _is_int),
-    "n_list": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
-    "amplitudes": ("a list of numbers", lambda v: isinstance(v, list) and all(
-        _is_int(a) or isinstance(a, float) for a in v)),
-    "seed": ("an integer", _is_int),
-    "quadrature_degree": ("an integer", _is_int),
-    "out": ("a string", lambda v: isinstance(v, str)),
-    "plan": ('null or "benchmark"', lambda v: v in (None, "benchmark")),
-    "diagnostics": ("true or false", lambda v: isinstance(v, bool)),
-}
 
 
 def _validate_names(cfg: dict) -> None:
@@ -166,9 +156,11 @@ def _validate_names(cfg: dict) -> None:
 def _validate_values(cfg: dict, command: str) -> None:
     """Reject values of the wrong type, unknown names, and mesh parameters,
     segment layouts, quadrature degrees, seeds and amplitudes no run can take."""
-    for key, (kind, ok) in _VALUE_TYPES.items():
+    for key, (_, kind, ok) in _OPTIONS.items():
         if not ok(cfg[key]):
             raise UsageError(f"{key} must be {kind}, got {cfg[key]!r}")
+    if cfg["out"] == "":  # it would name the working directory
+        raise UsageError("the output directory must not be empty")
     # a config file's integer amplitudes are the floats their flag gives, and
     # -0.0 is 0.0 (adding 0.0 clears the sign of a zero), which names its files
     try:

@@ -150,14 +150,13 @@ class FieldSnapshot:
     """Nodal and per-element fields of one solve for plotting.
 
     ``node_rows`` and ``element_rows`` are the coordinate text ``x,y,`` of
-    each CSV row, as ``coordinate_rows`` writes it from ``nodes`` and
-    ``centroids``; the value fields are written by ``e12_text``.
+    each CSV row, as ``coordinate_rows`` writes it from the mesh's P2 nodes
+    (``mesh.p2_node_coords``) and its centroids; the value fields are
+    written by ``e12_text``.
     """
 
-    nodes: np.ndarray      # (V+E, 2)
     u0: np.ndarray         # (V+E,)
     err: np.ndarray        # (V+E,) u0 - u(x, y)
-    centroids: np.ndarray  # (T, 2)
     lam: np.ndarray        # (T,)
     node_rows: np.ndarray = field(repr=False)
     element_rows: np.ndarray = field(repr=False)
@@ -299,9 +298,8 @@ class Reference:
     @cached_property
     def _snapshot_columns(self):
         nodes = self.mesh.p2_node_coords
-        centroids = self.mesh.centroids
         exact = self.problem.u(nodes[:, 0], nodes[:, 1])
-        return nodes, exact, centroids, coordinate_rows(nodes), coordinate_rows(centroids)
+        return exact, coordinate_rows(nodes), coordinate_rows(self.mesh.centroids)
 
     def solve(self, matrix: SystemMatrix, factor: CondensedFactor) -> Solution:
         """The clean solve of the problem on ``matrix``, a case on this mesh,
@@ -339,9 +337,8 @@ class Reference:
         return error_norms(solution, self.projection, self.mesh, tags)
 
     def snapshot(self, solution: Solution) -> FieldSnapshot:
-        nodes, exact, centroids, node_rows, element_rows = self._snapshot_columns
-        return FieldSnapshot(nodes=nodes, u0=solution.u0, err=solution.u0 - exact,
-                             centroids=centroids, lam=solution.lam,
+        exact, node_rows, element_rows = self._snapshot_columns
+        return FieldSnapshot(u0=solution.u0, err=solution.u0 - exact, lam=solution.lam,
                              node_rows=node_rows, element_rows=element_rows)
 
 
@@ -454,18 +451,16 @@ def solve_single(
     case_name: str,
     n: int,
     tri_degree: int = DEFAULT_TRI_DEGREE,
-    noise: NoiseSpec | None = None,
 ):
-    """One assemble/solve/measure pass; returns (solution, report, snapshot).
+    """One noise-free assemble/solve/measure pass; returns (solution,
+    report, snapshot).
 
     It is a one-run ``_study``, and these are the fields of its one
-    StudyRow, so a noisy run is computed as in a noise study: the clean
-    solve plus a times the noise response, two solves with one factor, and
-    bit for bit the row of that amplitude in any noise study of the same
-    seed.  The row's failure is raised.  The solution holds no pivots:
-    ``case_pivots`` reads them from a factor of its own.
+    StudyRow: bit for bit the amplitude-0 row of a noise study.  The row's
+    failure is raised.  The solution holds no pivots: ``case_pivots``
+    reads them from a factor of its own.
     """
-    row, = _study(n, {case_name: [(problem_name, noise)]}, tri_degree, snapshots=True)[case_name]
+    row, = _study(n, {case_name: [(problem_name, None)]}, tri_degree, snapshots=True)[case_name]
     if row.failure is not None:
         raise row.failure
     return row.solution, row.report, row.snapshot

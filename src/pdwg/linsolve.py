@@ -43,7 +43,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from pdwg.assembly import SaddleSystem, SystemMatrix, join_primal, split_primal
+from pdwg.assembly import SaddleSystem, SystemMatrix, split_primal
 
 # Every solve with a factor, of the gate or of a right-hand side, is
 # refused when its backward error exceeds BERR_MAX or is not finite: in the
@@ -120,10 +120,6 @@ class Solution:
     lam: np.ndarray
     residual_inf: float
     condition: float = math.nan
-
-    @property
-    def primal(self) -> np.ndarray:
-        return join_primal(self.u0, self.un)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,9 @@ sample of it goes through the P2 nodal basis once.  The flux error is the
 stored coefficient difference against Qn(grad u . n_e).  ``project_exact``
 returns Q_h u already sampled on the triangle rule of one degree and on
 the edge rule that ``edge_points_for`` pairs with it; the error field and
-its norms are measured on those rules.  Norm conventions:
+its norms are measured on those rules, once per field, on the field scaled
+by an exact power of two that brings its largest entry into [1/2, 1), or
+as near as a subnormal one allows (``norms_of_error``).  Norm conventions:
 
 * ||e||_2h^2 = sum_T ||Lap e0||_T^2 + s(e, e), where the h^-1 stabilizer
   part is one sum of ``pdwg.assembly.stabilizer_weights`` times the squared
@@ -27,6 +29,7 @@ its norms are measured on those rules.  Norm conventions:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, fields
 import numpy as np
 
@@ -226,25 +229,20 @@ def norms_of_error(
 ) -> ErrorReport:
     """Evaluate the seven norms of an error field sampled at ``tri_degree``.
 
-    Each norm is positively homogeneous in the field.  A norm whose sum of
-    squares overflows while the field is finite (entries above about 1e154)
-    is measured again on the field scaled by 2^-k, 2^k just above its
-    largest entry, and scaled back by 2^k; both scalings are exact, and the
-    norms that did not overflow keep their bits.
+    Each norm is positively homogeneous in the field, and is measured once,
+    on the field scaled by 2^-k and scaled back by 2^k, where k is the
+    ``frexp`` exponent of the field's largest |entry| (clamped at the least
+    normal exponent, so that 2^-k stays finite for a subnormal one).  The
+    scaled entries are below 1, so no sum of squares overflows, and the
+    squares of a small field do not underflow; both scalings are exact, so
+    a norm has the bits it has unscaled wherever neither happens.
     """
-    with np.errstate(over="ignore"):  # an overflow is measured again below
-        report = _norms_of_error(field, mesh, tags, tri_degree)
-        norms = report.as_dict()
-        arrays = [getattr(field, f.name) for f in fields(field)]
-        if all(map(math.isfinite, norms.values())) or not all(
-                np.isfinite(a).all() for a in arrays):
-            return report
-        k = math.frexp(max(float(np.abs(a).max(initial=0.0)) for a in arrays))[1]
-        scaled = _norms_of_error(field.scaled(math.ldexp(1.0, -k)), mesh, tags,
-                                 tri_degree).as_dict()
-        return ErrorReport(**{name: value if math.isfinite(value)
-                              else float(np.ldexp(scaled[name], k))
-                              for name, value in norms.items()})
+    peak = max(float(np.abs(a).max(initial=0.0)) for a in vars(field).values())
+    k = max(math.frexp(peak)[1], sys.float_info.min_exp)
+    with np.errstate(over="ignore"):  # a norm above the float range reads inf
+        scaled = _norms_of_error(field.scaled(math.ldexp(1.0, -k)), mesh, tags, tri_degree)
+        return ErrorReport(**{name: float(np.ldexp(value, k))
+                              for name, value in scaled.as_dict().items()})
 
 
 def _norms_of_error(field: ErrorField, mesh: Mesh, tags: BoundaryTags,

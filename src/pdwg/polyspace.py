@@ -41,28 +41,22 @@ class TriangleQuadrature:
     area 1/2.
     """
 
-    degree: int
     points: np.ndarray
     weights: np.ndarray
 
     def physical_points(self, tri: np.ndarray) -> np.ndarray:
-        """Map to a physical triangle; ``tri`` is (3, 2) or (T, 3, 2).
+        """The rule's points on T physical triangles ``tri`` (T, 3, 2); (T, Q, 2).
 
-        For (T, 3, 2) the three vertex terms are summed in vertex order,
-        which gives the same bits as ``einsum("qk,tkd->tqd")`` at a third
-        less cost; ``matmul`` does not.
+        The three vertex terms are summed in vertex order, which gives the
+        same bits as ``einsum("qk,tkd->tqd")`` at a third less cost;
+        ``matmul`` does not.
         """
-        if tri.ndim == 2:
-            return self.points @ tri
         p = self.points[:, :, None]
         return (p[:, 0] * tri[:, None, 0] + p[:, 1] * tri[:, None, 1]
                 + p[:, 2] * tri[:, None, 2])
 
-    def physical_weights(self, area) -> np.ndarray:
-        """Weights on a physical triangle of the given area(s)."""
-        area = np.asarray(area)
-        if area.ndim == 0:
-            return self.weights * (2.0 * float(area))
+    def physical_weights(self, area: np.ndarray) -> np.ndarray:
+        """The rule's weights on T physical triangles of areas ``area`` (T,); (T, Q)."""
         return area[:, None] * (2.0 * self.weights)
 
 
@@ -100,7 +94,7 @@ def triangle_quadrature(min_degree: int) -> TriangleQuadrature:
     weights = W.ravel()
     points.setflags(write=False)
     weights.setflags(write=False)
-    return TriangleQuadrature(degree=min_degree, points=points, weights=weights)
+    return TriangleQuadrature(points=points, weights=weights)
 
 
 def edge_points_for(tri_degree: int) -> int:
@@ -163,14 +157,8 @@ def p2_values(bary: np.ndarray) -> np.ndarray:
 
 
 def bary_gradients(tri: np.ndarray) -> np.ndarray:
-    """Constant gradients of the barycentric coordinates; (..., 3, 2).
-
-    ``tri`` is (3, 2) or (T, 3, 2).
-    """
-    tri = np.asarray(tri, dtype=float)
-    single = tri.ndim == 2
-    if single:
-        tri = tri[None]
+    """Constant gradients of the barycentric coordinates on T triangles
+    ``tri`` (T, 3, 2); (T, 3, 2)."""
     p0, p1, p2 = tri[:, 0], tri[:, 1], tri[:, 2]
     two_a = (p1[:, 0] - p0[:, 0]) * (p2[:, 1] - p0[:, 1]) - (p1[:, 1] - p0[:, 1]) * (
         p2[:, 0] - p0[:, 0]
@@ -179,7 +167,7 @@ def bary_gradients(tri: np.ndarray) -> np.ndarray:
     for i, (pj, pk) in enumerate(((p1, p2), (p2, p0), (p0, p1))):
         g[:, i, 0] = (pj[:, 1] - pk[:, 1]) / two_a
         g[:, i, 1] = (pk[:, 0] - pj[:, 0]) / two_a
-    return g[0] if single else g
+    return g
 
 
 def p2_laplacians(bgrad: np.ndarray) -> np.ndarray:

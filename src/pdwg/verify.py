@@ -75,16 +75,15 @@ def check_commutative(
     mesh: Mesh,
     theta: ManufacturedSolution,
     tri_degree: int = 8,
-    edge_points: int = 6,
 ) -> float:
     """Max over elements of ||weak_lap(Q_h theta) - Q_0(lap theta)||_T.
 
     Both sides are built independently: the left as the weak Laplacian of
-    the projected fluxes Qn(grad theta . n_e), the right as the mean of
-    f = lap theta by direct triangle quadrature.  Both are constant per
-    element, so the L2(T) norm is |difference| * sqrt(|T|).
+    the projected fluxes Qn(grad theta . n_e) on the 6-point edge rule, the
+    right as the mean of f = lap theta by direct triangle quadrature.  Both
+    are constant per element, so the L2(T) norm is |difference| * sqrt(|T|).
     """
-    lhs = discrete_weak_laplacian(mesh, projected_weak_function(theta.grad_u, mesh, edge_points))
+    lhs = discrete_weak_laplacian(mesh, projected_weak_function(theta.grad_u, mesh, 6))
     f_mean = element_load(mesh, theta.f, tri_degree) / mesh.area
     return float(np.max(np.abs(lhs - f_mean) * np.sqrt(mesh.area)))
 

@@ -38,12 +38,12 @@ def monomial_values(exps: np.ndarray, xi: np.ndarray, eta: np.ndarray) -> np.nda
 
 
 def quad_integral(rule, tri, f):
-    pts = rule.physical_points(tri)
+    pts = rule.physical_points(tri[None])[0]
     area = 0.5 * abs(
         (tri[1, 0] - tri[0, 0]) * (tri[2, 1] - tri[0, 1])
         - (tri[1, 1] - tri[0, 1]) * (tri[2, 0] - tri[0, 0])
     )
-    return float(rule.physical_weights(area) @ f(pts[:, 0], pts[:, 1]))
+    return float(rule.physical_weights(np.array([area]))[0] @ f(pts[:, 0], pts[:, 1]))
 
 
 def tags_for(mesh, case_name):

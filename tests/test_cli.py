@@ -359,6 +359,26 @@ def test_output_dir_from_environment(tmp_path, monkeypatch):
     assert (tmp_path / "envout" / "errors.csv").exists()
 
 
+def test_empty_output_dir_from_environment_is_unset(tmp_path, monkeypatch):
+    # an empty $PDWG_OUTPUT_DIR names ./pdwg_out, not the working directory
+    monkeypatch.setenv(cli.OUTPUT_DIR_ENV, "")
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["solve", "--problem", "quad", "--case", "case1", "--n", "1"]) == 0
+    assert (tmp_path / "pdwg_out" / "errors.csv").exists()
+    assert [p.name for p in tmp_path.iterdir()] == ["pdwg_out"]
+    assert json.loads((tmp_path / "pdwg_out" / "config.json").read_text())["out"] == "pdwg_out"
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+def test_empty_out_is_a_usage_error(where, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run.json").write_text('{"out": ""}\n')
+    source = ["--out", ""] if where == "flag" else ["--config", "run.json"]
+    assert cli.main(["solve", "--n", "2", *source]) == 2
+    assert capsys.readouterr().err == "error: the output directory must not be empty\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run.json"]
+
+
 def test_solver_failure_exit_code(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise SingularSystem("synthetic failure")

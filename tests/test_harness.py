@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from pdwg import cli, harness
-from pdwg.assembly import build_saddle_system, noise_response
+from pdwg.assembly import build_saddle_system, join_primal, noise_response
 from pdwg.harness import (
     CSV_HEADER,
     EXACT_NORM,
@@ -88,10 +88,10 @@ def test_convergence_rerun_is_byte_identical():
 def test_snapshot_shapes_and_csv():
     solution, report, snapshot = solve_single("sinsin", "case1", 2)
     V_plus_E = 9 + 16
-    assert snapshot.nodes.shape == (V_plus_E, 2)
+    assert len(snapshot.node_rows) == V_plus_E
     assert snapshot.u0.shape == (V_plus_E,)
     assert snapshot.err.shape == (V_plus_E,)
-    assert snapshot.centroids.shape == (8, 2)
+    assert len(snapshot.element_rows) == 8
     assert snapshot.lam.shape == (8,)
     assert snapshot.nodes_csv().startswith("x,y,u0,err\n")
     assert snapshot.elements_csv().startswith("cx,cy,lambda\n")
@@ -100,9 +100,10 @@ def test_snapshot_shapes_and_csv():
 
 def test_snapshot_csvs_load_back_as_numbers(tmp_path):
     _, _, snapshot = solve_single("sinsin", "case1", 2)
+    mesh = build_uniform_unit_square(2)
     for text, coords, values in [
-        (snapshot.nodes_csv(), snapshot.nodes, snapshot.u0),
-        (snapshot.elements_csv(), snapshot.centroids, snapshot.lam),
+        (snapshot.nodes_csv(), mesh.p2_node_coords, snapshot.u0),
+        (snapshot.elements_csv(), mesh.centroids, snapshot.lam),
     ]:
         path = tmp_path / "snapshot.csv"
         path.write_text(text)
@@ -111,42 +112,51 @@ def test_snapshot_csvs_load_back_as_numbers(tmp_path):
         assert np.allclose(table[:, 2], values, rtol=1e-11, atol=0.0)
 
 
-def _row_by_row_csvs(snapshot):
-    """The per-row f-string writers the one-format writers replaced."""
-    nodes = "x,y,u0,err\n" + "".join(
+def _row_by_row_csvs(snapshot, nodes, centroids):
+    """The per-row f-string writers the one-format writers replaced, with
+    the snapshot's node and centroid coordinates."""
+    node_text = "x,y,u0,err\n" + "".join(
         f"{x!r},{y!r},{u:.12e},{e:.12e}\n"
-        for (x, y), u, e in zip(snapshot.nodes.tolist(), snapshot.u0, snapshot.err)
+        for (x, y), u, e in zip(nodes.tolist(), snapshot.u0, snapshot.err)
     )
-    elements = "cx,cy,lambda\n" + "".join(
+    element_text = "cx,cy,lambda\n" + "".join(
         f"{x!r},{y!r},{l:.12e}\n"
-        for (x, y), l in zip(snapshot.centroids.tolist(), snapshot.lam)
+        for (x, y), l in zip(centroids.tolist(), snapshot.lam)
     )
-    return nodes, elements
+    return node_text, element_text
 
 
 def _extreme_snapshot():
+    """A snapshot of extreme values, with its node and centroid coordinates."""
     values = np.array([0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1.0 / 3.0])
     nodes = np.column_stack([values, values[::-1]])
     centroids = np.array([[-0.0, 1e-300]])
-    return FieldSnapshot(nodes=nodes, u0=values, err=-values, centroids=centroids,
-                         lam=np.array([1e300]), node_rows=coordinate_rows(nodes),
-                         element_rows=coordinate_rows(centroids))
+    snapshot = FieldSnapshot(u0=values, err=-values, lam=np.array([1e300]),
+                             node_rows=coordinate_rows(nodes),
+                             element_rows=coordinate_rows(centroids))
+    return snapshot, nodes, centroids
+
+
+def _on_mesh(snapshot, n):
+    """A snapshot of the n x n mesh, with its P2 node and centroid coordinates."""
+    mesh = build_uniform_unit_square(n)
+    return snapshot, mesh.p2_node_coords, mesh.centroids
 
 
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: solve_single("sinsin", "case1", 3)[2],
-        lambda: solve_single("coscos", "case2", 1)[2],
+        lambda: _on_mesh(solve_single("sinsin", "case1", 3)[2], 3),
+        lambda: _on_mesh(solve_single("coscos", "case2", 1)[2], 1),
         _extreme_snapshot,
         # an ill-posed noisy solve: its err column spans six decades
-        lambda: run_noise_study("coscos", "figures", 16, [0.1]).rows[0].snapshot,
+        lambda: _on_mesh(run_noise_study("coscos", "figures", 16, [0.1]).rows[0].snapshot, 16),
     ],
     ids=["n3", "n1", "signed_zero_and_extremes", "noise_figures_n16"],
 )
 def test_snapshot_csv_bytes_match_row_by_row_writer(make):
-    snapshot = make()
-    nodes, elements = _row_by_row_csvs(snapshot)
+    snapshot, node_coords, centroids = make()
+    nodes, elements = _row_by_row_csvs(snapshot, node_coords, centroids)
     assert snapshot.nodes_csv().encode() == nodes.encode()
     assert snapshot.elements_csv().encode() == elements.encode()
 
@@ -288,7 +298,7 @@ def test_noisy_rows_agree_with_a_direct_solve(case):
         noise = NoiseSpec(amplitude=a, seed=DEFAULT_NOISE_SEED)
         direct = factor_and_solve(build_saddle_system(mesh, tags, get_problem("coscos"),
                                                       DEFAULT_TRI_DEGREE, noise))
-        norm = max(np.abs(direct.primal).max(), np.abs(direct.lam).max())
+        norm = max(np.abs(join_primal(direct.u0, direct.un)).max(), np.abs(direct.lam).max())
         bound = direct.condition * np.finfo(float).eps * norm
         for got, want in ((row.snapshot.u0, direct.u0), (row.snapshot.lam, direct.lam)):
             assert np.abs(got - want).max() <= bound, a
@@ -428,11 +438,10 @@ def test_noise_study_builds_load_and_projection_once(call_counts):
     study = run_noise_study("coscos", "figures", 8, amplitudes, seed=11)
     assert call_counts == {"element_load": 1, "project_exact": 1}
     for a, row in zip(amplitudes, study.rows):
-        noise = NoiseSpec(amplitude=a, seed=11)
-        _, report, snapshot = solve_single("coscos", "figures", 8, noise=noise)
-        assert row.report.as_dict() == report.as_dict()
-        assert row.snapshot.nodes_csv().encode() == snapshot.nodes_csv().encode()
-        assert row.snapshot.elements_csv().encode() == snapshot.elements_csv().encode()
+        alone, = run_noise_study("coscos", "figures", 8, [a], seed=11).rows
+        assert row.report.as_dict() == alone.report.as_dict()
+        assert row.snapshot.nodes_csv().encode() == alone.snapshot.nodes_csv().encode()
+        assert row.snapshot.elements_csv().encode() == alone.snapshot.elements_csv().encode()
 
 
 def test_benchmark_tables_project_once_per_problem_and_mesh(tmp_path, call_counts):
@@ -447,12 +456,11 @@ def test_noise_study_factors_once_and_matches_fresh_solves(splu_calls):
     study = run_noise_study("coscos", "figures", 8, amplitudes)
     assert len(splu_calls) == 1
     for a, row in zip(amplitudes, study.rows):
-        noise = NoiseSpec(amplitude=a, seed=DEFAULT_NOISE_SEED)
-        solution, report, _ = solve_single("coscos", "figures", 8, noise=noise)
+        alone, = run_noise_study("coscos", "figures", 8, [a]).rows
         assert row.amplitude == a
-        assert np.array_equal(row.snapshot.u0, solution.u0)
-        assert np.array_equal(row.snapshot.lam, solution.lam)
-        assert row.report.as_dict() == report.as_dict()
+        assert np.array_equal(row.snapshot.u0, alone.solution.u0)
+        assert np.array_equal(row.snapshot.lam, alone.solution.lam)
+        assert row.report.as_dict() == alone.report.as_dict()
 
 
 def test_a_case_without_runs_is_not_factored(splu_calls):

@@ -4,7 +4,7 @@ import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from pdwg.assembly import assemble_matrix, build_saddle_system
+from pdwg.assembly import assemble_matrix, build_saddle_system, join_primal
 from pdwg.linsolve import (
     DIAG_PIVOT_THRESH,
     CondensedFactor,
@@ -103,7 +103,7 @@ def test_wellposed_mixed_solve_reproduces_rhs():
     mesh = build_uniform_unit_square(8)
     system = build_saddle_system(mesh, tags_for(mesh, "case2"), get_problem("sinsin"))
     solution = factor_and_solve(system)
-    x = np.concatenate([solution.primal[system.free], solution.lam])
+    x = np.concatenate([join_primal(solution.u0, solution.un)[system.free], solution.lam])
     rel = np.abs(system.M @ x - system.rhs).max() / max(1.0, np.abs(system.rhs).max())
     assert rel <= 1e-11
 
@@ -113,7 +113,7 @@ def test_solution_scatter_respects_constraints():
     system = build_saddle_system(mesh, tags_for(mesh, "case1"), get_problem("coscos"))
     solution = factor_and_solve(system)
     con = system.constrained
-    assert np.array_equal(solution.primal[con], system.g[con])
+    assert np.array_equal(join_primal(solution.u0, solution.un)[con], system.g[con])
     assert solution.u0.shape == (mesh.num_vertices + mesh.num_edges,)
     assert solution.un.shape == (mesh.num_edges, 2)
     assert solution.lam.shape == (mesh.num_triangles,)
@@ -146,7 +146,7 @@ def test_one_factorization_per_matrix(case, n, monkeypatch):
 def test_condensed_solve_matches_dense_solve(case, n):
     system = system_for(case, n)
     solution = factor_and_solve(system)
-    got = np.concatenate([solution.primal[system.free], solution.lam])
+    got = np.concatenate([join_primal(solution.u0, solution.un)[system.free], solution.lam])
     A = system.M.toarray()
     want = scipy.linalg.solve(A, system.rhs)
     bound = np.linalg.cond(A) * np.finfo(float).eps

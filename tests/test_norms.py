@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -56,8 +58,8 @@ def project_L2_element(f, tri, degree, quad=None):
 
     if quad is None:
         quad = triangle_quadrature(max(2 * degree, 6))
-    pts = quad.physical_points(tri)
-    w = quad.physical_weights(area)
+    pts = quad.physical_points(tri[None])[0]
+    w = quad.physical_weights(np.array([area]))[0]
     V = vandermonde(pts[:, 0], pts[:, 1])
     coeffs = np.linalg.solve(V.T @ (w[:, None] * V), V.T @ (w * f(pts[:, 0], pts[:, 1])))
 
@@ -217,6 +219,37 @@ def test_norm_homogeneity(mesh2, rng):
             assert scaled[k] == pytest.approx(abs(c) * base[k], rel=1e-12, abs=1e-14)
 
 
+@pytest.fixture
+def sinsin_case1_field(mesh4):
+    """The error field of the sinsin/case1 solve at n = 4, and its tags."""
+    problem = get_problem("sinsin")
+    tags = tags_for(mesh4, "case1")
+    solution = factor_and_solve(build_saddle_system(mesh4, tags, problem))
+    return build_error_field(solution, project_exact(problem, mesh4), mesh4), tags
+
+
+@pytest.mark.parametrize("j", [-900, -560, -300, 0, 300, 900])
+def test_norms_are_exactly_homogeneous_under_powers_of_two(sinsin_case1_field, mesh4, j):
+    # scaling by 2^j is exact, so every norm scales bit for bit, also where
+    # an unscaled sum of squares would overflow (j = 900) or underflow
+    # (j = -560, -900)
+    field, tags = sinsin_case1_field
+    base = norms_of_error(field, mesh4, tags).as_dict()
+    scaled = norms_of_error(field.scaled(2.0**j), mesh4, tags).as_dict()
+    assert all(value > 0.0 for value in base.values())
+    assert scaled == {k: math.ldexp(v, j) for k, v in base.items()}
+
+
+def test_a_subnormal_field_is_measured(sinsin_case1_field, mesh4):
+    # its largest entry is subnormal, whose frexp exponent -1073 would ask
+    # for the scaling 2^1073, above the float range
+    field, tags = sinsin_case1_field
+    tiny = ErrorField(**{name: np.full_like(a, 5e-324) for name, a in vars(field).items()})
+    norms = norms_of_error(tiny, mesh4, tags).as_dict()
+    assert all(map(math.isfinite, norms.values()))
+    assert norms["linf"] == 5e-324
+
+
 def test_norm_triangle_inequality(mesh2, rng):
     problem = get_problem("coscos")
     tags = tags_for(mesh2, "case2")
@@ -344,7 +377,7 @@ def test_project_exact_sinsin_against_high_order_oracle(mesh2):
     tri = mesh2.tri_coords()[t]
     quad = triangle_quadrature(12)
     oracle = project_L2_element(problem.u, tri, 2, quad)
-    pts = quad.physical_points(tri)
+    pts = quad.physical_points(tri[None])[0]
     want = oracle(pts[:, 0], pts[:, 1])
 
     def values(qhu):

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from pdwg.assembly import (apply_boundary_conditions, assemble_matrix, assemble_rhs,
                            assemble_stabilizer, flux_dofs, mismatch_operator, num_primal,
-                           tri_p2_dofs)
+                           join_primal, tri_p2_dofs)
 from pdwg.linsolve import (BERR_MAX, COND_MAX, SingularSystem, _condition_estimate,
                            factor_and_solve, saddle_factor)
 from pdwg.mesh import BoundarySegmentSpec, build_uniform_unit_square, classify_boundary
@@ -125,7 +125,7 @@ def test_solve_passes_residual_check_or_raises_singular(config):
         solution = factor_and_solve(system)
     except SingularSystem:
         return
-    x = np.concatenate([solution.primal[system.free], solution.lam])
+    x = np.concatenate([join_primal(solution.u0, solution.un)[system.free], solution.lam])
     residual = np.abs(system.M @ x - system.rhs).max()
     assert residual == solution.residual_inf
     # the backward error residual / (||M||_inf ||x||_inf + ||rhs||_inf), without a 0/0

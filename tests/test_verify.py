@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 import pdwg.assembly as assembly
-from pdwg.assembly import build_saddle_system
+from pdwg.assembly import build_saddle_system, join_primal
 from pdwg.harness import Reference, case_matrix
 from pdwg.linsolve import factor_and_solve, pivot_report, saddle_factor
 from pdwg.mesh import build_uniform_unit_square
@@ -70,8 +70,8 @@ def commutative_oracle(mesh, problem, edge_points=8, tri_degree=12):
             # integral of the P1 projection equals the quadrature integral
             lhs += mesh.tri_edge_signs[k, l] * float(w @ flux) * mesh.h_e[e]
         lhs /= mesh.area[k]
-        pts = quad.physical_points(mesh.tri_coords()[k])
-        wq = quad.physical_weights(mesh.area[k])
+        pts = quad.physical_points(mesh.tri_coords()[k][None])[0]
+        wq = quad.physical_weights(mesh.area[k:k + 1])[0]
         rhs = float(wq @ problem.f(pts[:, 0], pts[:, 1])) / mesh.area[k]
         worst = max(worst, abs(lhs - rhs) * np.sqrt(mesh.area[k]))
     return worst
@@ -195,7 +195,7 @@ def test_error_equations_zero_data(mesh4):
     system = build_saddle_system(mesh4, tags, zero)
     solution = factor_and_solve(system)
     qhu = project_exact(zero, mesh4)
-    assert np.abs(solution.primal).max() <= 1e-12
+    assert np.abs(join_primal(solution.u0, solution.un)).max() <= 1e-12
     sehv, sehv2 = check_error_equations(solution, qhu, system)
     assert sehv <= 1e-12 and sehv2 <= 1e-12
 
