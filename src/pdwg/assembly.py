@@ -270,7 +270,7 @@ def apply_boundary_conditions(
     problem: ManufacturedSolution,
     matrix: SystemMatrix,
     edge_points: int = DEFAULT_EDGE_POINTS,
-    noise: NoiseSpec | None = None,
+    noise: NoiseSpec = NoiseSpec(),
 ) -> np.ndarray:
     """Full-length primal vector of prescribed values (zero on free dofs).
 
@@ -279,29 +279,23 @@ def apply_boundary_conditions(
     samples of grad u . n_e on the Neumann edges of ``matrix.tags``
     (``normal_derivative_samples``), turned outward by s = s(T, e) of the
     edge's one element, projected, and stored against n_e again.  The flips
-    by s = +-1 are exact, so without noise these are the Qn(grad u . n_e)
-    of Q_h u bit for bit.  With a NoiseSpec, one PCG64 stream perturbs the
-    outward data samples in a fixed order: Dirichlet node values by
-    ascending node id first, then Neumann edges by ascending edge id with
-    each edge's quadrature samples in rule order.
+    by s = +-1 are exact, so at amplitude 0 these are the Qn(grad u . n_e)
+    of Q_h u bit for bit, and no stream is made.  Above 0, one PCG64 stream
+    (``noise.generator()``) perturbs the outward data samples in a fixed
+    order: Dirichlet node values by ascending node id first, then Neumann
+    edges by ascending edge id with each edge's quadrature samples in rule
+    order.
     """
     mesh, nodes = matrix.mesh, matrix.dirichlet_nodes
     g = np.zeros(num_primal(mesh))
-    rng = None
-    if noise is not None and noise.amplitude > 0.0:
-        rng = noise.generator()
+    rng = noise.generator() if noise.amplitude > 0.0 else None
     if len(nodes):
-        values = interpolate_nodes(problem.u, mesh, nodes)
-        if noise is not None:
-            values = perturb(values, noise, rng)
-        g[nodes] = values
+        g[nodes] = perturb(interpolate_nodes(problem.u, mesh, nodes), noise, rng)
     edges = matrix.tags.neumann_edges
     if len(edges):
         s = mesh.edge_tri_signs[edges, 0][:, None]
         samples = s * normal_derivative_samples(problem.grad_u, mesh, edges, edge_points)
-        if noise is not None:
-            samples = perturb(samples, noise, rng)
-        g[flux_dofs(mesh, edges)] = s * project_edge_samples(samples)
+        g[flux_dofs(mesh, edges)] = s * project_edge_samples(perturb(samples, noise, rng))
     return g
 
 
@@ -419,17 +413,18 @@ def assemble_rhs(
     matrix: SystemMatrix,
     problem: ManufacturedSolution,
     tri_degree: int = DEFAULT_TRI_DEGREE,
-    noise: NoiseSpec | None = None,
+    noise: NoiseSpec = NoiseSpec(),
     load: np.ndarray | None = None,
 ) -> SaddleSystem:
     """Add the load and boundary-data right-hand side of a problem.
 
     Boundary data is taken from the exact solution: u on Gamma_d and
-    grad u . n on Gamma_n (optionally noise-perturbed), sampled and
-    projected with the edge rule ``edge_points_for(tri_degree)``.  ``load``
-    is the problem's ``element_load`` on this mesh at ``tri_degree``,
-    computed here when not given; it does not depend on the noise, so the
-    solves of one problem on one mesh can share it.  Raises
+    grad u . n on Gamma_n, perturbed by ``noise`` (amplitude 0 is the clean
+    data), sampled and projected with the edge rule
+    ``edge_points_for(tri_degree)``.  ``load`` is the problem's
+    ``element_load`` on this mesh at ``tri_degree``, computed here when not
+    given; it does not depend on the noise, so the solves of one problem on
+    one mesh can share it.  Raises
     ``pdwg.linsolve.SingularSystem`` when the boundary data is not finite,
     as a large noise amplitude can make it, before any solve.
     """
@@ -459,7 +454,7 @@ def noise_response(matrix: SystemMatrix, seed: int,
     ``g`` holds 0.5 - r on the Dirichlet nodes and s P1(0.5 - r) on the
     Neumann flux dofs, the draws r taken by ``apply_boundary_conditions``
     from ``seed`` in the order of every noisy solve.  The data-to-solution
-    map is linear, so the solution with noise NoiseSpec(a, seed) is the
+    map is linear, so the solution at amplitude a under ``seed`` is the
     clean one plus a times the solution of this system.
     """
     return assemble_rhs(matrix, _NO_DATA, tri_degree, NoiseSpec(1.0, seed),
@@ -471,7 +466,7 @@ def build_saddle_system(
     tags: BoundaryTags,
     problem: ManufacturedSolution,
     tri_degree: int = DEFAULT_TRI_DEGREE,
-    noise: NoiseSpec | None = None,
+    noise: NoiseSpec = NoiseSpec(),
 ) -> SaddleSystem:
     """Assemble the saddle-point system for a manufactured problem."""
     return assemble_rhs(assemble_matrix(mesh, tags), problem, tri_degree, noise)

@@ -13,13 +13,14 @@ mesh, what depends on the mesh alone is built once
 every primal dof and multiplier, the normal-derivative maps, the element P2
 geometry and the triangle-rule points.  Every case cuts its matrix from
 that W (``case_matrix``) and is factored once; the factor solves each
-problem's clean system once and each noise seed's response once
-(``pdwg.assembly.noise_response``), and is freed before any run is
-measured.  The data-to-solution map is linear, so a run with noise
-NoiseSpec(a, seed) is the clean solve plus a times the response
-(``Reference.superpose``), accepted by its backward error against its own
-right-hand side, and a run without noise or at amplitude 0 is the clean
-solve itself: a noise study of any number of amplitudes makes two solves.
+problem's clean system once and the noise response once per case, for the
+study's seed (``pdwg.assembly.noise_response``), and is freed before any
+run is measured.  A run is a problem and a noise amplitude.  The
+data-to-solution map is linear, so a run at amplitude a is the clean solve
+plus a times the response (``Reference.superpose``), accepted by its
+backward error against its own right-hand side, and a run at amplitude 0
+is the clean solve itself: a noise study of any number of amplitudes makes
+two solves.
 Every problem has one ``Reference`` per mesh, whose load, sampled Q_h u
 and snapshot columns serve every case and amplitude.  A
 snapshot CSV is one byte buffer: the coordinate text of its rows, built
@@ -92,7 +93,7 @@ def compute_order(coarse_err: float, fine_err: float):
 @dataclass
 class StudyRow:
     """One run of a study, its only record: its key (the mesh parameter
-    ``n`` and the noise amplitude, 0.0 for a noise-free run), its solution,
+    ``n`` and the noise amplitude, 0.0 for a clean run), its solution,
     error norms and snapshot, or the failure that stopped it, and its
     observed orders against the previous mesh (empty when there is none).
     The failure is a copy of the exception, without the traceback and
@@ -310,18 +311,18 @@ class Reference:
         return factor_and_solve(system, factor)
 
     def superpose(self, matrix: SystemMatrix, norm_M: float, clean: Solution,
-                  response: Solution | None, noise: NoiseSpec | None) -> Solution:
+                  response: Solution | None, noise: NoiseSpec) -> Solution:
         """The solution of one run on ``matrix``, from no solve of its own.
 
-        Without noise, or at amplitude 0, it is ``clean`` itself.  With
-        NoiseSpec(a, seed) it is x(a) = x_clean + a x_response in u0, un and
-        lam, ``response`` the solve of the seed's ``noise_response``: the
-        data-to-solution map is linear.  The amplitude's own right-hand side
-        is assembled as for a direct solve, and x(a) is accepted against it
-        by ``_backward_error`` (norm_M = ||M||_inf): SingularSystem when the
-        boundary data or x(a) is not finite, or x(a) does not solve it.
+        At amplitude 0 it is ``clean`` itself.  With NoiseSpec(a, seed) it
+        is x(a) = x_clean + a x_response in u0, un and lam, ``response`` the
+        solve of the seed's ``noise_response``: the data-to-solution map is
+        linear.  The amplitude's own right-hand side is assembled as for a
+        direct solve, and x(a) is accepted against it by ``_backward_error``
+        (norm_M = ||M||_inf): SingularSystem when the boundary data or x(a)
+        is not finite, or x(a) does not solve it.
         """
-        if noise is None or noise.amplitude == 0.0:
+        if noise.amplitude == 0.0:
             return clean
         a = noise.amplitude
         system = assemble_rhs(matrix, self.problem, self.tri_degree, noise, load=self.load)
@@ -368,26 +369,24 @@ def _attempt(solve, *args) -> tuple:
         return None, _failed(exc)
 
 
-def _amplitude(noise: NoiseSpec | None) -> float:
-    return 0.0 if noise is None else noise.amplitude
-
-
 def _study(
     n: int,
-    plan: dict[str, list[tuple[str, NoiseSpec | None]]],
+    plan: dict[str, list[tuple[str, float]]],
     tri_degree: int,
+    seed: int = DEFAULT_NOISE_SEED,
     snapshots: bool = False,
 ) -> dict[str, list[StudyRow]]:
     """Solve and measure the runs of ``plan`` on the n x n mesh.
 
-    ``plan`` maps each case to its (problem name, noise) runs; the result
-    maps it to their StudyRows, in order, each keyed by ``n`` and its run's
-    amplitude (0.0 without noise).  The cases share the mesh's operators,
-    freed before the last case's factor, and one Reference per problem.
-    Each case is factored once and solved once per problem (its clean
-    solve) and once per noise seed of a run with an amplitude above 0 (the
-    seed's ``noise_response``).  Its factor is then deleted, before any run
-    is measured: no factor is held through a measurement or the next case's
+    ``plan`` maps each case to its (problem name, noise amplitude) runs,
+    whose noise is drawn from ``seed``; the result maps it to their
+    StudyRows, in order, each keyed by ``n`` and its run's amplitude.  The
+    cases share the mesh's operators, freed before the last case's factor,
+    and one Reference per problem.  Each case is factored once and solved
+    once per problem (its clean solve) and, when a run of the case has an
+    amplitude above 0, once more, for the study's seed (the case's
+    ``noise_response``).  Its factor is then deleted, before any run is
+    measured: no factor is held through a measurement or the next case's
     assembly.  Each run's solution is the clean solve itself or the clean
     solve plus a times the response (``Reference.superpose``), accepted
     against the run's own right-hand side; a run at amplitude 0 reads no
@@ -395,7 +394,7 @@ def _study(
     them).  With ``snapshots`` each row takes its snapshot when it is
     measured.  A singular factor fails the rows of its case, a failed
     clean solve the rows of its problem, a failed response the noisy rows
-    of its seed, a refused superposition its own row, and running out of
+    of its case, a refused superposition its own row, and running out of
     memory every row on the mesh that has not finished.  A case without
     runs is not assembled, and a plan without runs builds no mesh.
     """
@@ -415,24 +414,23 @@ def _study(
             try:
                 factor = saddle_factor(matrix)
             except SingularSystem as exc:
-                rows[case] += [StudyRow(n, _amplitude(noise), failure=_failed(exc))
-                               for _, noise in todo]
+                rows[case] += [StudyRow(n, a, failure=_failed(exc)) for _, a in todo]
                 continue
             clean = {p: _attempt(refs[p].solve, matrix, factor)
                      for p in dict.fromkeys(p for p, _ in todo)}
-            seeds = dict.fromkeys(noise.seed for _, noise in todo if _amplitude(noise) > 0.0)
-            responses = {seed: _attempt(factor_and_solve, noise_response(matrix, seed, tri_degree),
-                                        factor) for seed in seeds}
+            noisy = None
+            if any(a > 0.0 for _, a in todo):
+                noisy = _attempt(factor_and_solve, noise_response(matrix, seed, tri_degree), factor)
             norm_M = factor.norm_M
             del factor  # the case's last solve is done: freed before any run is measured
-            for p, noise in todo:
-                ref, amplitude = refs[p], _amplitude(noise)
+            for p, amplitude in todo:
+                ref = refs[p]
                 (solution, failure), response = clean[p], None
                 if failure is None and amplitude > 0.0:  # amplitude 0 reads no response
-                    response, failure = responses[noise.seed]
+                    response, failure = noisy
                 if failure is None:
                     solution, failure = _attempt(ref.superpose, matrix, norm_M, solution,
-                                                 response, noise)
+                                                 response, NoiseSpec(amplitude, seed))
                 if failure is not None:
                     rows[case].append(StudyRow(n, amplitude, failure=failure))
                     continue
@@ -441,8 +439,7 @@ def _study(
                                            ref.snapshot(solution) if snapshots else None))
     except MemoryError as exc:
         for case, todo in plan.items():
-            rows[case] += [StudyRow(n, _amplitude(noise), failure=_failed(exc))
-                           for _, noise in todo[len(rows[case]):]]
+            rows[case] += [StudyRow(n, a, failure=_failed(exc)) for _, a in todo[len(rows[case]):]]
     return rows
 
 
@@ -460,7 +457,7 @@ def solve_single(
     failure is raised.  The solution holds no pivots: ``case_pivots``
     reads them from a factor of its own.
     """
-    row, = _study(n, {case_name: [(problem_name, None)]}, tri_degree, snapshots=True)[case_name]
+    row, = _study(n, {case_name: [(problem_name, 0.0)]}, tri_degree, snapshots=True)[case_name]
     if row.failure is not None:
         raise row.failure
     return row.solution, row.report, row.snapshot
@@ -499,7 +496,7 @@ def _convergence_tables(
     """
     tables = {(p, case): ConvergenceTable(problem=p, case=case)
               for case, names in problems_by_case.items() for p in names}
-    plan = {case: [(p, None) for p in names] for case, names in problems_by_case.items()}
+    plan = {case: [(p, 0.0) for p in names] for case, names in problems_by_case.items()}
     for n in n_list:
         for case, rows in _study(n, plan, tri_degree).items():
             for p, row in zip(problems_by_case[case], rows):
@@ -543,7 +540,8 @@ def run_noise_study(
     tri_degree: int = DEFAULT_TRI_DEGREE,
 ) -> NoiseStudy:
     """The ``_study`` row of each amplitude, in order, from two solves with
-    one factor: the clean solve and the seed's noise response.
+    one factor: the clean solve and, once per case for the study's seed,
+    the noise response.
 
     Amplitude 0 is the unperturbed solve itself, bit for bit; amplitude a
     is the clean solve plus a times the response (``Reference.superpose``),
@@ -551,8 +549,9 @@ def run_noise_study(
     amplitude gets a row without solution, report or snapshot, and the
     study goes on.
     """
-    plan = {case_name: [(problem_name, NoiseSpec(amplitude=a, seed=seed)) for a in amplitudes]}
-    return NoiseStudy(problem_name, case_name, _study(n, plan, tri_degree, snapshots=True)[case_name])
+    plan = {case_name: [(problem_name, a) for a in amplitudes]}
+    return NoiseStudy(problem_name, case_name,
+                      _study(n, plan, tri_degree, seed, snapshots=True)[case_name])
 
 
 # ---------------------------------------------------------------------------

@@ -119,7 +119,7 @@ class Solution:
     un: np.ndarray
     lam: np.ndarray
     residual_inf: float
-    condition: float = math.nan
+    condition: float
 
 
 @dataclass(frozen=True)

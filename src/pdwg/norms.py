@@ -122,17 +122,6 @@ class ErrorField:
             lam=c * self.lam,
         )
 
-    def __add__(self, other: "ErrorField") -> "ErrorField":
-        return ErrorField(
-            e0_quad=self.e0_quad + other.e0_quad,
-            e0_nodes=self.e0_nodes + other.e0_nodes,
-            lap_e0=self.lap_e0 + other.lap_e0,
-            en=self.en + other.en,
-            mismatch=self.mismatch + other.mismatch,
-            q0_jump=self.q0_jump + other.q0_jump,
-            lam=self.lam + other.lam,
-        )
-
 
 def project_exact(
     problem: ManufacturedSolution,

@@ -6,9 +6,9 @@ documented 128-bit-state/64-bit-output algorithm, deliberately not the
 platform default RNG) seeded from NoiseSpec.seed, so a study is bit-for-bit
 reproducible given the seed.  The draws depend on the seed alone, not on
 the amplitude, so the noise of amplitude a is a times one unit
-perturbation 0.5 - r per seed; the studies solve for that perturbation
-once (``pdwg.assembly.noise_response``) and add a times its solution to
-the clean one.
+perturbation 0.5 - r per seed; a study, under one seed, solves for that
+perturbation once per case (``pdwg.assembly.noise_response``) and adds a
+times its solution to the clean one.
 """
 
 from __future__ import annotations
@@ -56,18 +56,17 @@ class NoiseSpec:
         return np.random.Generator(np.random.PCG64(self.seed))
 
 
-def perturb(values: np.ndarray, spec: NoiseSpec, rng: np.random.Generator | None = None):
+def perturb(values: np.ndarray, spec: NoiseSpec, rng: np.random.Generator | None):
     """Perturb data samples in array order: value += a*(0.5 - r).
 
-    ``rng`` threads one PCG64 stream across several calls (the caller fixes
-    the documented draw order); by default a fresh stream is seeded from
-    ``spec.seed``.  Amplitude 0 returns the input values bit-exactly.
+    The draws r come from ``rng``, the stream ``spec.generator()`` seeds,
+    which the caller threads across several calls in the documented draw
+    order.  Amplitude 0 draws nothing (``rng`` may be None) and returns a
+    copy of the input values, bit-exactly.
     """
     values = np.asarray(values, dtype=float)
     if spec.amplitude == 0.0:
         return values.copy()
-    if rng is None:
-        rng = spec.generator()
     r = rng.random(values.shape)
     return values + spec.amplitude * (0.5 - r)
 

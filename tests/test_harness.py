@@ -240,6 +240,25 @@ def test_noise_zero_amplitude_matches_clean_solve():
     assert study.rows[1].report.l2 != clean_report.l2
 
 
+def test_a_noise_free_study_draws_no_noise(monkeypatch):
+    # amplitude 0 is the clean run: it makes no stream and solves no response
+    problems_by_case = {"case1": ["sinsin"], "figures": ["coscos"]}
+
+    def outputs():
+        tables = harness._convergence_tables(problems_by_case, [2, 4], DEFAULT_TRI_DEGREE)
+        solution, report, snapshot = solve_single("coscos", "figures", 4)
+        return ([t.to_csv() for t in tables.values()], solution.u0.tobytes(),
+                solution.lam.tobytes(), report.as_dict(), snapshot.nodes_csv())
+
+    def drawn(*args):
+        raise AssertionError("a noise-free run drew noise")
+
+    want = outputs()
+    monkeypatch.setattr(NoiseSpec, "generator", drawn)
+    monkeypatch.setattr(harness, "noise_response", drawn)
+    assert outputs() == want
+
+
 def test_noise_study_reproducible():
     a = run_noise_study("coscos", "figures", 4, [0.0, 0.005, 0.05], seed=7)
     b = run_noise_study("coscos", "figures", 4, [0.0, 0.005, 0.05], seed=7)
@@ -259,8 +278,8 @@ def test_noise_summary_csv_schema():
 
 def test_a_noisy_run_is_its_clean_run_plus_a_times_the_response():
     amplitudes = [0.0, 0.001, 0.01, 0.1]
-    plan = {"figures": [("coscos", NoiseSpec(amplitude=a, seed=7)) for a in amplitudes]}
-    runs = harness._study(8, plan, DEFAULT_TRI_DEGREE, snapshots=True)["figures"]
+    plan = {"figures": [("coscos", a) for a in amplitudes]}
+    runs = harness._study(8, plan, DEFAULT_TRI_DEGREE, seed=7, snapshots=True)["figures"]
     clean, _, _ = solve_single("coscos", "figures", 8)
     assert runs[0].solution is not None and np.array_equal(runs[0].solution.u0, clean.u0)
     matrix = harness.case_matrix("figures", build_uniform_unit_square(8))
@@ -328,14 +347,15 @@ def test_a_noise_study_solves_its_clean_system_and_its_response(amplitudes, solv
     assert len(factor_solves) == solves
 
 
-def test_each_case_solves_each_problem_and_each_seed_once(factor_solves):
-    plan = {"figures": [("coscos", NoiseSpec(0.01, 1)), ("coscos", NoiseSpec(0.1, 1))],
-            "case2": [("coscos", None), ("sinsin", NoiseSpec(0.01, 1)),
-                      ("sinsin", NoiseSpec(0.01, 2)), ("sinsin", NoiseSpec(0.0, 3))]}
-    runs = harness._study(4, plan, DEFAULT_TRI_DEGREE)
+def test_each_case_solves_each_problem_and_its_response_once(factor_solves):
+    plan = {"figures": [("coscos", 0.01), ("coscos", 0.1)],
+            "case2": [("coscos", 0.0), ("sinsin", 0.01), ("sinsin", 0.02), ("sinsin", 0.0)],
+            "case1": [("sinsin", 0.0), ("quad", 0.0)]}
+    runs = harness._study(4, plan, DEFAULT_TRI_DEGREE, seed=1)
     assert all(run.report is not None for todo in runs.values() for run in todo)
-    # figures: coscos and seed 1; case2: coscos, sinsin and seeds 1 and 2
-    assert len(factor_solves) == 2 + 4
+    # figures: coscos and the response; case2: coscos, sinsin and the
+    # response; case1, without noise: sinsin and quad, and no response
+    assert len(factor_solves) == 2 + 3 + 2
 
 
 def test_benchmark_plan_covers_reference_tables():
@@ -467,7 +487,7 @@ def test_a_case_without_runs_is_not_factored(splu_calls):
     study = run_noise_study("coscos", "figures", 8, [])
     assert study.rows == []
     assert splu_calls == []
-    assert harness._study(4, {"case1": [], "case2": [("quad", None)]},
+    assert harness._study(4, {"case1": [], "case2": [("quad", 0.0)]},
                           DEFAULT_TRI_DEGREE)["case1"] == []
     assert len(splu_calls) == 1
 
@@ -544,7 +564,7 @@ def test_out_of_memory_keeps_the_amplitudes_finished(owner, name, tmp_path, monk
 def test_a_failed_run_keeps_no_frame_of_its_solve(singular_splu):
     # the exception raised holds the factor's frames in its traceback and
     # in the exceptions chained to it; the run keeps a copy without them
-    plan = {"case1": [("sinsin", None), ("quad", None)]}
+    plan = {"case1": [("sinsin", 0.0), ("quad", 0.0)]}
     runs = harness._study(2, plan, DEFAULT_TRI_DEGREE)["case1"]
     assert len(runs) == 2
     for run in runs:
@@ -583,9 +603,8 @@ def oom_at_second_measure(monkeypatch):
 
 
 def test_a_failed_response_fails_only_the_noisy_runs(nan_response):
-    plan = {"figures": [("coscos", NoiseSpec(0.0, 5)), ("coscos", NoiseSpec(0.01, 5)),
-                        ("sinsin", None), ("coscos", NoiseSpec(0.1, 5))]}
-    runs = harness._study(4, plan, DEFAULT_TRI_DEGREE)["figures"]
+    plan = {"figures": [("coscos", 0.0), ("coscos", 0.01), ("sinsin", 0.0), ("coscos", 0.1)]}
+    runs = harness._study(4, plan, DEFAULT_TRI_DEGREE, seed=5)["figures"]
     assert [run.report is not None for run in runs] == [True, False, True, False]
     for run in (runs[1], runs[3]):
         assert str(run.failure) == "the solve is not finite (backward error nan)"
@@ -595,28 +614,25 @@ def test_a_failed_response_fails_only_the_noisy_runs(nan_response):
 NOT_FINITE = "the solve is not finite (backward error nan)"
 
 
-@pytest.mark.parametrize("setup, plan, errors", [
-    (None, {"case2": [("coscos", None), ("sinsin", NoiseSpec(0.01, 1))],
-            "figures": [("quad", NoiseSpec(0.0, 1))]}, ["", "", ""]),
-    ("singular_splu", {"case1": [("sinsin", None), ("quad", NoiseSpec(0.1, 3))]},
+@pytest.mark.parametrize("setup, plan, seed, errors", [
+    (None, {"case2": [("coscos", 0.0), ("sinsin", 0.01)], "figures": [("quad", 0.0)]}, 1,
+     ["", "", ""]),
+    ("singular_splu", {"case1": [("sinsin", 0.0), ("quad", 0.1)]}, 3,
      ["exactly singular", "exactly singular"]),
-    ("nan_response", {"figures": [("coscos", NoiseSpec(0.0, 5)), ("coscos", NoiseSpec(0.01, 5))]},
-     ["", NOT_FINITE]),
-    (None, {"case2": [("coscos", NoiseSpec(0.0, 2)), ("coscos", NoiseSpec(1e307, 2))]},
-     ["", NOT_FINITE]),
-    ("oom_at_second_measure", {"case1": [("sinsin", None), ("quad", None)],
-                               "case2": [("coscos", NoiseSpec(0.01, 4))]},
+    ("nan_response", {"figures": [("coscos", 0.0), ("coscos", 0.01)]}, 5, ["", NOT_FINITE]),
+    (None, {"case2": [("coscos", 0.0), ("coscos", 1e307)]}, 2, ["", NOT_FINITE]),
+    ("oom_at_second_measure", {"case1": [("sinsin", 0.0), ("quad", 0.0)],
+                               "case2": [("coscos", 0.01)]}, 4,
      ["", "out of memory: no room", "out of memory: no room"]),
 ], ids=["solved", "singular_factor", "failed_response", "refused_superposition",
         "out_of_memory"])
-def test_every_study_row_carries_its_key_and_its_outcome(setup, plan, errors, request):
+def test_every_study_row_carries_its_key_and_its_outcome(setup, plan, seed, errors, request):
     if setup is not None:
         request.getfixturevalue(setup)
-    rows = harness._study(4, plan, DEFAULT_TRI_DEGREE, snapshots=True)
+    rows = harness._study(4, plan, DEFAULT_TRI_DEGREE, seed=seed, snapshots=True)
     assert list(rows) == list(plan)
     got = [row for case in plan for row in rows[case]]
-    keys = [(4, 0.0 if noise is None else noise.amplitude)
-            for todo in plan.values() for _, noise in todo]
+    keys = [(4, a) for todo in plan.values() for _, a in todo]
     assert [(row.n, row.amplitude) for row in got] == keys
     for row, error in zip(got, errors, strict=True):
         assert row.error == harness.failure_text(row.failure)

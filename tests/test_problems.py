@@ -96,23 +96,26 @@ def test_case5_leaves_three_sides_free():
 
 def test_zero_amplitude_is_bit_exact(rng):
     values = rng.standard_normal(50)
-    out = perturb(values, NoiseSpec(amplitude=0.0, seed=7))
+    spec = NoiseSpec(amplitude=0.0, seed=7)
+    out = perturb(values, spec, spec.generator())
     assert np.array_equal(out, values)
     assert out is not values
 
 
 def test_same_seed_reproduces(rng):
     values = rng.standard_normal(32)
-    a = perturb(values, NoiseSpec(amplitude=0.01, seed=99))
-    b = perturb(values, NoiseSpec(amplitude=0.01, seed=99))
+    spec, other = NoiseSpec(amplitude=0.01, seed=99), NoiseSpec(amplitude=0.01, seed=100)
+    a = perturb(values, spec, spec.generator())
+    b = perturb(values, spec, spec.generator())
     assert np.array_equal(a, b)
-    c = perturb(values, NoiseSpec(amplitude=0.01, seed=100))
+    c = perturb(values, other, other.generator())
     assert not np.array_equal(a, c)
 
 
 def test_perturbation_magnitude_bound(rng):
     values = np.zeros(10_000)
-    out = perturb(values, NoiseSpec(amplitude=0.005, seed=1))
+    spec = NoiseSpec(amplitude=0.005, seed=1)
+    out = perturb(values, spec, spec.generator())
     assert np.abs(out).max() < 0.0025
     assert np.abs(out).max() > 0.002  # draws actually fill the range
     assert np.abs(out).min() > 0.0
@@ -123,7 +126,7 @@ def test_threaded_generator_continues_stream():
     rng = spec.generator()
     a = perturb(np.zeros(8), spec, rng)
     b = perturb(np.zeros(8), spec, rng)
-    both = perturb(np.zeros(16), spec)
+    both = perturb(np.zeros(16), spec, spec.generator())
     assert np.array_equal(np.concatenate([a, b]), both)
 
 
