@@ -56,7 +56,14 @@ from pdwg.linsolve import (
     saddle_factor,
 )
 from pdwg.mesh import BoundaryTags, Mesh, build_uniform_unit_square, classify_boundary
-from pdwg.norms import ErrorReport, ExactProjection, error_norms, project_exact
+from pdwg.norms import (
+    NORM_NAMES,
+    ErrorReport,
+    ExactProjection,
+    arrays_read,
+    error_norms,
+    project_exact,
+)
 from pdwg.polyspace import DEFAULT_TRI_DEGREE
 from pdwg.problems import (
     DEFAULT_NOISE_SEED,
@@ -117,7 +124,7 @@ def _cell(row: StudyRow, column: str) -> str:
     """The CSV text of one column of a row: ``n`` as an integer, ``h`` and
     ``amplitude`` as the repr of a float, ``ord_<norm>`` as ``%.4f``, and
     any other column as the ``%.12e`` of that norm.  A norm or order the
-    row lacks is empty."""
+    row lacks is empty: a failed row's, or a norm that was not measured."""
     if column == "n":
         return str(row.n)
     if column == "h":
@@ -127,7 +134,8 @@ def _cell(row: StudyRow, column: str) -> str:
     if column.startswith("ord_"):
         o = row.orders.get(column[4:])
         return "" if o is None else f"{o:.4f}"
-    return "" if row.report is None else f"{getattr(row.report, column):.12e}"
+    value = None if row.report is None else getattr(row.report, column)
+    return "" if value is None else f"{value:.12e}"
 
 
 def rows_csv(rows: list[StudyRow], columns) -> str:
@@ -333,9 +341,13 @@ class Reference:
             residual = _backward_error(matrix.M, norm_M, x, system.rhs)
         return Solution(u0=u0, un=un, lam=lam, residual_inf=residual, condition=clean.condition)
 
-    def measure(self, solution: Solution, tags: BoundaryTags) -> ErrorReport:
-        """Error norms of ``solution`` against the problem's projection."""
-        return error_norms(solution, self.projection, self.mesh, tags)
+    def measure(self, solution: Solution, tags: BoundaryTags,
+                norms=NORM_NAMES) -> ErrorReport:
+        """The named error norms of ``solution`` against the problem's
+        projection, by default all seven; a norm not named is None.  Each
+        is computed from the arrays it reads only, with the bits it has in
+        a measurement of all seven (``pdwg.norms``)."""
+        return error_norms(solution, self.projection, self.mesh, tags, norms)
 
     def snapshot(self, solution: Solution) -> FieldSnapshot:
         exact, node_rows, element_rows = self._snapshot_columns
@@ -375,12 +387,18 @@ def _study(
     tri_degree: int,
     seed: int = DEFAULT_NOISE_SEED,
     snapshots: bool = False,
+    norms=NORM_NAMES,
 ) -> dict[str, list[StudyRow]]:
     """Solve and measure the runs of ``plan`` on the n x n mesh.
 
     ``plan`` maps each case to its (problem name, noise amplitude) runs,
     whose noise is drawn from ``seed``; the result maps it to their
-    StudyRows, in order, each keyed by ``n`` and its run's amplitude.  The
+    StudyRows, in order, each keyed by ``n`` and its run's amplitude.
+    Every run's ``NoiseSpec`` and the names in ``norms`` are checked before
+    the mesh is built: a negative or nan amplitude, or an unknown norm,
+    raises ValueError before any work.  Each row reports the norms named
+    in ``norms`` (by default all seven), measured from the arrays they
+    read only (``Reference.measure``); the others are None.  The
     cases share the mesh's operators, freed before the last case's factor,
     and one Reference per problem.  Each case is factored once and solved
     once per problem (its clean solve) and, when a run of the case has an
@@ -400,6 +418,8 @@ def _study(
     """
     rows: dict[str, list[StudyRow]] = {case: [] for case in plan}
     plan = {case: todo for case, todo in plan.items() if todo}
+    specs = {case: [NoiseSpec(a, seed) for _, a in todo] for case, todo in plan.items()}
+    arrays_read(norms)  # an unknown norm name raises here, before any work
     if not plan:
         return rows
     try:
@@ -423,19 +443,19 @@ def _study(
                 noisy = _attempt(factor_and_solve, noise_response(matrix, seed, tri_degree), factor)
             norm_M = factor.norm_M
             del factor  # the case's last solve is done: freed before any run is measured
-            for p, amplitude in todo:
+            for (p, amplitude), spec in zip(todo, specs[case]):
                 ref = refs[p]
                 (solution, failure), response = clean[p], None
                 if failure is None and amplitude > 0.0:  # amplitude 0 reads no response
                     response, failure = noisy
                 if failure is None:
                     solution, failure = _attempt(ref.superpose, matrix, norm_M, solution,
-                                                 response, NoiseSpec(amplitude, seed))
+                                                 response, spec)
                 if failure is not None:
                     rows[case].append(StudyRow(n, amplitude, failure=failure))
                     continue
                 rows[case].append(StudyRow(n, amplitude, solution,
-                                           ref.measure(solution, matrix.tags),
+                                           ref.measure(solution, matrix.tags, norms),
                                            ref.snapshot(solution) if snapshots else None))
     except MemoryError as exc:
         for case, todo in plan.items():
@@ -521,6 +541,10 @@ def run_convergence(
                                tri_degree)[(problem_name, case_name)]
 
 
+# The columns of a noise study's summary.
+NOISE_SUMMARY_COLUMNS = ("amplitude", "l2", "linf")
+
+
 @dataclass
 class NoiseStudy:
     problem: str
@@ -528,7 +552,7 @@ class NoiseStudy:
     rows: list[StudyRow]
 
     def summary_csv(self) -> str:
-        return rows_csv(self.rows, ("amplitude", "l2", "linf"))
+        return rows_csv(self.rows, NOISE_SUMMARY_COLUMNS)
 
 
 def run_noise_study(
@@ -538,6 +562,7 @@ def run_noise_study(
     amplitudes: list[float],
     seed: int = DEFAULT_NOISE_SEED,
     tri_degree: int = DEFAULT_TRI_DEGREE,
+    norms=NORM_NAMES,
 ) -> NoiseStudy:
     """The ``_study`` row of each amplitude, in order, from two solves with
     one factor: the clean solve and, once per case for the study's seed,
@@ -545,13 +570,17 @@ def run_noise_study(
 
     Amplitude 0 is the unperturbed solve itself, bit for bit; amplitude a
     is the clean solve plus a times the response (``Reference.superpose``),
-    so its row does not depend on the other amplitudes.  A failed
+    so its row does not depend on the other amplitudes.  Each row reports
+    the norms named in ``norms``, by default all seven; a norm measured
+    alone has the bits it has among all seven, so ``summary_csv`` is the
+    same text when ``norms`` names only its columns.  A negative or nan
+    amplitude raises ValueError before the mesh is built.  A failed
     amplitude gets a row without solution, report or snapshot, and the
     study goes on.
     """
     plan = {case_name: [(problem_name, a) for a in amplitudes]}
     return NoiseStudy(problem_name, case_name,
-                      _study(n, plan, tri_degree, seed, snapshots=True)[case_name])
+                      _study(n, plan, tri_degree, seed, snapshots=True, norms=norms)[case_name])
 
 
 # ---------------------------------------------------------------------------

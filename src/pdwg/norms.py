@@ -7,9 +7,16 @@ sample of it goes through the P2 nodal basis once.  The flux error is the
 stored coefficient difference against Qn(grad u . n_e).  ``project_exact``
 returns Q_h u already sampled on the triangle rule of one degree and on
 the edge rule that ``edge_points_for`` pairs with it; the error field and
-its norms are measured on those rules, once per field, on the field scaled
-by an exact power of two that brings its largest entry into [1/2, 1), or
-as near as a subnormal one allows (``norms_of_error``).  Norm conventions:
+its norms are measured on those rules.  A norm is measured on request: a
+caller names the norms it needs (by default all seven), and only the
+arrays of the field that those norms read are built and scaled
+(``build_error_field``, ``norms_of_error``).  They are scaled by an exact
+power of two that brings their largest entry into [1/2, 1), or as near as
+a subnormal one allows.  Each norm has one formula, and both scalings are
+exact, so its value scaled back is its value unscaled, bit for bit,
+unless its scaled entries or their squares leave the normal float range.
+So a norm's bits depend neither on the power, which the arrays read set,
+nor on which other norms are asked for.  Norm conventions:
 
 * ||e||_2h^2 = sum_T ||Lap e0||_T^2 + s(e, e), where the h^-1 stabilizer
   part is one sum of ``pdwg.assembly.stabilizer_weights`` times the squared
@@ -84,43 +91,38 @@ class ExactProjection:
 
 @dataclass(frozen=True)
 class ErrorReport:
-    """The six field norms plus the multiplier norm."""
+    """The six field norms plus the multiplier norm; a norm that was not
+    measured is None."""
 
-    h2: float
-    l1: float
-    l2: float
-    h1: float
-    linf: float
-    w11: float
-    lambda0h: float
+    h2: float | None = None
+    l1: float | None = None
+    l2: float | None = None
+    h1: float | None = None
+    linf: float | None = None
+    w11: float | None = None
+    lambda0h: float | None = None
 
-    def as_dict(self) -> dict[str, float]:
+    def as_dict(self) -> dict[str, float | None]:
         """The norms by name, in the order of the fields."""
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
 class ErrorField:
-    """Samplings of the error, all linear in (u_h - Q_h u, lambda_h)."""
+    """Samplings of the error, all linear in (u_h - Q_h u, lambda_h).  An
+    array that no requested norm reads is None."""
 
-    e0_quad: np.ndarray      # (T, Q) values at triangle quadrature points
-    e0_nodes: np.ndarray     # (T, 6) values at the P2 nodes
-    lap_e0: np.ndarray       # (T,) elementwise constant Laplacian
-    en: np.ndarray           # (E, 2) stored flux error coefficients
-    mismatch: np.ndarray     # (3, T, 2) coefficients of grad e0 . n_e - e_n per local edge
-    q0_jump: np.ndarray      # (Ei, q) Q0 u trace jumps at edge Gauss points
-    lam: np.ndarray          # (T,)
+    e0_quad: np.ndarray | None = None   # (T, Q) values at triangle quadrature points
+    e0_nodes: np.ndarray | None = None  # (T, 6) values at the P2 nodes
+    lap_e0: np.ndarray | None = None    # (T,) elementwise constant Laplacian
+    en: np.ndarray | None = None        # (E, 2) stored flux error coefficients
+    mismatch: np.ndarray | None = None  # (3, T, 2) grad e0 . n_e - e_n per local edge
+    q0_jump: np.ndarray | None = None   # (Ei, q) Q0 u trace jumps at edge Gauss points
+    lam: np.ndarray | None = None       # (T,)
 
     def scaled(self, c: float) -> "ErrorField":
-        return ErrorField(
-            e0_quad=c * self.e0_quad,
-            e0_nodes=c * self.e0_nodes,
-            lap_e0=c * self.lap_e0,
-            en=c * self.en,
-            mismatch=c * self.mismatch,
-            q0_jump=c * self.q0_jump,
-            lam=c * self.lam,
-        )
+        return ErrorField(**{name: None if a is None else c * a
+                             for name, a in vars(self).items()})
 
 
 def project_exact(
@@ -183,31 +185,111 @@ def _trace_jumps(q0: np.ndarray, mesh: Mesh, t: np.ndarray) -> np.ndarray:
     return trace(0) - trace(1)
 
 
-def build_error_field(solution: Solution, qhu: ExactProjection, mesh: Mesh) -> ErrorField:
-    """Sample e = u_h - Q_h u on the rules that ``qhu`` was sampled on.
+def _h2(field: ErrorField, mesh: Mesh, tags: BoundaryTags, tri_degree: int) -> float:
+    h2_sq = float(np.sum(mesh.area * field.lap_e0**2))
+    h2_sq += float(np.sum(stabilizer_weights(mesh) * field.mismatch**2))
+    interior = np.flatnonzero(~mesh.boundary_edge_mask)
+    if len(interior):
+        _, wq = edge_gauss(edge_points_for(tri_degree))
+        h_e = mesh.h_e[interior]
+        inv3 = mesh.h_t[mesh.edge_tris[interior, 0]] ** -3 + mesh.h_t[
+            mesh.edge_tris[interior, 1]
+        ] ** -3
+        jump_sq = (field.q0_jump**2) @ wq * h_e
+        h2_sq += float(np.sum(0.25 * inv3 * jump_sq))
+    return float(np.sqrt(h2_sq))
+
+
+def _l1(field: ErrorField, mesh: Mesh, tags: BoundaryTags, tri_degree: int) -> float:
+    w = triangle_quadrature(tri_degree).physical_weights(mesh.area)
+    return float(np.einsum("tq,tq->", w, np.abs(field.e0_quad)))
+
+
+def _l2(field: ErrorField, mesh: Mesh, tags: BoundaryTags, tri_degree: int) -> float:
+    w = triangle_quadrature(tri_degree).physical_weights(mesh.area)
+    return float(np.sqrt(np.einsum("tq,tq->", w, field.e0_quad**2)))
+
+
+def _h1(field: ErrorField, mesh: Mesh, tags: BoundaryTags, tri_degree: int) -> float:
+    h1_sq = 0.0
+    for l in range(3):
+        e = mesh.tri_edges[:, l]
+        en = field.en[e]
+        h1_sq += float(np.sum(mesh.h_t * mesh.h_e[e] * (en[:, 0] ** 2 + en[:, 1] ** 2 / 12.0)))
+    return float(np.sqrt(h1_sq))
+
+
+def _linf(field: ErrorField, mesh: Mesh, tags: BoundaryTags, tri_degree: int) -> float:
+    return float(max(np.abs(field.e0_quad).max(initial=0.0),
+                     np.abs(field.e0_nodes).max(initial=0.0)))
+
+
+def _w11(field: ErrorField, mesh: Mesh, tags: BoundaryTags, tri_degree: int) -> float:
+    t, wq = edge_gauss(edge_points_for(tri_degree))
+    tau = t - 0.5
+    w11 = 0.0
+    for l in range(3):
+        e = mesh.tri_edges[:, l]
+        en = field.en[e]
+        en_vals = en[:, 0][:, None] + en[:, 1][:, None] * tau[None, :]
+        w11 += float(np.sum(mesh.h_t * mesh.h_e[e] * (np.abs(en_vals) @ wq)))
+    return w11
+
+
+def _lambda0h(field: ErrorField, mesh: Mesh, tags: BoundaryTags, tri_degree: int) -> float:
+    return lambda_norm(field.lam, mesh, tags)
+
+
+# Each norm, in the order of ErrorReport: the ErrorField arrays it reads and
+# its one formula.
+_NORMS = {
+    "h2": (("lap_e0", "mismatch", "q0_jump"), _h2),
+    "l1": (("e0_quad",), _l1),
+    "l2": (("e0_quad",), _l2),
+    "h1": (("en",), _h1),
+    "linf": (("e0_quad", "e0_nodes"), _linf),
+    "w11": (("en",), _w11),
+    "lambda0h": (("lam",), _lambda0h),
+}
+NORM_NAMES = tuple(_NORMS)
+
+
+def arrays_read(norms) -> set[str]:
+    """The ErrorField arrays that the named norms read; ValueError for a
+    name that is not one of ``NORM_NAMES``."""
+    unknown = [name for name in norms if name not in _NORMS]
+    if unknown:
+        raise ValueError(f"unknown norms {unknown}; known: {list(NORM_NAMES)}")
+    return {a for name in norms for a in _NORMS[name][0]}
+
+
+def build_error_field(solution: Solution, qhu: ExactProjection, mesh: Mesh,
+                      norms=NORM_NAMES) -> ErrorField:
+    """Sample e = u_h - Q_h u on the rules that ``qhu`` was sampled on:
+    the arrays that ``norms`` read, the others None.
 
     u_h and Q0 u share the P2 nodal basis, so every sample of e0 is linear
     in their nodal difference.
     """
+    reads = arrays_read(norms)
     if solution.u0.shape[0] != mesh.num_vertices + mesh.num_edges:
         raise ValueError("solution does not match the mesh")
     if qhu.q0.shape[0] != mesh.num_triangles:
         raise ValueError("projection does not match the mesh")
 
     e_loc = solution.u0[qhu.p2_dofs] - qhu.q0  # (T, 6)
-    en = solution.un - qhu.qn
-    mismatch = (np.stack([np.einsum("tci,ti->tc", G, e_loc) for G in qhu.normal_maps])
-                - en[mesh.tri_edges.T])
-
-    return ErrorField(
-        e0_quad=e_loc @ qhu.basis_quad.T,
-        e0_nodes=e_loc,
-        lap_e0=np.einsum("ti,ti->t", e_loc, qhu.p2_lap),
-        en=en,
-        mismatch=mismatch,
-        q0_jump=qhu.q0_jump,
-        lam=np.asarray(solution.lam, dtype=float),
-    )
+    build = {
+        "e0_quad": lambda: e_loc @ qhu.basis_quad.T,
+        "e0_nodes": lambda: e_loc,
+        "lap_e0": lambda: np.einsum("ti,ti->t", e_loc, qhu.p2_lap),
+        "en": lambda: solution.un - qhu.qn,
+        "mismatch": lambda: (np.stack([np.einsum("tci,ti->tc", G, e_loc)
+                                       for G in qhu.normal_maps])
+                             - (solution.un - qhu.qn)[mesh.tri_edges.T]),
+        "q0_jump": lambda: qhu.q0_jump,
+        "lam": lambda: np.asarray(solution.lam, dtype=float),
+    }
+    return ErrorField(**{a: build[a]() for a in reads})
 
 
 def norms_of_error(
@@ -215,78 +297,41 @@ def norms_of_error(
     mesh: Mesh,
     tags: BoundaryTags,
     tri_degree: int = DEFAULT_TRI_DEGREE,
+    norms=NORM_NAMES,
 ) -> ErrorReport:
-    """Evaluate the seven norms of an error field sampled at ``tri_degree``.
+    """Evaluate the named norms of an error field sampled at ``tri_degree``;
+    the report's other norms are None.
 
     Each norm is positively homogeneous in the field, and is measured once,
-    on the field scaled by 2^-k and scaled back by 2^k, where k is the
-    ``frexp`` exponent of the field's largest |entry| (clamped at the least
-    normal exponent, so that 2^-k stays finite for a subnormal one).  The
-    scaled entries are below 1, so no sum of squares overflows, and the
-    squares of a small field do not underflow; both scalings are exact, so
-    a norm has the bits it has unscaled wherever neither happens.
+    on the arrays it reads scaled by 2^-k and scaled back by 2^k, where k
+    is the ``frexp`` exponent of the largest |entry| of the arrays that the
+    named norms read (clamped at the least normal exponent, so that 2^-k
+    stays finite for a subnormal one).  The scaled entries are below 1, so
+    no sum of squares overflows, and the squares of a small field do not
+    underflow; both scalings are exact, so a norm has the bits it has
+    unscaled wherever neither happens, whichever other norms are named.
     """
-    peak = max(float(np.abs(a).max(initial=0.0)) for a in vars(field).values())
+    arrays = {a: getattr(field, a) for a in arrays_read(norms)}
+    missing = sorted(a for a, v in arrays.items() if v is None)
+    if missing:
+        raise ValueError(f"the error field lacks {missing}")
+    peak = max((float(np.abs(v).max(initial=0.0)) for v in arrays.values()), default=0.0)
     k = max(math.frexp(peak)[1], sys.float_info.min_exp)
     with np.errstate(over="ignore"):  # a norm above the float range reads inf
-        scaled = _norms_of_error(field.scaled(math.ldexp(1.0, -k)), mesh, tags, tri_degree)
-        return ErrorReport(**{name: float(np.ldexp(value, k))
-                              for name, value in scaled.as_dict().items()})
-
-
-def _norms_of_error(field: ErrorField, mesh: Mesh, tags: BoundaryTags,
-                    tri_degree: int) -> ErrorReport:
-    quad = triangle_quadrature(tri_degree)
-    w = quad.physical_weights(mesh.area)
-    l2 = float(np.sqrt(np.einsum("tq,tq->", w, field.e0_quad**2)))
-    l1 = float(np.einsum("tq,tq->", w, np.abs(field.e0_quad)))
-    linf = float(
-        max(
-            np.abs(field.e0_quad).max(initial=0.0),
-            np.abs(field.e0_nodes).max(initial=0.0),
-        )
-    )
-
-    h2_sq = float(np.sum(mesh.area * field.lap_e0**2))
-    h2_sq += float(np.sum(stabilizer_weights(mesh) * field.mismatch**2))
-    h1_sq = 0.0
-    w11 = 0.0
-    t, wq = edge_gauss(edge_points_for(tri_degree))
-    tau = t - 0.5
-    for l in range(3):
-        e = mesh.tri_edges[:, l]
-        h_e = mesh.h_e[e]
-        en = field.en[e]
-        h1_sq += float(np.sum(mesh.h_t * h_e * (en[:, 0] ** 2 + en[:, 1] ** 2 / 12.0)))
-        en_vals = en[:, 0][:, None] + en[:, 1][:, None] * tau[None, :]
-        w11 += float(np.sum(mesh.h_t * h_e * (np.abs(en_vals) @ wq)))
-
-    interior = np.flatnonzero(~mesh.boundary_edge_mask)
-    if len(interior):
-        h_e = mesh.h_e[interior]
-        inv3 = mesh.h_t[mesh.edge_tris[interior, 0]] ** -3 + mesh.h_t[
-            mesh.edge_tris[interior, 1]
-        ] ** -3
-        jump_sq = (field.q0_jump**2) @ wq * h_e
-        h2_sq += float(np.sum(0.25 * inv3 * jump_sq))
-
-    lam0h = lambda_norm(field.lam, mesh, tags)
-    return ErrorReport(
-        h2=float(np.sqrt(h2_sq)),
-        l1=l1,
-        l2=l2,
-        h1=float(np.sqrt(h1_sq)),
-        linf=linf,
-        w11=w11,
-        lambda0h=lam0h,
-    )
+        scaled = ErrorField(**arrays).scaled(math.ldexp(1.0, -k))
+        values = {name: _NORMS[name][1](scaled, mesh, tags, tri_degree) for name in norms}
+        return ErrorReport(**{name: float(np.ldexp(v, k)) for name, v in values.items()})
 
 
 def error_norms(
-    solution: Solution, qhu: ExactProjection, mesh: Mesh, tags: BoundaryTags
+    solution: Solution, qhu: ExactProjection, mesh: Mesh, tags: BoundaryTags,
+    norms=NORM_NAMES,
 ) -> ErrorReport:
-    """All seven norms of e = u_h - Q_h u (plus ||lambda_h||_0h)."""
-    return norms_of_error(build_error_field(solution, qhu, mesh), mesh, tags, qhu.tri_degree)
+    """The named norms of e = u_h - Q_h u, by default all seven (the six
+    field norms plus ||lambda_h||_0h); each is computed from the arrays it
+    reads only (``build_error_field``, ``norms_of_error``)."""
+    return norms_of_error(build_error_field(solution, qhu, mesh, norms), mesh, tags,
+                          qhu.tri_degree, norms)
 
 
 def lambda_jump(lam: np.ndarray, mesh: Mesh) -> np.ndarray:

@@ -131,8 +131,17 @@ def project_edge_samples(samples) -> np.ndarray:
 
 
 def interpolate_nodes(g: Callable, mesh, node_ids: np.ndarray) -> np.ndarray:
-    """Values of g at the given P2 nodes (vertex ids, then V + edge ids)."""
-    coords = mesh.p2_node_coords[node_ids]
+    """Values of g at the given P2 nodes (vertex ids, then V + edge ids).
+
+    Only the given nodes' coordinates are formed, each as
+    ``mesh.p2_node_coords`` forms it: a vertex as itself, the midpoint of
+    edge (a, b) as 0.5 * (v[a] + v[b]).
+    """
+    coords = np.empty((len(node_ids), 2))
+    vertex = node_ids < mesh.num_vertices
+    coords[vertex] = mesh.vertices[node_ids[vertex]]
+    ends = mesh.edges[node_ids[~vertex] - mesh.num_vertices]
+    coords[~vertex] = 0.5 * (mesh.vertices[ends[:, 0]] + mesh.vertices[ends[:, 1]])
     values = np.asarray(g(coords[:, 0], coords[:, 1]), dtype=float)
     return np.broadcast_to(values, node_ids.shape).copy()
 

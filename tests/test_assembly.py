@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.integrate
 
+from pdwg import assembly
 from pdwg.assembly import (
     apply_boundary_conditions,
     assemble_constraint,
@@ -18,7 +19,12 @@ from pdwg.assembly import (
 )
 from pdwg.harness import Reference, case_matrix
 from pdwg.linsolve import saddle_factor
-from pdwg.mesh import BoundarySegmentSpec, build_uniform_unit_square, classify_boundary
+from pdwg.mesh import (
+    BoundarySegmentSpec,
+    build_uniform_unit_square,
+    check_alignment,
+    classify_boundary,
+)
 from pdwg.norms import project_exact
 from pdwg.polyspace import (
     DEFAULT_TRI_DEGREE,
@@ -26,7 +32,14 @@ from pdwg.polyspace import (
     edge_points_for,
     project_edge_samples,
 )
-from pdwg.problems import ManufacturedSolution, NoiseSpec, case_configs, get_problem
+from pdwg.problems import (
+    ManufacturedSolution,
+    NoiseSpec,
+    case_configs,
+    catalog,
+    get_case,
+    get_problem,
+)
 from pdwg.verify import quadratic_consistency_residual
 
 from conftest import tags_for
@@ -284,6 +297,33 @@ def test_dirichlet_values_are_nodal_samples(mesh4):
     assert np.array_equal(
         system.g[system.dirichlet_nodes], problem.u(coords[:, 0], coords[:, 1])
     )
+
+
+def nodes_from_all_coordinates(g, mesh, node_ids):
+    """``interpolate_nodes`` as read from every P2 node's coordinates: the
+    oracle of the values at the requested nodes."""
+    coords = mesh.p2_node_coords[node_ids]
+    values = np.asarray(g(coords[:, 0], coords[:, 1]), dtype=float)
+    return np.broadcast_to(values, node_ids.shape).copy()
+
+
+@pytest.mark.parametrize("case", sorted(case_configs()))
+def test_boundary_values_keep_their_bits_from_the_requested_nodes(case, monkeypatch):
+    # every problem, with and without noise, at each n = 1..8 the case fits
+    specs = [NoiseSpec(), NoiseSpec(amplitude=0.1, seed=2024)]
+    for n in range(1, 9):
+        try:
+            check_alignment(get_case(case).segments, n)
+        except ValueError:
+            continue
+        matrix = case_matrix(case, build_uniform_unit_square(n))
+        for problem in catalog().values():
+            for noise in specs:
+                got = apply_boundary_conditions(problem, matrix, noise=noise)
+                with monkeypatch.context() as patch:
+                    patch.setattr(assembly, "interpolate_nodes", nodes_from_all_coordinates)
+                    want = apply_boundary_conditions(problem, matrix, noise=noise)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64)), (n, problem.name)
 
 
 def test_system_symmetric_and_blocks(mesh4):

@@ -10,6 +10,7 @@ import pytest
 
 import pdwg.cli as cli
 import pdwg.harness as harness
+import pdwg.norms as norms
 from pdwg.linsolve import SingularSystem
 from pdwg.problems import DEFAULT_NOISE_SEED
 
@@ -513,6 +514,45 @@ def test_an_error_field_whose_squares_overflow_has_finite_norms(tmp_path):
     # the noise dominates the error, which is linear in the amplitude
     assert norms[1][1] / 1e300 == pytest.approx(norms[0][1] / 1e100, rel=1e-9)
     assert norms[1][2] / 1e300 == pytest.approx(norms[0][2] / 1e100, rel=1e-9)
+
+
+@pytest.mark.parametrize("case, n", [("case2", 4), ("figures", 8)])
+def test_the_noise_summary_is_the_text_of_a_full_measurement(case, n, tmp_path):
+    # the command measures l2 and linf alone, with the bits each has among
+    # all seven norms, also at a subnormal amplitude and at one where the
+    # error field's squares overflow
+    amplitudes = [0.0, 1e-320, 0.01, 1e300]
+    argv = ["noise", "--problem", "coscos", "--case", case, "--n", str(n),
+            "--amplitudes", ",".join(map(repr, amplitudes))]
+    assert run(argv, tmp_path) == 0
+    full = harness.run_noise_study("coscos", case, n, amplitudes)
+    assert all(row.report is not None for row in full.rows)
+    want = harness.rows_csv(full.rows, harness.NOISE_SUMMARY_COLUMNS).encode()
+    assert (tmp_path / "noise_summary.csv").read_bytes() == want
+
+
+def test_the_noise_command_measures_only_the_norms_it_writes(tmp_path, monkeypatch):
+    def unread(*args):
+        raise AssertionError("a norm the summary does not write was measured")
+
+    arrays, make_field = [], norms.ErrorField
+
+    def recorded_field(**kwargs):
+        arrays.append({a for a, v in kwargs.items() if v is not None})
+        return make_field(**kwargs)
+
+    monkeypatch.setattr(norms, "lambda_norm", unread)
+    monkeypatch.setattr(norms, "stabilizer_weights", unread)
+    monkeypatch.setattr(norms, "ErrorField", recorded_field)
+    argv = ["noise", "--problem", "coscos", "--case", "figures", "--n", "4",
+            "--amplitudes", "0,0.01"]
+    assert run(argv, tmp_path / "noise") == 0
+    rows = (tmp_path / "noise" / "noise_summary.csv").read_text().splitlines()
+    assert all(cell != "" for row in rows for cell in row.split(","))
+    assert arrays and all(made <= {"e0_quad", "e0_nodes"} for made in arrays)
+    # the sentinels are live: a solve measures all seven norms
+    with pytest.raises(AssertionError, match="was measured"):
+        run(["solve", "--n", "2"], tmp_path / "solve")
 
 
 def test_verify_subcommand_passes(tmp_path):

@@ -27,6 +27,7 @@ from pdwg.harness import (
 )
 from pdwg.linsolve import CondensedFactor, factor_and_solve, saddle_factor
 from pdwg.mesh import build_uniform_unit_square
+from pdwg.norms import NORM_NAMES
 from pdwg.polyspace import DEFAULT_TRI_DEGREE
 from pdwg.problems import DEFAULT_NOISE_SEED, NoiseSpec, case_configs, catalog, get_problem
 
@@ -274,6 +275,35 @@ def test_noise_summary_csv_schema():
     lines = study.summary_csv().strip().split("\n")
     assert lines[0] == "amplitude,l2,linf"
     assert len(lines) == 3
+
+
+def test_a_noise_study_measures_all_seven_norms_by_default():
+    study = run_noise_study("coscos", "figures", 4, [0.0, 1e-320, 0.01, 1e300])
+    for row in study.rows:
+        norms = row.report.as_dict()
+        assert list(norms) == list(NORM_NAMES)
+        assert all(math.isfinite(v) for v in norms.values()), row.amplitude
+
+
+@pytest.mark.parametrize("amplitudes, norms", [
+    ([0.0, -0.1], NORM_NAMES), ([0.0, math.nan], NORM_NAMES), ([0.0], ("l2", "l3"))],
+    ids=["negative_amplitude", "nan_amplitude", "unknown_norm"])
+def test_a_noise_study_checks_its_inputs_before_the_mesh(amplitudes, norms, monkeypatch,
+                                                         splu_calls):
+    def no_mesh(n):
+        raise AssertionError("a mesh was built")
+
+    monkeypatch.setattr(harness, "build_uniform_unit_square", no_mesh)
+    with pytest.raises(ValueError):
+        run_noise_study("coscos", "figures", 2, amplitudes, norms=norms)
+    assert splu_calls == []
+
+
+def test_a_nan_amplitude_raises_where_the_factor_fails(singular_splu):
+    # the factor would fail every row; the amplitude is refused first
+    with pytest.raises(ValueError, match="noise amplitude must be finite"):
+        run_noise_study("coscos", "figures", 2, [0.0, math.nan])
+    assert singular_splu == []
 
 
 def test_a_noisy_run_is_its_clean_run_plus_a_times_the_response():

@@ -7,7 +7,9 @@ from pdwg.assembly import build_saddle_system, normal_mismatch_maps, tri_p2_dofs
 from pdwg.linsolve import Solution, factor_and_solve
 from pdwg.mesh import build_uniform_unit_square
 from pdwg.norms import (
+    NORM_NAMES,
     ErrorField,
+    arrays_read,
     build_error_field,
     PROJECTION_MIN_TRI_DEGREE,
     error_norms,
@@ -239,6 +241,45 @@ def test_norms_are_exactly_homogeneous_under_powers_of_two(sinsin_case1_field, m
     scaled = norms_of_error(field.scaled(2.0**j), mesh4, tags).as_dict()
     assert all(value > 0.0 for value in base.values())
     assert scaled == {k: math.ldexp(v, j) for k, v in base.items()}
+
+
+@pytest.mark.parametrize("j", [-900, 0, 900])
+@pytest.mark.parametrize("name", NORM_NAMES)
+def test_a_norm_measured_alone_has_the_bits_it_has_among_all_seven(sinsin_case1_field, mesh4,
+                                                                   name, j):
+    # alone, a norm is scaled by the power of two of the arrays it reads,
+    # not of all seven norms' arrays; both scalings are exact
+    field, tags = sinsin_case1_field
+    field = field.scaled(2.0**j)
+    full = norms_of_error(field, mesh4, tags).as_dict()
+    alone = norms_of_error(field, mesh4, tags, norms=(name,)).as_dict()
+    assert alone == {k: v if k == name else None for k, v in full.items()}
+
+
+@pytest.mark.parametrize("name", NORM_NAMES)
+def test_an_error_field_holds_only_the_arrays_its_norms_read(mesh4, name):
+    problem = get_problem("coscos")
+    tags = tags_for(mesh4, "case2")
+    solution = factor_and_solve(build_saddle_system(mesh4, tags, problem))
+    qhu = project_exact(problem, mesh4)
+    field = build_error_field(solution, qhu, mesh4, (name,))
+    assert {a for a, v in vars(field).items() if v is not None} == arrays_read((name,))
+    full = build_error_field(solution, qhu, mesh4)
+    for a in arrays_read((name,)):
+        assert np.array_equal(getattr(field, a), getattr(full, a)), a
+    assert (error_norms(solution, qhu, mesh4, tags, (name,)).as_dict()[name]
+            == error_norms(solution, qhu, mesh4, tags).as_dict()[name])
+
+
+def test_unknown_or_unbuilt_norms_are_refused(sinsin_case1_field, mesh4):
+    field, tags = sinsin_case1_field
+    with pytest.raises(ValueError, match="unknown norms"):
+        norms_of_error(field, mesh4, tags, norms=("l2", "l3"))
+    linf_only = ErrorField(e0_quad=field.e0_quad, e0_nodes=field.e0_nodes)
+    assert (norms_of_error(linf_only, mesh4, tags, norms=("linf",)).linf
+            == norms_of_error(field, mesh4, tags).linf)
+    with pytest.raises(ValueError, match="lacks"):
+        norms_of_error(linf_only, mesh4, tags, norms=("linf", "w11"))
 
 
 def test_a_subnormal_field_is_measured(sinsin_case1_field, mesh4):
